@@ -150,14 +150,18 @@ class ScenarioConfig:
 def _convert(section: str, key: str, raw: str, problems: list):
     typ, _ = _SCHEMA[section][key]
     try:
-        if typ is float:
-            return float(raw)
+        if typ is float or typ == "floats":
+            parts = raw.split(",") if typ == "floats" else [raw]
+            vals = tuple(float(p) for p in parts)
+            if not all(math.isfinite(v) for v in vals):
+                problems.append(
+                    f"[{section}] {key} = {raw!r}: not a finite number")
+                return None
+            return vals if typ == "floats" else vals[0]
         if typ is int:
             return int(raw)
         if typ is str:
             return raw
-        if typ == "floats":
-            return tuple(float(p) for p in raw.split(","))
         if raw not in typ:
             problems.append(
                 f"[{section}] {key} = {raw!r}: must be one of {'|'.join(typ)}")

@@ -82,6 +82,8 @@ class SystemParams:
     q: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in vars(self).values()):
+            raise InvalidInputError("system parameters must be finite")
         if self.gamma < 0:
             raise InvalidInputError("gamma must be >= 0")
         if self.c0n <= 0:

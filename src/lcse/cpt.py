@@ -173,7 +173,7 @@ LATE_WINDOW_TAU = 30.0
 
 def run_transfer(initial: SpinorAmplitudes, params: SystemParams,
                  pulse: PulseSchedule,
-                 tau_span: tuple[float, float] = (-100.0, 150.0),
+                 tau_span: tuple[float, float] = (0.0, 150.0),
                  config: Optional[IntegratorConfig] = None,
                  sampling: int = 2001,
                  variant: str = "symmetrized") -> TransferResult:
@@ -259,15 +259,13 @@ class AdiabaticityReport(NamedTuple):
 
 
 def adiabaticity_diagnostic(pulse: PulseSchedule,
-                            params: Optional[SystemParams] = None,
                             tau_grid=None) -> AdiabaticityReport:
     """How fast the dark state moves relative to the instantaneous gap.
 
     Returns max over the grid of |d(n+_s, n0_s, n-_s)/dtau| (Euclidean)
     divided by sqrt(Omega'_p^2 + Omega'_d^2). Values well under 1 mean the
     pulse sweeps the steady state slowly compared to the coupling scale;
-    the adiabatic flag compares against 1. params is accepted for signature
-    symmetry with run_transfer and is not consulted.
+    the adiabatic flag compares against 1.
     """
     if tau_grid is None:
         tau_grid = np.linspace(-100.0, 150.0, 20001)

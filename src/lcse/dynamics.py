@@ -47,7 +47,6 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = math.inf
-    method_order: int = 5
 
     def __post_init__(self):
         for t in (self.rel_tol, self.abs_tol):

@@ -3,12 +3,14 @@
 The functional itself lives in dynamics.energy_functional (the pendulum flow
 derives from it); this module evaluates it on grids, locates fixed points on
 the sin(theta) = 0 lines, and classifies trajectories as open (phase winds)
-or closed (bounded, periodic) following the actual flow.
+or closed (bounded, periodic) from the topology of their level set, with the
+flow itself as the fallback near separatrices.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -34,6 +36,8 @@ class LandscapeParams:
     lightshift_p: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in vars(self).values()):
+            raise InvalidInputError("landscape parameters must be finite")
         if abs(self.m_mag) > 1.0:
             raise InvalidInputError("|m_mag| must be <= 1")
 
@@ -142,17 +146,108 @@ def find_fixed_points(lp: LandscapeParams,
             out.append(FixedPoint(th, float(root),
                                   float(energy(th, root, lp)), stab))
     if include_boundary:
-        # E is theta-independent at both endpoints (the C term carries n0*S)
+        # E is theta-independent at both endpoints (the C term carries n0*S);
+        # energy_functional clamps the (1-n0)^2 - m^2 that 1 - |m| rounds
+        # below zero
         for n0 in (0.0, n0_max):
-            out.append(FixedPoint(0.0, n0, float(energy(0.0, n0, lp)),
-                                  Stability.BOUNDARY_EXTREMUM))
+            e_edge = float(energy_functional(0.0, n0, *args))
+            out.append(FixedPoint(0.0, n0, e_edge, Stability.BOUNDARY_EXTREMUM))
     return out
+
+
+# The level set is scanned on this many n0 points, skipping those within
+# _START_GAP of the start: for a start on a junction, |g| <= 1 is decided by
+# rounding there. Starts whose energy lies within _SEPARATRIX_MARGIN of the
+# energy range of a saddle or boundary energy are left to the flow, since
+# gaps of the band narrower than the scan step open only there.
+_SCAN_POINTS = 20001
+_START_GAP = 1e-9
+_SEPARATRIX_MARGIN = 1e-4
+
+
+class _EnergyBand(NamedTuple):
+    n_zero: np.ndarray       # scan grid over [0, 1 - |m|]
+    base: np.ndarray         # E at C = 0, midway between E(0, n0), E(pi, n0)
+    half_width: np.ndarray   # |C| n0 S, half the band's width
+    separatrix: np.ndarray   # saddle and boundary-extremum energies
+    margin: float            # _SEPARATRIX_MARGIN times the energy range
+
+
+@functools.lru_cache(maxsize=2)
+def _energy_band(lp: LandscapeParams) -> _EnergyBand:
+    n0 = np.linspace(0.0, 1.0 - abs(lp.m_mag), _SCAN_POINTS)
+    rest = (lp.c2n, lp.q, lp.lightshift_delta, lp.lightshift_p)
+    base = energy_functional(0.0, n0, lp.m_mag, 0.0, *rest)
+    half = np.abs(energy_functional(0.0, n0, lp.m_mag, lp.c_eff, *rest) - base)
+    span = float(np.max(base + half) - np.min(base - half))
+    separatrix = np.array([p.energy for p in find_fixed_points(lp)
+                           if p.stability is not Stability.CENTER])
+    return _EnergyBand(n0, base, half, separatrix, _SEPARATRIX_MARGIN * span)
 
 
 def classify_trajectory(lp: LandscapeParams, initial: PendulumState,
                         tau_max: float = 500.0,
                         eps_return: float = 1e-4,
                         config: Optional[IntegratorConfig] = None) -> Verdict:
+    """Call the orbit through `initial` open or closed from its level set.
+
+    On E(theta, n0) = E0 the orbit obeys cos(theta) = g(n0) =
+    (E0 - E|_{C=0}(n0)) / (C n0 S(n0)), so it is the pair of arcs
+    theta = +-arccos(g) over the n0 interval around the start where
+    |g| <= 1. The arcs join at theta = 0 where g = +1 and at theta = pi
+    where g = -1: Open when the interval ends on one of each (the phase
+    winds), Closed when both ends join on the same line, Boundary when the
+    interval reaches the domain edge. C = 0 leaves theta precessing: Open.
+
+    Starts whose energy is within a small margin of a saddle or boundary
+    energy go to classify_by_flow with tau_max, eps_return and config; no
+    other start uses them.
+    """
+    if initial.m_mag != lp.m_mag:
+        raise InvalidInputError("initial.m_mag must match lp.m_mag")
+    band = _energy_band(lp)
+    e0 = float(energy(initial.theta, initial.n_zero, lp))
+    if np.any(np.abs(band.separatrix - e0) <= band.margin):
+        return classify_by_flow(lp, initial, tau_max=tau_max,
+                                eps_return=eps_return, config=config)
+    if lp.c_eff == 0.0:
+        return Verdict.OPEN
+    gap = e0 - band.base
+    outside = np.abs(gap) > band.half_width
+    above = np.searchsorted(band.n_zero, initial.n_zero + _START_GAP, "right")
+    below = np.searchsorted(band.n_zero, initial.n_zero - _START_GAP, "left")
+    up = np.flatnonzero(outside[above:])
+    down = np.flatnonzero(outside[:below])
+    if len(up) == 0 or len(down) == 0:
+        return Verdict.BOUNDARY
+    # just past an end g > 1 (arcs joined on theta = 0) where gap and C share
+    # a sign, g < -1 (joined on theta = pi) otherwise
+    top_on_zero = gap[above + up[0]] * lp.c_eff > 0.0
+    bottom_on_zero = gap[down[-1]] * lp.c_eff > 0.0
+    return Verdict.OPEN if top_on_zero != bottom_on_zero else Verdict.CLOSED
+
+
+def _return_distance(ys: np.ndarray, theta0: float, n00: float) -> np.ndarray:
+    dth = np.angle(np.exp(1j * (ys[0] - theta0)))
+    return np.hypot(dth, ys[1] - n00)
+
+
+def _closest_approach(sol, t_lo: float, t_hi: float, theta0: float,
+                      n00: float) -> float:
+    """Smallest distance to the start on [t_lo, t_hi], by zooming in on the
+    dense output."""
+    for _ in range(4):
+        fine = np.linspace(t_lo, t_hi, 41)
+        dist = _return_distance(sol.sol(fine), theta0, n00)
+        i = int(np.argmin(dist))
+        t_lo, t_hi = fine[max(i - 1, 0)], fine[min(i + 1, 40)]
+    return float(dist[i])
+
+
+def classify_by_flow(lp: LandscapeParams, initial: PendulumState,
+                     tau_max: float = 500.0,
+                     eps_return: float = 1e-4,
+                     config: Optional[IntegratorConfig] = None) -> Verdict:
     """Follow the pendulum flow and call the orbit open or closed.
 
     Open: unwrapped |theta - theta(0)| reaches 2 pi (terminal event).
@@ -161,9 +256,10 @@ def classify_trajectory(lp: LandscapeParams, initial: PendulumState,
     first leaving a 10*eps_return ball; a start that never leaves that ball
     counts as closed (libration around a nearby fixed point). Boundary: the
     (1-n0)^2 = m^2 event fires. Anything unresolved by tau_max is
-    Indeterminate. Returns are detected on the dense output (0.02 tau grid):
-    ball transits are much shorter than adaptive solver steps, so terminal
-    return events would be unreliable.
+    Indeterminate. Returns are looked for on the dense output, on a 0.02 tau
+    grid refined around the sampled distance minima near the ball: transits
+    are much shorter than adaptive solver steps, so terminal return events
+    would be unreliable, and they can fall between grid samples.
     """
     if initial.m_mag != lp.m_mag:
         raise InvalidInputError("initial.m_mag must match lp.m_mag")
@@ -190,14 +286,24 @@ def classify_trajectory(lp: LandscapeParams, initial: PendulumState,
 
     ts = np.arange(0.0, sol.t[-1], 0.02)
     ys = sol.sol(ts)
-    band = float(ys[0].max() - ys[0].min())
-    dth = np.angle(np.exp(1j * (ys[0] - theta0)))
-    dist = np.hypot(dth, ys[1] - n00)
+    dist = _return_distance(ys, theta0, n00)
     outside = np.nonzero(dist > 10.0 * eps_return)[0]
     if len(outside) == 0:
         return Verdict.CLOSED
-    if band < 2.0 * math.pi and float(dist[outside[0]:].min()) < eps_return:
+    if float(ys[0].max() - ys[0].min()) >= 2.0 * math.pi:
+        return Verdict.INDETERMINATE
+    if float(dist[outside[0]:].min()) < eps_return:
         return Verdict.CLOSED
+    # a pass through the ball can fall between samples: refine each sampled
+    # distance minimum within 10*eps_return plus one sample step of the start
+    step = np.hypot(np.diff(ys[0]), np.diff(ys[1]))
+    k = np.arange(outside[0] + 1, len(ts) - 1)
+    reach = 10.0 * eps_return + np.maximum(step[k - 1], step[k])
+    minima = k[(dist[k] <= dist[k - 1]) & (dist[k] <= dist[k + 1])
+               & (dist[k] < reach)]
+    for i in minima:
+        if _closest_approach(sol, ts[i - 1], ts[i + 1], theta0, n00) < eps_return:
+            return Verdict.CLOSED
     return Verdict.INDETERMINATE
 
 

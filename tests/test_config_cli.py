@@ -24,9 +24,10 @@ PRESET_NAMES = ["fig2-collision", "fig2-frozen", "fig2-reversed",
                 "fig3-portraits", "fig4-cpt", "fig4-ensemble"]
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run([sys.executable, "-m", "lcse.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          timeout=timeout)
 
 
 def test_preset_registry():
@@ -123,6 +124,37 @@ def test_parse_rejects_non_numeric():
     text = preset_text("fig2-collision").replace("q = 0.01", "q = fast")
     with pytest.raises(ConfigError, match="q"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_parse_rejects_nonfinite(raw):
+    text = preset_text("fig2-collision").replace("q = 0.01", f"q = {raw}")
+    with pytest.raises(ConfigError, match="not a finite number"):
+        parse_config(text)
+    text = preset_text("fig3-portraits").replace(
+        "c_eff_over_c2 = 1, 0.5", f"c_eff_over_c2 = 1, {raw}")
+    with pytest.raises(ConfigError, match="c_eff_over_c2"):
+        parse_config(text)
+
+
+def test_parse_lists_nonfinite_with_other_problems():
+    text = (preset_text("fig2-collision").replace("q = 0.01", "q = nan")
+            .replace("n_zero = 0.9", "n_zero = oops"))
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    joined = "\n".join(info.value.problems)
+    assert "q = 'nan'" in joined and "n_zero = 'oops'" in joined
+
+
+@pytest.mark.parametrize("preset", ["fig2-collision", "fig3-portraits"])
+def test_cli_nonfinite_input_fails_fast(tmp_path, preset):
+    # a nan used to pass validation and then hang the integrator
+    path = tmp_path / "nan.ini"
+    path.write_text(preset_text(preset).replace("q = 0.01", "q = nan"))
+    for args in (("validate",), ("run", "--out", str(tmp_path / "o"))):
+        proc = run_cli(*args, "--config", str(path), timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "not a finite number" in proc.stderr
 
 
 def test_cli_presets_listing():

@@ -176,3 +176,11 @@ def test_system_params_validation():
         SystemParams(gamma=-0.1)
     with pytest.raises(InvalidInputError):
         SystemParams(c0n=0.0)
+
+
+@pytest.mark.parametrize("field", ["q", "c2n", "omega_p", "big_delta_prime",
+                                   "gamma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_system_params_reject_nonfinite(field, value):
+    with pytest.raises(InvalidInputError, match="finite"):
+        SystemParams(**{field: value})

@@ -7,18 +7,24 @@ Verifies:
   - bracketing fixed-point search against frozen center/saddle locations
   - orbit verdicts: winding, epsilon-return, boundary starts, and the
     frozen 10x10 grid counts for the four standard couplings
+  - level-set verdicts against the flow classifier on every fig3 start and
+    on random landscapes, with no fig3 start sent to the flow fallback
   - energy conservation along a classified closed orbit
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from lcse import (DomainError, GridSpec, InvalidInputError, LandscapeParams,
                   PendulumState, Stability, Verdict, classify_trajectory,
                   contour_portrait, default_start_grid, energy, energy_grid,
                   find_fixed_points, RB87_C2_OVER_C0)
+from lcse import landscape
+from lcse.landscape import classify_by_flow
 
 C2 = RB87_C2_OVER_C0
 
@@ -218,3 +224,86 @@ def test_portrait_frozen_grid_counts():
     assert summary.counts.get("Open", 0) == 74
     assert summary.counts.get("Closed", 0) == 26
     assert summary.counts.get("Indeterminate", 0) == 0
+
+
+class _FlowFallback(Exception):
+    pass
+
+
+def level_set_verdict(lp, start):
+    """classify_trajectory with the flow fallback refused."""
+    def refuse(*args, **kwargs):
+        raise _FlowFallback
+    with mock.patch.object(landscape, "classify_by_flow", refuse):
+        return classify_trajectory(lp, start, tau_max=2500.0)
+
+
+@pytest.mark.parametrize("shifts", [True, False])
+@pytest.mark.parametrize("mult", [1.0, 0.5, -0.5, -1.0])
+def test_level_set_matches_flow_on_fig3_starts(mult, shifts):
+    lp = ladder_params(mult * C2, shifts=shifts)
+    for start in default_start_grid():
+        assert level_set_verdict(lp, start) is classify_by_flow(
+            lp, start, tau_max=2500.0), start
+
+
+def test_classify_center_start_is_closed():
+    lp = ladder_params(-0.5 * C2)
+    center = next(p for p in find_fixed_points(lp)
+                  if p.stability is Stability.CENTER)
+    start = PendulumState(center.theta, center.n_zero)
+    assert level_set_verdict(lp, start) is Verdict.CLOSED
+
+
+def test_flow_finds_return_between_samples():
+    # period 1329 < tau_max; the nearest 0.02-tau sample is 1.02e-4 from the
+    # start, outside eps_return = 1e-4, so an unrefined scan said
+    # Indeterminate
+    lp = ladder_params(-0.5 * C2)
+    starts = default_start_grid(n0_lo=0.045445505235574814,
+                                n0_hi=0.952461350932027)
+    hits = [s for s in starts if abs(abs(s.theta) - math.pi / 3) < 1e-9
+            and abs(s.n_zero - 0.54934) < 1e-4]
+    assert len(hits) == 2
+    for start in hits:
+        assert classify_by_flow(lp, start, tau_max=2500.0) is Verdict.CLOSED
+        assert classify_trajectory(lp, start, tau_max=2500.0) is Verdict.CLOSED
+
+
+coefficient = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(m_mag=st.floats(-0.5, 0.5), c_abs=st.floats(0.05, 1.0),
+       c_sign=st.sampled_from([-1.0, 1.0]), c2n=coefficient, q=coefficient,
+       ls_delta=coefficient, ls_p=coefficient,
+       theta=st.floats(-math.pi, math.pi),
+       n0_frac=st.floats(0.0, 1.0, exclude_max=True))
+def test_level_set_matches_flow_on_random_landscapes(
+        m_mag, c_abs, c_sign, c2n, q, ls_delta, ls_p, theta, n0_frac):
+    lp = LandscapeParams(c_eff=c_sign * c_abs, c2n=c2n, q=q, m_mag=m_mag,
+                         lightshift_delta=ls_delta, lightshift_p=ls_p)
+    start = PendulumState(theta, n0_frac * (1.0 - abs(m_mag)), m_mag)
+    try:
+        verdict = level_set_verdict(lp, start)
+    except _FlowFallback:
+        reject()  # inside the separatrix margin: the flow decides anyway
+    assert verdict is classify_by_flow(lp, start, tau_max=300.0)
+
+
+def test_fixed_points_at_rounded_domain_edge():
+    # 1 - |m| rounds to an n0 where (1-n0)^2 - m^2 is slightly negative
+    lp = LandscapeParams(c_eff=0.01, c2n=C2, q=0.01, m_mag=0.1)
+    edge = [p for p in find_fixed_points(lp)
+            if p.stability is Stability.BOUNDARY_EXTREMUM]
+    assert [p.n_zero for p in edge] == [0.0, 0.9]
+    assert edge[1].energy == pytest.approx(0.01 * 0.1 + C2 * 0.9 * 0.1,
+                                           rel=1e-12)
+
+
+@pytest.mark.parametrize("field", ["c_eff", "q", "m_mag", "lightshift_p"])
+def test_landscape_params_reject_nonfinite(field):
+    kwargs = dict(c_eff=0.01, c2n=C2, q=0.01)
+    kwargs[field] = math.nan
+    with pytest.raises(InvalidInputError, match="finite"):
+        LandscapeParams(**kwargs)
