@@ -22,11 +22,12 @@ from .cpt import (AdiabaticityReport, PulseSchedule, StationarityResidual,
                   TransferResult, adiabaticity_diagnostic, cpt_populations,
                   cpt_state, make_schedule, resonance_detuning, run_transfer,
                   sech_pulse, stationarity_residual)
-from .dynamics import (CrossValidation, IntegratorConfig, PendulumState,
-                       Trajectory, crossvalidate_amplitude_vs_pendulum,
+from .dynamics import (BatchTrajectory, CrossValidation, IntegratorConfig,
+                       PendulumState, Trajectory,
+                       crossvalidate_amplitude_vs_pendulum,
                        energy_from_amplitudes, energy_functional,
-                       energy_gradient_n0, integrate, rhs_effective,
-                       rhs_pendulum, rhs_resonant)
+                       energy_gradient_n0, integrate, integrate_batch,
+                       rhs_effective, rhs_pendulum, rhs_resonant)
 from .errors import (ConfigError, DomainError, InvalidInputError, LcseError,
                      NumericalError)
 from .landscape import (EnergyGrid, FixedPoint, GridSpec, LandscapeParams,
@@ -53,10 +54,11 @@ __all__ = [
     "TransferResult", "adiabaticity_diagnostic", "cpt_populations",
     "cpt_state", "make_schedule", "resonance_detuning", "run_transfer",
     "sech_pulse", "stationarity_residual",
-    "CrossValidation", "IntegratorConfig", "PendulumState", "Trajectory",
-    "crossvalidate_amplitude_vs_pendulum", "energy_from_amplitudes",
-    "energy_functional", "energy_gradient_n0", "integrate", "rhs_effective",
-    "rhs_pendulum", "rhs_resonant",
+    "BatchTrajectory", "CrossValidation", "IntegratorConfig", "PendulumState",
+    "Trajectory", "crossvalidate_amplitude_vs_pendulum",
+    "energy_from_amplitudes", "energy_functional", "energy_gradient_n0",
+    "integrate", "integrate_batch", "rhs_effective", "rhs_pendulum",
+    "rhs_resonant",
     "ConfigError", "DomainError", "InvalidInputError", "LcseError",
     "NumericalError",
     "EnergyGrid", "FixedPoint", "GridSpec", "LandscapeParams",

@@ -139,10 +139,8 @@ def _run_pendulum(cfg: ScenarioConfig, out: Path) -> tuple[list[str], dict]:
 
 def _transfer_rows(traj, pulse):
     pops = traj.populations()
-    theta = [pulse.theta_fn(t) for t in traj.times]
-    omega_d = [pulse.omega_d_fn(t) for t in traj.times]
     return zip(traj.times, pops[0], pops[1], pops[2], pops[3],
-               theta, omega_d)
+               pulse.theta_fn(traj.times), pulse.omega_d_fn(traj.times))
 
 
 _TRANSFER_COLS = ["tau", "n_plus", "n_zero", "n_minus", "n_m", "theta_big",

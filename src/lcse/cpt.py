@@ -11,7 +11,7 @@ r from large to small walks the condensate from the polar state into the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -23,28 +23,112 @@ from .errors import InvalidInputError
 THETA_VARIANTS = ("coherence", "stationary", "fixed")
 
 
+# cosh overflows float64 at |x| = 710.48; past the cutoff sech is below
+# 1e-308 and the pulse is taken as exactly 0
+_SECH_CUTOFF = 710.0
+
+
+def _over_cosh(amplitude: float, tau, t0: float):
+    """amplitude / cosh(tau / t0), exactly 0 past |tau / t0| = 710.
+
+    A float tau goes through math.cosh and gives a float; an array goes
+    through numpy's cosh, which may round one ulp away from it.
+    """
+    if isinstance(tau, (float, int)):
+        x = tau / t0
+        return 0.0 if abs(x) > _SECH_CUTOFF else amplitude / math.cosh(x)
+    x = np.abs(np.asarray(tau, dtype=float) / t0)
+    return np.where(x > _SECH_CUTOFF, 0.0,
+                    amplitude / np.cosh(np.minimum(x, _SECH_CUTOFF)))
+
+
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Time-dependent drive: pump, dump, and two-photon detuning callables.
+    """Constant pump, sech dump and a two-photon detuning, as plain data.
 
-    The pump must stay strictly positive on the run window so the ratio
-    r = Omega'_d / Omega'_p is always defined.
+    The dump is omega_d0 sech(tau / t_zero). theta_variant 'coherence' or
+    'stationary' locks Theta to the instantaneous collision-shifted
+    resonance (resonance_detuning at the current Rabi ratio); 'fixed' holds
+    it at theta_fixed. The pump must be > 0 so the ratio
+    r = Omega'_d / Omega'_p is always defined. The *_fn methods take a float
+    tau (and return a float) or an array of tau (and return an array of the
+    same shape).
     """
 
-    omega_p_fn: Callable[[float], float]
-    omega_d_fn: Callable[[float], float]
-    theta_fn: Callable[[float], float]
-    meta: dict = field(default_factory=dict)
+    omega_p: float
+    omega_d0: float
+    t_zero: float
+    small_delta: float = 0.0
+    c2n: float = 0.0
+    theta_variant: str = "coherence"
+    theta_fixed: Optional[float] = None
+
+    def __post_init__(self):
+        if self.omega_p <= 0.0:
+            raise InvalidInputError("omega_p must be > 0")
+        if self.theta_variant not in THETA_VARIANTS:
+            raise InvalidInputError(
+                f"theta_variant must be one of {THETA_VARIANTS}")
+        if self.t_zero <= 0.0:
+            raise InvalidInputError("t0 must be > 0")
+        if self.omega_d0 < 0.0:
+            raise InvalidInputError("omega_d0 must be >= 0")
+        if self.theta_fixed is not None:
+            object.__setattr__(self, "theta_fixed", float(self.theta_fixed))
+        elif self.theta_variant == "fixed":
+            raise InvalidInputError("theta_variant 'fixed' needs theta_fixed")
+
+    def omega_p_fn(self, tau):
+        if isinstance(tau, (float, int)):
+            return self.omega_p
+        return np.full(np.shape(tau), self.omega_p)
+
+    def omega_d_fn(self, tau):
+        return _over_cosh(self.omega_d0, tau, self.t_zero)
+
+    def theta_fn(self, tau):
+        theta = self._detuning(self.omega_d_fn(tau))
+        if self.theta_variant == "fixed" and not isinstance(tau, (float, int)):
+            return np.full(np.shape(tau), theta)
+        return theta
+
+    def drive(self, tau):
+        """(pump, dump, detuning) at tau with the dump evaluated once; the
+        pump and a fixed detuning come back as floats, which broadcast."""
+        omega_d = self.omega_d_fn(tau)
+        return self.omega_p, omega_d, self._detuning(omega_d)
+
+    def _detuning(self, omega_d):
+        if self.theta_variant == "fixed":
+            return self.theta_fixed
+        n_s, n0_s = _dark_split(self.omega_p, omega_d)
+        return _locked_detuning(n_s, n0_s, self.small_delta, self.c2n,
+                                self.theta_variant)
+
+    @property
+    def meta(self) -> dict:
+        out = {"omega_p": self.omega_p, "omega_d0": self.omega_d0,
+               "t_zero": self.t_zero, "theta_variant": self.theta_variant}
+        if self.theta_fixed is not None:
+            out["theta_fixed"] = self.theta_fixed
+        return out
 
 
-def cpt_populations(omega_p: float, omega_d: float) -> tuple[float, float]:
-    """Steady-state (n_plus_s, n_zero_s); n_minus_s equals n_plus_s."""
-    if omega_p <= 0.0:
-        raise InvalidInputError("omega_p must be > 0 (ratio undefined)")
-    if omega_d < 0.0:
-        raise InvalidInputError("omega_d must be >= 0")
+def _dark_split(omega_p, omega_d):
     r = omega_d / omega_p
     return 1.0 / (2.0 + r), r / (2.0 + r)
+
+
+def cpt_populations(omega_p, omega_d):
+    """Steady-state (n_plus_s, n_zero_s); n_minus_s equals n_plus_s.
+
+    Either Rabi frequency may be an array; the split is taken elementwise.
+    """
+    if np.any(np.less_equal(omega_p, 0.0)):
+        raise InvalidInputError("omega_p must be > 0 (ratio undefined)")
+    if np.any(np.less(omega_d, 0.0)):
+        raise InvalidInputError("omega_d must be >= 0")
+    return _dark_split(omega_p, omega_d)
 
 
 def cpt_state(omega_p: float, omega_d: float) -> SpinorAmplitudes:
@@ -58,8 +142,8 @@ def cpt_state(omega_p: float, omega_d: float) -> SpinorAmplitudes:
     return SpinorAmplitudes(a, math.sqrt(n0_s), a, 0.0 + 0.0j)
 
 
-def resonance_detuning(omega_p: float, omega_d: float, small_delta: float,
-                       c2n: float, variant: str = "coherence") -> float:
+def resonance_detuning(omega_p, omega_d, small_delta: float, c2n: float,
+                       variant: str = "coherence"):
     """Two-photon detuning that tracks the collision-shifted resonance.
 
     variant 'coherence' (default) compensates the full mean-field shift
@@ -71,8 +155,12 @@ def resonance_detuning(omega_p: float, omega_d: float, small_delta: float,
     The two agree at r -> 0 and r = 1 and differ at most by O(c2) elsewhere.
     """
     n_s, n0_s = cpt_populations(omega_p, omega_d)
+    return _locked_detuning(n_s, n0_s, small_delta, c2n, variant)
+
+
+def _locked_detuning(n_s, n0_s, small_delta, c2n, variant):
     if variant == "coherence":
-        shift = 4.0 * n_s + 2.0 * math.sqrt(n_s * n0_s) - 4.0 * n0_s
+        shift = 4.0 * n_s + 2.0 * np.sqrt(n_s * n0_s) - 4.0 * n0_s
     elif variant == "stationary":
         shift = 4.0 * n_s - 2.0 * n0_s
     else:
@@ -85,8 +173,8 @@ def sech_pulse(amplitude: float, t0: float) -> Callable[[float], float]:
     if t0 <= 0.0:
         raise InvalidInputError("t0 must be > 0")
 
-    def fn(tau: float) -> float:
-        return amplitude / math.cosh(tau / t0)
+    def fn(tau):
+        return _over_cosh(amplitude, tau, t0)
 
     return fn
 
@@ -95,38 +183,13 @@ def make_schedule(omega_p: float, omega_d0: float, t_zero: float,
                   small_delta: float = 0.0, c2n: float = 0.0,
                   theta_variant: str = "coherence",
                   theta_fixed: Optional[float] = None) -> PulseSchedule:
-    """Constant pump, sech dump, and a detuning lock recomputed on the fly.
+    """Constant pump, sech dump, and a detuning lock (see PulseSchedule).
 
     theta_variant 'fixed' holds Theta at theta_fixed instead of tracking the
     instantaneous resonance.
     """
-    if omega_p <= 0.0:
-        raise InvalidInputError("omega_p must be > 0")
-    if theta_variant not in THETA_VARIANTS:
-        raise InvalidInputError(
-            f"theta_variant must be one of {THETA_VARIANTS}")
-    od_fn = sech_pulse(omega_d0, t_zero)
-
-    def op_fn(tau: float) -> float:
-        return omega_p
-
-    if theta_variant == "fixed":
-        if theta_fixed is None:
-            raise InvalidInputError("theta_variant 'fixed' needs theta_fixed")
-        th_val = float(theta_fixed)
-
-        def th_fn(tau: float) -> float:
-            return th_val
-    else:
-        def th_fn(tau: float) -> float:
-            return resonance_detuning(omega_p, od_fn(tau), small_delta, c2n,
-                                      theta_variant)
-
-    meta = {"omega_p": omega_p, "omega_d0": omega_d0, "t_zero": t_zero,
-            "theta_variant": theta_variant}
-    if theta_fixed is not None:
-        meta["theta_fixed"] = float(theta_fixed)
-    return PulseSchedule(op_fn, od_fn, th_fn, meta)
+    return PulseSchedule(omega_p, omega_d0, t_zero, small_delta, c2n,
+                         theta_variant, theta_fixed)
 
 
 @dataclass
@@ -179,20 +242,16 @@ def run_transfer(initial: SpinorAmplitudes, params: SystemParams,
                  variant: str = "symmetrized") -> TransferResult:
     """Integrate the resonant system through the pulse and summarize it."""
     probe = np.linspace(tau_span[0], tau_span[1], 101)
-    if min(pulse.omega_p_fn(t) for t in probe) <= 0.0:
+    if np.min(pulse.omega_p_fn(probe)) <= 0.0:
         raise InvalidInputError("pump must stay > 0 on the run window")
     traj = integrate("resonant", initial, params, tau_span, pulse=pulse,
                      config=config, sampling=sampling, variant=variant)
     n = traj.populations()            # rows: n+, n0, n-, n_m
     atoms = n[0] + n[1] + n[2]
-    targets = np.array([cpt_populations(pulse.omega_p_fn(t),
-                                        pulse.omega_d_fn(t))
-                        for t in traj.times])
-    inst = np.stack([targets[:, 0], targets[:, 1], targets[:, 0]])
-    dev_inst = float(np.max(np.abs(n[:3] - inst)))
-    nf_s, nf0_s = cpt_populations(pulse.omega_p_fn(traj.times[-1]),
-                                  pulse.omega_d_fn(traj.times[-1]))
-    final_ref = np.array([[nf_s], [nf0_s], [nf_s]])
+    n_s, n0_s = cpt_populations(pulse.omega_p_fn(traj.times),
+                                pulse.omega_d_fn(traj.times))
+    dev_inst = float(np.max(np.abs(n[:3] - np.stack([n_s, n0_s, n_s]))))
+    final_ref = np.array([[n_s[-1]], [n0_s[-1]], [n_s[-1]]])
     dev_final = float(np.max(np.abs(n[:3] - final_ref)))
     late = traj.times >= LATE_WINDOW_TAU
     peak_late = float(n[3][late].max()) if late.any() else 0.0
@@ -239,8 +298,9 @@ def stationarity_residual(omega_p: float, omega_d: float, c2n: float,
     if theta is None:
         theta = resonance_detuning(omega_p, omega_d, small_delta, c2n, variant)
     state = cpt_state(omega_p, omega_d)
-    pulse = PulseSchedule(lambda t: omega_p, lambda t: omega_d,
-                          lambda t, _th=theta: _th)
+    # t_zero = inf keeps the dump at omega_d for every tau
+    pulse = PulseSchedule(omega_p, omega_d, math.inf, theta_variant="fixed",
+                          theta_fixed=theta)
     params = SystemParams(c2n=c2n, small_delta=small_delta, gamma=gamma)
     d = np.array(rhs_resonant(state, params, pulse), dtype=complex)
     y = np.array([state.a_plus, state.a_zero, state.a_minus, state.a_m],
@@ -271,16 +331,13 @@ def adiabaticity_diagnostic(pulse: PulseSchedule,
         tau_grid = np.linspace(-100.0, 150.0, 20001)
     ts = np.asarray(tau_grid, dtype=float)
     h = 1e-6
-    best, best_t = 0.0, float(ts[0])
-    for t in ts:
-        np1, n01 = cpt_populations(pulse.omega_p_fn(t + h),
-                                   pulse.omega_d_fn(t + h))
-        np0, n00 = cpt_populations(pulse.omega_p_fn(t - h),
-                                   pulse.omega_d_fn(t - h))
-        dn = math.sqrt(2.0 * ((np1 - np0) / (2 * h)) ** 2
-                       + ((n01 - n00) / (2 * h)) ** 2)
-        gap = math.hypot(pulse.omega_p_fn(t), pulse.omega_d_fn(t))
-        ratio = dn / gap
-        if ratio > best:
-            best, best_t = ratio, float(t)
-    return AdiabaticityReport(best, best_t, best < 1.0)
+    np1, n01 = cpt_populations(pulse.omega_p_fn(ts + h),
+                               pulse.omega_d_fn(ts + h))
+    np0, n00 = cpt_populations(pulse.omega_p_fn(ts - h),
+                               pulse.omega_d_fn(ts - h))
+    dn = np.sqrt(2.0 * ((np1 - np0) / (2 * h)) ** 2
+                 + ((n01 - n00) / (2 * h)) ** 2)
+    ratio = dn / np.hypot(pulse.omega_p_fn(ts), pulse.omega_d_fn(ts))
+    i = int(np.argmax(ratio))  # the first maximum
+    best = float(ratio[i])
+    return AdiabaticityReport(best, float(ts[i]), best < 1.0)

@@ -14,11 +14,13 @@ class DomainError(LcseError):
 
 
 class NumericalError(LcseError):
-    """Integration failed; carries the time of failure when known."""
+    """Integration failed; carries the time of failure when known, and in a
+    batched run the index of the member that failed."""
 
-    def __init__(self, message, tau=None):
+    def __init__(self, message, tau=None, member=None):
         super().__init__(message)
         self.tau = tau
+        self.member = member
 
 
 class ConfigError(LcseError):

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .dynamics import (IntegratorConfig, PendulumState, energy_functional,
-                       energy_gradient_n0, integrate)
+                       energy_gradient_n0, integrate, outside_domain)
 from .core import CouplingSummary, SystemParams
 from .errors import DomainError, InvalidInputError
 
@@ -90,8 +90,7 @@ class Verdict(enum.Enum):
 
 def energy(theta, n_zero, lp: LandscapeParams):
     """Evaluate the functional; raises DomainError outside (1-n0)^2 >= m^2."""
-    s2 = (1.0 - np.asarray(n_zero)) ** 2 - lp.m_mag ** 2
-    if np.any(s2 < 0.0):
+    if np.any(outside_domain(np.asarray(n_zero), lp.m_mag)):
         raise DomainError("(1-n0)^2 < m^2: outside the landscape domain")
     return energy_functional(theta, n_zero, lp.m_mag, lp.c_eff, lp.c2n, lp.q,
                              lp.lightshift_delta, lp.lightshift_p)
@@ -109,8 +108,7 @@ def energy_grid(lp: LandscapeParams, grid: GridSpec) -> EnergyGrid:
     th = np.linspace(*grid.theta_range, grid.resolution[0])
     n0 = np.linspace(*grid.n0_range, grid.resolution[1])
     TH, N0 = np.meshgrid(th, n0)
-    s2 = (1.0 - N0) ** 2 - lp.m_mag ** 2
-    mask = s2 < 0.0
+    mask = outside_domain(N0, lp.m_mag)
     vals = energy_functional(TH, N0, lp.m_mag, lp.c_eff, lp.c2n, lp.q,
                              lp.lightshift_delta, lp.lightshift_p)
     vals = np.where(mask, np.nan, vals)

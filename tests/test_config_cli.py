@@ -254,3 +254,72 @@ def test_cli_rerun_byte_identical(tmp_path):
     mb = json.loads((outs[1] / "manifest.json").read_text())
     ma.pop("wall_clock_seconds"), mb.pop("wall_clock_seconds")
     assert ma == mb
+
+
+SHORT_PULSE = """
+[params]
+small_delta = 3
+gamma = 1
+
+[pulse]
+omega_p = 1
+omega_d0 = 40
+t_zero = 0.1
+
+[integration]
+tau_start = 0
+tau_end = 150
+samples = 301
+"""
+
+
+@pytest.mark.parametrize("mode", ["cpt", "ensemble"])
+def test_cli_short_pulse_runs(tmp_path, mode):
+    # tau / t_zero reaches 1500, far past where cosh overflows a float: the
+    # dump must read 0 there, not raise OverflowError (exit 1)
+    if mode == "cpt":
+        head = ("[scenario]\nmode = cpt\n\n[initial]\nn_plus = 1e-5\n"
+                "n_zero = 0.99998\nn_minus = 1e-5\n")
+    else:
+        head = ("[scenario]\nmode = ensemble\n\n[seeds]\n"
+                "mode = vacuum-sampled\nkind = cpt\natom_number = 1e4\n"
+                "rng_seed = 5\nruns = 3\n")
+    path = tmp_path / "short.ini"
+    path.write_text(head + SHORT_PULSE)
+    assert run_cli("validate", "--config", str(path)).returncode == 0
+    out = tmp_path / "o"
+    proc = run_cli("run", "--config", str(path), "--out", str(out),
+                   timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if mode == "cpt":
+        data = np.genfromtxt(out / "trajectory.csv", delimiter=",",
+                             names=True, skip_header=2)
+        assert data["omega_d"][0] == 40.0
+        assert data["omega_d"][-1] == 0.0
+        assert np.all(np.isfinite(data["n_plus"]))
+    else:
+        data = np.genfromtxt(out / "ensemble.csv", delimiter=",",
+                             names=True, skip_header=3)
+        assert len(data) == 3
+        assert np.all(np.isfinite(data["final_side"]))
+
+
+def test_cli_landscape_starts_on_domain_edge(tmp_path):
+    # starts_n0_max = 1 - m_mag: (1 - n0)^2 - m^2 rounds to -1.7e-18 there,
+    # which must count as the edge, not outside the domain
+    path = tmp_path / "edge.ini"
+    path.write_text("[scenario]\nmode = landscape\n\n[params]\nq = 0.01\n\n"
+                    "[grid]\nc_eff_over_c2 = -0.5\nshifts = off\n"
+                    "m_mag = 0.1\ntau_max = 200\nn_theta = 5\nn_n0 = 10\n"
+                    "n0_max = 0.9\nstarts_n_theta = 3\nstarts_n_n0 = 3\n"
+                    "starts_n0_min = 0.1\nstarts_n0_max = 0.9\n")
+    out = tmp_path / "o"
+    proc = run_cli("run", "--config", str(path), "--out", str(out),
+                   timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((out / "portrait.json").read_text())["shifts_off"]
+    edge = [v["verdict"] for v in doc["verdicts"] if v["n_zero"] == 0.9]
+    assert edge == ["Boundary"] * 3
+    grid = np.genfromtxt(out / "energy_grid.csv", delimiter=",", names=True,
+                         skip_header=2)
+    assert not grid["mask"].any()

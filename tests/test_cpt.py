@@ -11,7 +11,9 @@ Verifies:
   - adiabaticity diagnostic magnitudes, monotonicity, and flag
 """
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +107,64 @@ def test_make_schedule_variants():
     assert p.omega_p_fn(123.0) == 1.0
     with pytest.raises(InvalidInputError):
         make_schedule(1.0, 40.0, 20.0, theta_variant="unknown")
+
+
+SCHEDULES = [
+    dict(omega_p=1.0, omega_d0=40.0, t_zero=20.0, small_delta=3.0, c2n=C2),
+    dict(omega_p=1.0, omega_d0=40.0, t_zero=0.1, small_delta=3.0, c2n=C2,
+         theta_variant="stationary"),
+    dict(omega_p=0.5, omega_d0=2.0, t_zero=7.0, theta_variant="fixed",
+         theta_fixed=0.4),
+]
+
+
+@pytest.mark.parametrize("kwargs", SCHEDULES)
+def test_array_pulse_matches_scalar_pulse(kwargs):
+    # numpy's cosh (arrays) and math's (floats) round up to one ulp apart,
+    # so amplitude / cosh up to two; the pump is exact
+    pulse = make_schedule(**kwargs)
+    taus = np.linspace(-100.0, 150.0, 2001)
+    for fn, ulps in ((pulse.omega_p_fn, 0), (pulse.omega_d_fn, 2),
+                     (pulse.theta_fn, 2)):
+        vec = fn(taus)
+        one = np.array([fn(float(t)) for t in taus])
+        assert vec.shape == taus.shape
+        assert np.all(np.abs(vec - one) <= ulps * np.spacing(np.abs(one)))
+    levels = pulse.drive(taus)
+    assert np.array_equal(levels[1], pulse.omega_d_fn(taus))
+    assert np.array_equal(np.broadcast_to(levels[2], taus.shape),
+                          pulse.theta_fn(taus))
+
+
+def test_short_pulse_dump_reaches_zero_without_overflow():
+    # tau / t0 = 1500 overflows cosh; sech there is taken as exactly 0
+    f = sech_pulse(40.0, 0.1)
+    pulse = make_schedule(1.0, 40.0, 0.1, small_delta=3.0, c2n=C2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f(150.0) == 0.0 and f(-150.0) == 0.0
+        assert np.array_equal(f(np.array([-150.0, 150.0])), [0.0, 0.0])
+        assert pulse.omega_d_fn(150.0) == 0.0
+        assert pulse.theta_fn(150.0) == resonance_detuning(
+            1.0, 0.0, 3.0, C2)
+        rep = adiabaticity_diagnostic(pulse)
+    assert np.isfinite(rep.value)
+
+
+def test_pulse_schedule_is_plain_data():
+    pulse = make_schedule(1.0, 40.0, 20.0, small_delta=3.0, c2n=C2,
+                          theta_variant="fixed", theta_fixed=1)
+    assert pulse == make_schedule(1.0, 40.0, 20.0, small_delta=3.0, c2n=C2,
+                                  theta_variant="fixed", theta_fixed=1.0)
+    assert pulse.meta == {"omega_p": 1.0, "omega_d0": 40.0, "t_zero": 20.0,
+                          "theta_variant": "fixed", "theta_fixed": 1.0}
+    assert "theta_fixed" not in make_schedule(1.0, 40.0, 20.0).meta
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pulse.omega_p = 2.0
+    for bad in (dict(omega_p=0.0), dict(t_zero=0.0), dict(omega_d0=-1.0)):
+        with pytest.raises(InvalidInputError):
+            make_schedule(**{"omega_p": 1.0, "omega_d0": 40.0,
+                             "t_zero": 20.0, **bad})
 
 
 @pytest.mark.parametrize("r", [1e-3, 1.0, 40.0, 1e3])

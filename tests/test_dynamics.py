@@ -10,16 +10,21 @@ Verifies:
   - halving tolerances reproduces the tight-tolerance answer
   - time-reversed integration returns to the initial state
   - boundary and configuration errors
+  - batched integration: each column matches its single run, columns do
+    not depend on each other, scipy's step rules, a too-small step names
+    the member
 """
 
 import numpy as np
 import pytest
 
 from lcse import (DomainError, IntegratorConfig, InvalidInputError,
-                  PendulumState, SpinorAmplitudes, SystemParams,
-                  crossvalidate_amplitude_vs_pendulum, effective_coupling,
-                  energy_from_amplitudes, integrate, rhs_effective,
-                  rhs_pendulum, rhs_resonant, state_observables)
+                  NumericalError, PendulumState, SpinorAmplitudes,
+                  SystemParams, crossvalidate_amplitude_vs_pendulum,
+                  effective_coupling, energy_from_amplitudes, integrate,
+                  integrate_batch, rhs_effective, rhs_pendulum, rhs_resonant,
+                  state_observables)
+from lcse import dynamics
 from lcse.cpt import cpt_state, make_schedule, resonance_detuning
 
 
@@ -232,3 +237,85 @@ def test_energy_monitor_matches_functional():
     traj = integrate("effective", st, LADDER, (0.0, 1.0),
                      coupling=ladder_coupling(), sampling=2)
     assert traj.monitors["energy"][0] == pytest.approx(e, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched integration
+
+FIG4 = make_schedule(1.0, 40.0, 20.0, small_delta=3.0, c2n=-0.0046)
+
+
+def spread_starts(count, resonant):
+    """Distinct normalized starts with small, phased side modes."""
+    return [SpinorAmplitudes.from_populations(
+                1e-4 * (k + 1), 1.0 - 3e-4 * (k + 1), 2e-4 * (k + 1),
+                phase_plus=0.7 * k, phase_minus=-0.3 * k, resonant=resonant)
+            for k in range(count)]
+
+
+@pytest.mark.parametrize("family", ["effective", "resonant"])
+def test_batch_columns_match_single_runs(family):
+    resonant = family == "resonant"
+    params = SystemParams(small_delta=3.0, gamma=1.0) if resonant else LADDER
+    kwargs = (dict(pulse=FIG4) if resonant
+              else dict(coupling=ladder_coupling()))
+    starts = spread_starts(3, resonant)
+    batch = integrate_batch(family, starts, params, (0.0, 30.0),
+                            sampling=301, **kwargs)
+    assert batch.values.shape == (4 if resonant else 3, 3, 301)
+    for j, st in enumerate(starts):
+        single = integrate(family, st, params, (0.0, 30.0), sampling=301,
+                           **kwargs)
+        assert np.array_equal(batch.times, single.times)
+        assert np.abs(batch.values[:, j] - single.values).max() < 1e-12
+
+
+def test_batch_columns_do_not_depend_on_each_other():
+    params = SystemParams(small_delta=3.0, gamma=1.0)
+    starts = spread_starts(4, True)
+    whole = integrate_batch("resonant", starts, params, (0.0, 10.0),
+                            pulse=FIG4, sampling=101)
+    for part in (slice(1, 3), slice(3, 4)):
+        sub = integrate_batch("resonant", starts[part], params, (0.0, 10.0),
+                              pulse=FIG4, sampling=101)
+        assert np.array_equal(sub.values, whole.values[:, part])
+
+
+def test_batch_step_rules_are_scipys():
+    from scipy.integrate._ivp import rk
+    assert (dynamics._SAFETY, dynamics._MIN_FACTOR, dynamics._MAX_FACTOR) == (
+        rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
+    assert dynamics._A is rk.RK45.A and dynamics._E is rk.RK45.E
+    assert dynamics._ERROR_EXPONENT == -0.2
+
+
+def test_batch_too_small_step_names_member():
+    # at tau ~ 1e17 ten ulp of tau (160) is far above any usable step
+    pulse = make_schedule(1.0, 40.0, 1e30, theta_variant="fixed",
+                          theta_fixed=0.0)
+    starts = spread_starts(2, True)
+    # the rejected trial steps overflow on the way down
+    with pytest.raises(NumericalError) as err, np.errstate(all="ignore"):
+        integrate_batch("resonant", starts, SystemParams(), (1e17, 1e17 + 1e4),
+                        pulse=pulse, sampling=11)
+    assert err.value.member == 0
+    assert err.value.tau == 1e17
+    assert "member 0" in str(err.value)
+
+
+def test_batch_rejects_bad_input():
+    params = SystemParams()
+    starts = spread_starts(2, True)
+    with pytest.raises(InvalidInputError, match="pendulum"):
+        integrate_batch("pendulum", starts, LADDER, (0.0, 1.0),
+                        coupling=ladder_coupling())
+    with pytest.raises(InvalidInputError, match="variant"):
+        integrate_batch("resonant", starts, params, (0.0, 1.0), pulse=CALM,
+                        variant="other")
+    with pytest.raises(InvalidInputError):
+        integrate_batch("resonant", starts, params, (1.0, 0.0), pulse=CALM)
+    with pytest.raises(InvalidInputError):
+        integrate_batch("resonant", [], params, (0.0, 1.0), pulse=CALM)
+    with pytest.raises(InvalidInputError, match="sampling"):
+        integrate_batch("resonant", starts, params, (0.0, 1.0), pulse=CALM,
+                        sampling=[0.0, 2.0])

@@ -301,6 +301,24 @@ def test_fixed_points_at_rounded_domain_edge():
                                            rel=1e-12)
 
 
+def test_domain_edge_survives_rounding():
+    # n0 = 1 - |m| = 0.9 for m = 0.1, where (1-n0)^2 - m^2 = -1.7e-18
+    lp = LandscapeParams(c_eff=0.01, c2n=C2, q=0.01, m_mag=0.1)
+    start = PendulumState(0.0, 0.9, 0.1)
+    assert np.isfinite(energy(start.theta, start.n_zero, lp))
+    assert classify_trajectory(lp, start) is Verdict.BOUNDARY
+    grid = energy_grid(lp, GridSpec(n0_range=(0.0, 0.9), resolution=(5, 10)))
+    assert grid.n_zero[-1] == 0.9
+    assert not grid.mask.any()
+    # a step past the edge beyond rounding is still outside
+    with pytest.raises(InvalidInputError):
+        PendulumState(0.0, 0.9 + 1e-12, 0.1)
+    with pytest.raises(DomainError):
+        energy(0.0, 0.9 + 1e-12, lp)
+    wide = energy_grid(lp, GridSpec(n0_range=(0.0, 0.95), resolution=(5, 20)))
+    assert wide.mask[-1].all() and not wide.mask[:-1].any()
+
+
 @pytest.mark.parametrize("field", ["c_eff", "q", "m_mag", "lightshift_p"])
 def test_landscape_params_reject_nonfinite(field):
     kwargs = dict(c_eff=0.01, c2n=C2, q=0.01)

@@ -8,14 +8,20 @@ Verifies:
   - a single fixed-seed ensemble member reproduces the direct transfer run
   - onset times are finite when growth happens and flagged when it cannot
   - input validation on seed specs and scenarios
+  - any subset of runs, in any blocking, reproduces the same records bit
+    for bit, each matching its direct single run; a too-small step names
+    the run
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from lcse import (EnsembleScenario, InvalidInputError, SeedSpec, SpinorAmplitudes,
-                  SystemParams, effective_coupling, run_ensemble, sample_seed,
-                  state_observables)
+from lcse import (EnsembleScenario, InvalidInputError, NumericalError,
+                  SeedSpec, SpinorAmplitudes, SystemParams, effective_coupling,
+                  integrate, run_ensemble, sample_seed, state_observables)
+from lcse import stochastic
 from lcse import RB87_C2_OVER_C0 as C2
 from lcse.cpt import cpt_state, make_schedule, run_transfer
 
@@ -170,3 +176,84 @@ def test_onset_missed_when_dynamics_frozen():
     for rec in stats.records:
         assert np.isnan(rec.tau_onset)
         assert rec.final_side < 2.1e-5
+
+
+def short_scenario(kind):
+    """fig4 physics (cpt) or an off-resonant run from an unstable polar
+    state (effective, onset in only some members) over a short span."""
+    if kind == "cpt":
+        return EnsembleScenario(kind="cpt", params=fig4_params(),
+                                pulse=fig4_pulse(), tau_span=(0.0, 10.0),
+                                sampling=101)
+    params = SystemParams(c2n=-0.5, q=0.5)
+    return EnsembleScenario(kind="effective", params=params,
+                            coupling=effective_coupling(params),
+                            tau_span=(0.0, 10.0), sampling=101)
+
+
+VACUUM = SeedSpec(mode="vacuum-sampled", atom_number_N=1e4, rng_seed=11)
+
+
+def same_records(a, b):
+    # repr is exact for floats and treats NaN onsets as equal
+    return [repr(r) for r in a] == [repr(r) for r in b]
+
+
+@pytest.mark.parametrize("kind", ["cpt", "effective"])
+def test_subset_of_runs_reproduces_records(kind):
+    scenario = short_scenario(kind)
+    five = run_ensemble(VACUUM, scenario, runs=5)
+    three = run_ensemble(VACUUM, scenario, runs=3)
+    assert same_records(five.records[:3], three.records)
+
+
+def test_blocks_do_not_change_records(monkeypatch):
+    scenario = short_scenario("cpt")
+    whole = run_ensemble(VACUUM, scenario, runs=5)
+    monkeypatch.setattr(stochastic, "ENSEMBLE_BLOCK", 2)
+    blocked = run_ensemble(VACUUM, scenario, runs=5)  # blocks 2 + 2 + 1
+    assert same_records(blocked.records, whole.records)
+    assert [r.run for r in blocked.records] == list(range(5))
+
+
+@pytest.mark.parametrize("kind", ["cpt", "effective"])
+def test_vacuum_members_match_direct_runs(kind):
+    scenario = short_scenario(kind)
+    stats = run_ensemble(VACUUM, scenario, runs=4)
+    for rec in stats.records:
+        state = sample_seed(VACUUM, np.random.default_rng(
+            np.random.SeedSequence(entropy=VACUUM.rng_seed,
+                                   spawn_key=(rec.run,))))
+        assert state.a_plus == rec.seed_plus
+        if kind == "cpt":
+            res = run_transfer(state, scenario.params, scenario.pulse,
+                               tau_span=scenario.tau_span,
+                               sampling=scenario.sampling)
+            traj, finals = res.trajectory, res.final_populations
+        else:
+            traj = integrate("effective", state, scenario.params,
+                             scenario.tau_span, coupling=scenario.coupling,
+                             sampling=scenario.sampling)
+            finals = tuple(traj.populations()[:, -1]) + (0.0,)
+        assert rec.final_populations == pytest.approx(finals, rel=1e-12)
+        n = traj.populations()
+        crossed = np.flatnonzero(n[0] + n[2] > 0.1)
+        onset = traj.times[crossed[0]] if len(crossed) else math.nan
+        assert repr(rec.tau_onset) == repr(float(onset))
+
+
+def test_too_small_step_names_the_run():
+    # at tau ~ 1e17 ten ulp of tau (160) is far above any usable step
+    pulse = make_schedule(1.0, 40.0, 1e30, theta_variant="fixed",
+                          theta_fixed=0.0)
+    scenario = EnsembleScenario(kind="cpt", params=fig4_params(),
+                                pulse=pulse, tau_span=(1e17, 1e17 + 1e4),
+                                sampling=11)
+    with pytest.raises(NumericalError), np.errstate(all="ignore"):
+        run_transfer(seeded_polar(1e-5), fig4_params(), pulse,
+                     tau_span=scenario.tau_span, sampling=11)
+    with pytest.raises(NumericalError, match="ensemble run 0") as err, \
+            np.errstate(all="ignore"):
+        run_ensemble(VACUUM, scenario, runs=2)
+    assert err.value.member == 0
+    assert err.value.tau == 1e17
