@@ -14,7 +14,8 @@ fig2-reversed. This script integrates all three and prints a summary.
 import numpy as np
 
 from lcse import (RB87_C2_OVER_C0, SpinorAmplitudes, SystemParams,
-                  classify_regime, effective_coupling, integrate)
+                  classify_regime, drive_ladder, effective_coupling,
+                  integrate)
 
 C2 = RB87_C2_OVER_C0
 Q = 0.01
@@ -28,8 +29,9 @@ def drive_for(c_eff):
     w = c_eff - C2
     if w == 0.0:
         return SystemParams(q=Q)
-    return SystemParams(omega_p=10.0 * w, omega_d=100.0 * w,
-                        big_delta_prime=1000.0 * w, q=Q)
+    omega_p, omega_d, big_delta_prime = drive_ladder(w)
+    return SystemParams(omega_p=omega_p, omega_d=omega_d,
+                        big_delta_prime=big_delta_prime, q=Q)
 
 
 def main():

@@ -13,7 +13,7 @@ Equivalent CLI run: lcse run --preset fig3-portraits
 """
 
 from lcse import (GridSpec, LandscapeParams, RB87_C2_OVER_C0, Stability,
-                  contour_portrait, find_fixed_points)
+                  contour_portrait, find_fixed_points, ladder_lightshifts)
 
 C2 = RB87_C2_OVER_C0
 Q = 0.01
@@ -24,8 +24,9 @@ def landscape_for(c_eff):
     w = c_eff - C2  # drive strength needed on top of the collisions
     if w == 0.0:
         return LandscapeParams(c_eff=c_eff, c2n=C2, q=Q)
+    delta, p = ladder_lightshifts(w)
     return LandscapeParams(c_eff=c_eff, c2n=C2, q=Q,
-                           lightshift_delta=10.0 * w, lightshift_p=w / 10.0)
+                           lightshift_delta=delta, lightshift_p=p)
 
 
 def main():

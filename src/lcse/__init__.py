@@ -16,7 +16,8 @@ from .constants import (BOHR_RADIUS, HBAR, MASS_RB87, RB87_A0, RB87_A2,
 from .core import (CouplingSummary, Regime, ScatteringInputs,
                    SpinorAmplitudes, StateObservables, SystemParams,
                    ValidityWarning, classify_regime,
-                   derive_collision_strengths, effective_coupling,
+                   derive_collision_strengths, drive_ladder,
+                   effective_coupling, ladder_lightshifts,
                    state_observables, require_normalized)
 from .cpt import (AdiabaticityReport, PulseSchedule, StationarityResidual,
                   TransferResult, adiabaticity_diagnostic, cpt_populations,
@@ -48,8 +49,8 @@ __all__ = [
     "RB87_C2_OVER_C0",
     "CouplingSummary", "Regime", "ScatteringInputs", "SpinorAmplitudes",
     "StateObservables", "SystemParams", "ValidityWarning", "classify_regime",
-    "derive_collision_strengths", "effective_coupling", "state_observables",
-    "require_normalized",
+    "derive_collision_strengths", "drive_ladder", "effective_coupling",
+    "ladder_lightshifts", "state_observables", "require_normalized",
     "AdiabaticityReport", "PulseSchedule", "StationarityResidual",
     "TransferResult", "adiabaticity_diagnostic", "cpt_populations",
     "cpt_state", "make_schedule", "resonance_detuning", "run_transfer",

@@ -46,18 +46,26 @@ _TRANSFER_NOTES = [
 ]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: Path, comments: list[str], header: list[str],
-               rows) -> None:
+def _write_csv(path: Path, comments: list[str], columns: dict) -> None:
+    """Comments, a header of the column names, then one row per index with
+    each value as format(float(x), ".17g"), formatted a block at a time."""
+    table = np.column_stack([np.asarray(c, dtype=float)
+                             for c in columns.values()])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def _columns_line(columns: dict) -> str:
+    return "columns: " + ", ".join(columns)
 
 
 def _json_default(obj):
@@ -95,16 +103,14 @@ def _run_effective(cfg: ScenarioConfig, out: Path) -> tuple[list[str], dict]:
                      coupling=coupling, config=build_integrator(cfg),
                      sampling=integ["samples"])
     pops = traj.populations()
-    theta = traj.theta()
-    rows = zip(traj.times, pops[0], pops[1], pops[2], theta,
-               traj.monitors["total_n"], traj.monitors["magnetization"],
-               traj.monitors["energy"])
+    columns = {"tau": traj.times, "n_plus": pops[0], "n_zero": pops[1],
+               "n_minus": pops[2], "theta": traj.theta(),
+               "total_n": traj.monitors["total_n"],
+               "magnetization": traj.monitors["magnetization"],
+               "energy": traj.monitors["energy"]}
     _write_csv(out / "trajectory.csv",
-               ["off-resonant three-mode run",
-                "columns: tau, n_plus, n_zero, n_minus, theta, total_n, "
-                "magnetization, energy"],
-               ["tau", "n_plus", "n_zero", "n_minus", "theta", "total_n",
-                "magnetization", "energy"], rows)
+               ["off-resonant three-mode run", _columns_line(columns)],
+               columns)
     derived = {
         "omega_eff": coupling.omega_eff, "c_eff": coupling.c_eff,
         "lightshift_delta": coupling.lightshift_delta,
@@ -124,27 +130,16 @@ def _run_pendulum(cfg: ScenarioConfig, out: Path) -> tuple[list[str], dict]:
                      (integ["tau_start"], integ["tau_end"]),
                      coupling=coupling, config=build_integrator(cfg),
                      sampling=integ["samples"])
-    rows = zip(traj.times, traj.values[0], traj.values[1],
-               traj.monitors["energy"])
+    columns = {"tau": traj.times, "theta": traj.values[0],
+               "n_zero": traj.values[1], "energy": traj.monitors["energy"]}
     _write_csv(out / "trajectory.csv",
                ["reduced (theta, n0) pendulum run at fixed magnetization "
-                f"m = {initial.m_mag!r}",
-                "columns: tau, theta, n_zero, energy"],
-               ["tau", "theta", "n_zero", "energy"], rows)
+                f"m = {initial.m_mag!r}", _columns_line(columns)],
+               columns)
     derived = {"c_eff": coupling.c_eff,
                "regime": classify_regime(coupling.c_eff, params.c2n).value}
     return ["trajectory.csv"], {"conservation": _drift(traj),
                                 "derived": derived}
-
-
-def _transfer_rows(traj, pulse):
-    pops = traj.populations()
-    return zip(traj.times, pops[0], pops[1], pops[2], pops[3],
-               pulse.theta_fn(traj.times), pulse.omega_d_fn(traj.times))
-
-
-_TRANSFER_COLS = ["tau", "n_plus", "n_zero", "n_minus", "n_m", "theta_big",
-                  "omega_d"]
 
 
 def _run_resonant(cfg: ScenarioConfig, out: Path,
@@ -164,11 +159,15 @@ def _run_resonant(cfg: ScenarioConfig, out: Path,
                          config=build_integrator(cfg),
                          sampling=integ["samples"], variant=variant)
         result = None
+    pops = traj.populations()
     _write_csv(out / "trajectory.csv",
                ["resonant four-mode run (molecular mode explicit)",
                 "columns: tau, n_plus, n_zero, n_minus, n_m, theta_big "
                 "(two-photon detuning), omega_d (dump Rabi)"],
-               _TRANSFER_COLS, _transfer_rows(traj, pulse))
+               {"tau": traj.times, "n_plus": pops[0], "n_zero": pops[1],
+                "n_minus": pops[2], "n_m": pops[3],
+                "theta_big": pulse.theta_fn(traj.times),
+                "omega_d": pulse.omega_d_fn(traj.times)})
     outputs = ["trajectory.csv"]
     extra = {"conservation": _drift(traj),
              "derived": {"pulse": dict(pulse.meta), "variant": variant}}
@@ -216,27 +215,21 @@ def _run_landscape(cfg: ScenarioConfig, out: Path) -> tuple[list[str], dict]:
         outputs.append(jname)
 
         settings = sorted(grids)
-        cols = ["theta", "n_zero"]
-        comment = ["energy surface over (theta, n0)"]
-        for s in settings:
-            cols += ([f"energy_shifts_{s}", f"mask_shifts_{s}"]
-                     if len(settings) > 1 else ["energy", "mask"])
         eg0 = grids[settings[0]]
-        rows = []
-        for i, n0 in enumerate(eg0.n_zero):
-            for j, th in enumerate(eg0.theta):
-                row = [th, n0]
-                for s in settings:
-                    eg = grids[s]
-                    val = eg.values[i, j]
-                    row += [0.0 if np.isnan(val) else val,
-                            1.0 if eg.mask[i, j] else 0.0]
-                rows.append(row)
-        comment.append("columns: " + ", ".join(cols)
-                       + "; mask 1 marks cells outside (1-n0)^2 >= m^2 "
-                       "(energy written as 0 there)")
+        theta, n_zero = np.meshgrid(eg0.theta, eg0.n_zero)  # n0 outer
+        columns = {"theta": theta.ravel(), "n_zero": n_zero.ravel()}
+        for s in settings:
+            suffix = f"_shifts_{s}" if len(settings) > 1 else ""
+            eg = grids[s]
+            columns["energy" + suffix] = np.where(eg.mask, 0.0,
+                                                  eg.values).ravel()
+            columns["mask" + suffix] = eg.mask.ravel()
         cname = "energy_grid.csv" if single else f"energy_grid_{k}.csv"
-        _write_csv(out / cname, comment, cols, rows)
+        _write_csv(out / cname,
+                   ["energy surface over (theta, n0)",
+                    _columns_line(columns) + "; mask 1 marks cells outside "
+                    "(1-n0)^2 >= m^2 (energy written as 0 there)"],
+                   columns)
         outputs.append(cname)
     return outputs, {"derived": {"counts": counts_echo}}
 
@@ -248,34 +241,29 @@ def _run_ensemble(cfg: ScenarioConfig, out: Path,
     integ = cfg.integration
     span = (integ["tau_start"], integ["tau_end"])
     kind = cfg.seeds["kind"]
-    if kind == "cpt":
-        scenario = EnsembleScenario(kind="cpt", params=params,
-                                    pulse=build_pulse(cfg), tau_span=span,
-                                    sampling=integ["samples"],
-                                    config=build_integrator(cfg),
-                                    variant=variant)
-    else:
-        scenario = EnsembleScenario(kind="effective", params=params,
-                                    coupling=build_coupling(cfg),
-                                    tau_span=span,
-                                    sampling=integ["samples"],
-                                    config=build_integrator(cfg))
+    cpt = kind == "cpt"
+    scenario = EnsembleScenario(
+        kind=kind, params=params, pulse=build_pulse(cfg) if cpt else None,
+        coupling=None if cpt else build_coupling(cfg), tau_span=span,
+        sampling=integ["samples"], config=build_integrator(cfg),
+        variant=variant)
     stats = run_ensemble(spec, scenario, int(cfg.seeds["runs"]))
-    rows = [(r.run, r.seed_plus.real, r.seed_plus.imag, r.seed_minus.real,
-             r.seed_minus.imag, *r.final_populations, r.final_side,
-             r.tau_onset) for r in stats.records]
+    recs = stats.records
+    seeds = np.array([(r.seed_plus, r.seed_minus) for r in recs]).T
+    finals = np.array([r.final_populations for r in recs]).T
+    columns = {"run": [r.run for r in recs],
+               "seed_plus_re": seeds[0].real, "seed_plus_im": seeds[0].imag,
+               "seed_minus_re": seeds[1].real, "seed_minus_im": seeds[1].imag,
+               "n_plus_final": finals[0], "n_zero_final": finals[1],
+               "n_minus_final": finals[2], "n_m_final": finals[3],
+               "final_side": [r.final_side for r in recs],
+               "tau_onset": [r.tau_onset for r in recs]}
     _write_csv(out / "ensemble.csv",
                [f"{spec.mode} ensemble, kind = {kind}, "
-                f"rng_seed = {spec.rng_seed}",
-                "columns: run, seed_plus_re, seed_plus_im, seed_minus_re, "
-                "seed_minus_im, n_plus_final, n_zero_final, n_minus_final, "
-                "n_m_final, final_side, tau_onset",
+                f"rng_seed = {spec.rng_seed}", _columns_line(columns),
                 "tau_onset = first sampled tau with n_plus + n_minus > 0.1 "
                 "(nan if never)"],
-               ["run", "seed_plus_re", "seed_plus_im", "seed_minus_re",
-                "seed_minus_im", "n_plus_final", "n_zero_final",
-                "n_minus_final", "n_m_final", "final_side", "tau_onset"],
-               rows)
+               columns)
     _write_json(out / "ensemble_stats.json", stats.to_dict())
     return (["ensemble.csv", "ensemble_stats.json"],
             {"derived": {"stats": stats.to_dict()}})

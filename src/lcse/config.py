@@ -19,7 +19,7 @@ from typing import Optional
 
 from .constants import RB87_C2_OVER_C0
 from .core import (CouplingSummary, SpinorAmplitudes, SystemParams,
-                   effective_coupling)
+                   effective_coupling, ladder_lightshifts)
 from .cpt import THETA_VARIANTS, PulseSchedule, make_schedule
 from .dynamics import IntegratorConfig, PendulumState
 from .errors import ConfigError
@@ -379,11 +379,10 @@ def landscape_cases(cfg: ScenarioConfig) -> list[tuple[float, str, LandscapePara
         c_eff = mult * c2
         w = c_eff - c2
         for setting in shift_settings:
-            on = setting == "on"
+            delta, p = ladder_lightshifts(w) if setting == "on" else (0.0, 0.0)
             cases.append((mult, setting, LandscapeParams(
                 c_eff=c_eff, c2n=c2, q=cfg.params["q"], m_mag=g["m_mag"],
-                lightshift_delta=10.0 * w if on else 0.0,
-                lightshift_p=w / 10.0 if on else 0.0)))
+                lightshift_delta=delta, lightshift_p=p)))
     return cases
 
 

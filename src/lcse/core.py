@@ -136,6 +136,18 @@ def effective_coupling(params: SystemParams) -> CouplingSummary:
     )
 
 
+def drive_ladder(w: float) -> tuple[float, float, float]:
+    """(omega_p, omega_d, big_delta_prime) = (10 W, 100 W, 1000 W), the drive
+    for which adiabatic elimination gives omega_eff = W exactly."""
+    return 10.0 * w, 100.0 * w, 1000.0 * w
+
+
+def ladder_lightshifts(w: float) -> tuple[float, float]:
+    """Light shifts (10 W, W / 10) of drive_ladder(w), as literal products
+    (effective_coupling rounds them differently)."""
+    return 10.0 * w, w / 10.0
+
+
 def classify_regime(c_eff: float, c2n: float) -> Regime:
     """Regime from the combined coupling, with a float-noise band around zero.
 

@@ -92,9 +92,12 @@ class Trajectory:
         """Relative phase theta = arg a+ + arg a- - 2 arg a0, unwrapped."""
         if self.family == "pendulum":
             return self.values[0]
-        raw = (np.angle(self.values[0]) + np.angle(self.values[2])
-               - 2.0 * np.angle(self.values[1]))
-        return np.unwrap(raw)
+        return np.unwrap(relative_phase(*self.values[:3]))
+
+
+def relative_phase(a_plus, a_zero, a_minus):
+    """theta = arg a+ + arg a- - 2 arg a0 (not unwrapped)."""
+    return np.angle(a_plus) + np.angle(a_minus) - 2.0 * np.angle(a_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +141,7 @@ def energy_from_amplitudes(state: SpinorAmplitudes, params: SystemParams,
     np_ = abs(state.a_plus) ** 2
     n0 = abs(state.a_zero) ** 2
     nm = abs(state.a_minus) ** 2
-    theta = (np.angle(state.a_plus) + np.angle(state.a_minus)
-             - 2.0 * np.angle(state.a_zero))
+    theta = relative_phase(state.a_plus, state.a_zero, state.a_minus)
     return float(energy_functional(theta, n0, np_ - nm, coupling.c_eff,
                                    params.c2n, params.q,
                                    coupling.lightshift_delta,
@@ -564,8 +566,7 @@ def _attach_monitors(traj: Trajectory, params: SystemParams,
     if traj.family == "effective":
         traj.monitors["total_n"] = pops.sum(axis=0)
         traj.monitors["magnetization"] = pops[0] - pops[2]
-        theta = (np.angle(traj.values[0]) + np.angle(traj.values[2])
-                 - 2.0 * np.angle(traj.values[1]))
+        theta = relative_phase(*traj.values)
         traj.monitors["energy"] = energy_functional(
             theta, pops[1], pops[0] - pops[2], coupling.c_eff, params.c2n,
             params.q, coupling.lightshift_delta, coupling.lightshift_p)
@@ -591,8 +592,7 @@ def crossvalidate_amplitude_vs_pendulum(
     """
     obs_n0 = abs(initial.a_zero) ** 2
     m = abs(initial.a_plus) ** 2 - abs(initial.a_minus) ** 2
-    theta0 = (np.angle(initial.a_plus) + np.angle(initial.a_minus)
-              - 2.0 * np.angle(initial.a_zero))
+    theta0 = relative_phase(initial.a_plus, initial.a_zero, initial.a_minus)
     amp = integrate("effective", initial, params, tau_span,
                     coupling=coupling, config=config, sampling=sampling)
     pend = integrate("pendulum", PendulumState(float(theta0), obs_n0, m),

@@ -1,17 +1,15 @@
 """Built-in scenario presets, one per standard demonstration case.
 
 Each preset is an INI config built programmatically (so derived numbers stay
-exact) and fed through the same parse_config path as user files. The laser
-ladder ties the drive strengths to a single knob W = target two-channel
-coupling: omega_p = 10 W, omega_d = 100 W, big_delta_prime = 1000 W, which
-keeps omega_d / omega_p = 10 and big_delta_prime = 100 omega_p while the
-adiabatic elimination gives omega_eff = W exactly.
+exact) and fed through the same parse_config path as user files. The fig2
+drives follow core.drive_ladder.
 """
 
 from __future__ import annotations
 
 from .config import ScenarioConfig, parse_config
 from .constants import RB87_C2_OVER_C0
+from .core import drive_ladder
 from .errors import InvalidInputError
 
 _C2 = RB87_C2_OVER_C0
@@ -22,15 +20,16 @@ def _g(x: float) -> str:
 
 
 def _fig2(w: float) -> str:
+    omega_p, omega_d, big_delta_prime = drive_ladder(w)
     return f"""
 [scenario]
 mode = effective
 
 [params]
 q = 0.01
-omega_p = {_g(10.0 * w)}
-omega_d = {_g(100.0 * w)}
-big_delta_prime = {_g(1000.0 * w) if w != 0.0 else _g(1.0)}
+omega_p = {_g(omega_p)}
+omega_d = {_g(omega_d)}
+big_delta_prime = {_g(big_delta_prime) if w != 0.0 else _g(1.0)}
 
 [initial]
 n_plus = 0.05

@@ -25,8 +25,8 @@ import pytest
 from lcse import (EnsembleScenario, GridSpec, LandscapeParams, PendulumState,
                   SeedSpec, SpinorAmplitudes, SystemParams,
                   contour_portrait, crossvalidate_amplitude_vs_pendulum,
-                  effective_coupling, integrate, run_ensemble,
-                  state_observables)
+                  drive_ladder, effective_coupling, integrate,
+                  ladder_lightshifts, run_ensemble, state_observables)
 from lcse import RB87_C2_OVER_C0 as C2
 from lcse.cpt import (cpt_state, make_schedule, resonance_detuning,
                       run_transfer, stationarity_residual)
@@ -40,8 +40,9 @@ def ladder_system(c_eff, q=0.01):
     w = c_eff - C2
     if w == 0.0:
         return SystemParams(q=q)
-    return SystemParams(omega_p=10.0 * w, omega_d=100.0 * w,
-                        big_delta_prime=1000.0 * w, q=q)
+    omega_p, omega_d, big_delta_prime = drive_ladder(w)
+    return SystemParams(omega_p=omega_p, omega_d=omega_d,
+                        big_delta_prime=big_delta_prime, q=q)
 
 
 def report(criterion, ok, detail):
@@ -134,10 +135,9 @@ def test_criterion_3_formulation_equivalence():
 def test_criterion_4_portrait_verdicts():
     results = {}
     for c_eff in (C2, 0.5 * C2, -0.5 * C2, -C2):
-        w = c_eff - C2
+        delta, p = ladder_lightshifts(c_eff - C2)
         lp = LandscapeParams(c_eff=c_eff, c2n=C2, q=0.01,
-                             lightshift_delta=10.0 * w if w else 0.0,
-                             lightshift_p=w / 10.0 if w else 0.0)
+                             lightshift_delta=delta, lightshift_p=p)
         summary = contour_portrait(lp, GridSpec(), tau_max=2500.0)
         results[c_eff] = summary.counts
     ok = True

@@ -9,6 +9,7 @@ Verifies:
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,8 +17,10 @@ import sys
 import numpy as np
 import pytest
 
-from lcse import ConfigError, InvalidInputError
+from lcse import ConfigError, InvalidInputError, cli
+from lcse.config import build_grid_spec, landscape_cases
 from lcse.config import config_to_dict, parse_config, serialize_config
+from lcse.landscape import energy_grid
 from lcse.presets import load_preset, preset_description, preset_names, preset_text
 
 PRESET_NAMES = ["fig2-collision", "fig2-frozen", "fig2-reversed",
@@ -323,3 +326,45 @@ def test_cli_landscape_starts_on_domain_edge(tmp_path):
     grid = np.genfromtxt(out / "energy_grid.csv", delimiter=",", names=True,
                          skip_header=2)
     assert not grid["mask"].any()
+
+
+def test_write_csv_matches_format_17g(tmp_path):
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1]
+    n = 2 * cli._CSV_BLOCK_ROWS + 3  # the rows span three blocks
+    rng = np.random.default_rng(3)
+    x = np.concatenate([special, rng.standard_normal(n - len(special))
+                        * 10.0 ** rng.integers(-300, 300, n - len(special))])
+    runs = list(range(n))
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ["a table", "columns: run, x"], {"run": runs, "x": x})
+    lines = path.read_text().split("\n")
+    assert lines[:3] == ["# a table", "# columns: run, x", "run,x"]
+    assert lines[3:] == [f"{format(float(k), '.17g')},{format(v, '.17g')}"
+                         for k, v in zip(runs, x.tolist())] + [""]
+    assert lines[3:9] == ["0,nan", "1,inf", "2,-inf", "3,-0",
+                          "4,4.9406564584124654e-324", "5,0.10000000000000001"]
+
+
+def test_cli_energy_grid_rows_and_masked_cells(tmp_path, capsys):
+    text = ("[scenario]\nmode = landscape\n\n[params]\nq = 0.01\n\n"
+            "[grid]\nc_eff_over_c2 = -0.5\nshifts = off\nm_mag = 0.1\n"
+            "tau_max = 200\nn_theta = 3\nn_n0 = 5\nn0_max = 1\n"
+            "starts_n_theta = 2\nstarts_n_n0 = 2\nstarts_n0_max = 0.9\n")
+    path = tmp_path / "mask.ini"
+    path.write_text(text)
+    assert cli.main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
+    cfg = parse_config(text)
+    eg = energy_grid(landscape_cases(cfg)[0][2], build_grid_spec(cfg))
+    assert eg.mask[-1].all() and not eg.mask[:-1].any()  # the n0 = 1 row
+    lines = (tmp_path / "o" / "energy_grid.csv").read_text().splitlines()
+    assert lines[2] == "theta,n_zero,energy,mask"
+    expected = []
+    for i, n0 in enumerate(eg.n_zero):          # n0 outer, theta inner
+        for j, th in enumerate(eg.theta):
+            cell = [0.0, 1.0] if eg.mask[i, j] else [eg.values[i, j], 0.0]
+            expected.append(",".join(format(float(v), ".17g")
+                                     for v in (th, n0, *cell)))
+    assert lines[3:] == expected
+    assert lines[-3:] == [f"{format(th, '.17g')},1,0,1"
+                          for th in eg.theta.tolist()]

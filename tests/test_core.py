@@ -16,8 +16,9 @@ import pytest
 
 from lcse import (CouplingSummary, Regime, ScatteringInputs, SpinorAmplitudes,
                   SystemParams, ValidityWarning, classify_regime,
-                  derive_collision_strengths, effective_coupling,
-                  state_observables, require_normalized, InvalidInputError,
+                  derive_collision_strengths, drive_ladder,
+                  effective_coupling, ladder_lightshifts, state_observables,
+                  require_normalized, InvalidInputError,
                   RB87_A0, RB87_A2, RB87_C2_OVER_C0)
 
 
@@ -80,11 +81,15 @@ def test_coupling_antisymmetry_in_detuning():
 def test_coupling_ladder_construction():
     # omega_p = 10 W, omega_d = 100 W, Delta' = 1000 W  ->  omega_eff = W
     w = 2e-3
+    omega_p, omega_d, big_delta_prime = drive_ladder(w)
+    assert (omega_p, omega_d, big_delta_prime) == (10 * w, 100 * w, 1000 * w)
     c = effective_coupling(SystemParams(
-        omega_p=10 * w, omega_d=100 * w, big_delta_prime=1000 * w))
+        omega_p=omega_p, omega_d=omega_d, big_delta_prime=big_delta_prime))
     assert c.omega_eff == pytest.approx(w, rel=1e-12)
-    assert c.lightshift_delta == pytest.approx(10 * w, rel=1e-12)
-    assert c.lightshift_p == pytest.approx(w / 10, rel=1e-12)
+    delta, p = ladder_lightshifts(w)
+    assert (delta, p) == (10 * w, w / 10)
+    assert c.lightshift_delta == pytest.approx(delta, rel=1e-12)
+    assert c.lightshift_p == pytest.approx(p, rel=1e-12)
     assert c.c_eff == pytest.approx(w + RB87_C2_OVER_C0, rel=1e-12)
 
 

@@ -22,7 +22,7 @@ from hypothesis import given, reject, settings, strategies as st
 from lcse import (DomainError, GridSpec, InvalidInputError, LandscapeParams,
                   PendulumState, Stability, Verdict, classify_trajectory,
                   contour_portrait, default_start_grid, energy, energy_grid,
-                  find_fixed_points, RB87_C2_OVER_C0)
+                  find_fixed_points, ladder_lightshifts, RB87_C2_OVER_C0)
 from lcse import landscape
 from lcse.landscape import classify_by_flow
 
@@ -33,8 +33,9 @@ def ladder_params(c_eff, q=0.01, m_mag=0.0, shifts=True):
     """Landscape for a target total coupling, drive shifts on or off."""
     w = c_eff - C2
     if shifts and w != 0.0:
+        delta, p = ladder_lightshifts(w)
         return LandscapeParams(c_eff=c_eff, c2n=C2, q=q, m_mag=m_mag,
-                               lightshift_delta=10.0 * w, lightshift_p=w / 10.0)
+                               lightshift_delta=delta, lightshift_p=p)
     return LandscapeParams(c_eff=c_eff, c2n=C2, q=q, m_mag=m_mag)
 
 
