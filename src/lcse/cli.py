@@ -9,6 +9,7 @@ run. Exit codes: 0 success, 2 config problem, 3 domain violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -77,9 +78,9 @@ def _json_default(obj):
 
 
 def _write_json(path: Path, obj) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _drift(traj) -> dict:
@@ -296,7 +297,10 @@ def _dispatch(cfg: ScenarioConfig, out: Path, variant: str) -> dict:
     return manifest
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept: parse_args leaves
+    it unchanged, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="lcse",
         description="laser-catalyzed spin-exchange simulations")
@@ -318,8 +322,11 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate", help="check a config without running")
     p_val.add_argument("--config", required=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _execute(args)
     except ConfigError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -111,18 +112,25 @@ class CouplingSummary:
     lightshift_p: float
 
 
+# relative rounding allowance of the validity boundary: the drive ladder
+# sits exactly on it, and 10 * (100 W) and 1000 W round up to one machine
+# epsilon apart (relative)
+_BOUNDARY_SLACK = 4.0 * sys.float_info.epsilon
+
+
 def effective_coupling(params: SystemParams) -> CouplingSummary:
     """Adiabatic elimination of the molecular mode at large |Theta|.
 
     Raises on Theta = 0 (use the resonant solver there); warns when |Theta|
-    does not dominate the Rabi frequencies.
+    is below 10 max(|omega_p|, |omega_d|) by more than rounding.
     """
     theta = params.big_delta_prime
     if theta == 0:
         raise InvalidInputError(
             "big_delta_prime = 0: adiabatic elimination is singular; "
             "use the resonant solver for on-resonance dynamics")
-    if abs(theta) < 10.0 * max(abs(params.omega_p), abs(params.omega_d)):
+    bound = 10.0 * max(abs(params.omega_p), abs(params.omega_d))
+    if abs(theta) < bound * (1.0 - _BOUNDARY_SLACK):
         warnings.warn(
             "adiabatic elimination assumes |big_delta_prime| >> Rabi frequencies; "
             f"|Theta| = {abs(theta):g} is below 10*max(omega_p, omega_d)",

@@ -125,7 +125,7 @@ def energy_functional(theta, n_zero, m_mag, c_eff, c2n, q,
 def energy_gradient_n0(theta, n_zero, m_mag, c_eff, c2n, q,
                        lightshift_delta=0.0, lightshift_p=0.0):
     """dE/dn0 of the functional above; diverges at the S = 0 boundary for
-    m != 0."""
+    m != 0. _rhs_pend inlines it on Python floats."""
     s2 = (1.0 - n_zero) ** 2 - m_mag ** 2
     s = np.sqrt(np.maximum(s2, 0.0))
     ds = np.where(s > 0.0, -(1.0 - n_zero) / np.where(s > 0.0, s, 1.0), 0.0)
@@ -165,7 +165,9 @@ def rhs_effective(state: SpinorAmplitudes, params: SystemParams,
 
 
 def _rhs_eff(tau, y, c_eff, c2, q, ls_delta, ls_p):
-    ap, a0, am = y
+    # one state runs on Python complex, which costs a fraction of numpy
+    # scalar arithmetic; a (3, R) batch runs on its rows
+    ap, a0, am = y.tolist() if y.ndim == 1 else y
     np_ = ap.real ** 2 + ap.imag ** 2
     n0 = a0.real ** 2 + a0.imag ** 2
     nm = am.real ** 2 + am.imag ** 2
@@ -194,10 +196,16 @@ def rhs_pendulum(state: PendulumState, params: SystemParams,
 
 
 def _rhs_pend(tau, y, c_eff, c2, q, m_mag, ls_delta, ls_p):
-    theta, n0 = y
+    # on Python floats: dtheta is 2 energy_gradient_n0, inlined with its
+    # guard dS/dn0 = 0 at S = 0
+    theta, n0 = y.tolist()
     s = math.sqrt(max((1.0 - n0) ** 2 - m_mag ** 2, 0.0))
+    ds = -(1.0 - n0) / s if s > 0.0 else 0.0
     dn0 = 2.0 * c_eff * n0 * s * math.sin(theta)
-    dth = 2.0 * energy_gradient_n0(theta, n0, m_mag, c_eff, c2, q, ls_delta, ls_p)
+    dth = 2.0 * (-q + c_eff * math.cos(theta) * (s + n0 * ds)
+                 + c2 * (1.0 - 2.0 * n0)
+                 + 0.5 * ls_delta * (1.0 - n0)
+                 - 2.0 * ls_p * n0)
     return np.array([dth, dn0])
 
 
@@ -227,20 +235,26 @@ def rhs_resonant(state: SpinorAmplitudes, params: SystemParams, pulse,
         raise InvalidInputError("resonant family needs the molecular amplitude")
     y = np.array([state.a_plus, state.a_zero, state.a_minus, state.a_m],
                  dtype=complex)
-    d = _rhs_res(tau, y, params.c2n, params.small_delta, params.gamma,
-                 pulse.drive, symmetrized)
+    d = _rhs_res(tau, y, pulse.drive, params.c2n, params.small_delta,
+                 params.gamma, symmetrized)
     return complex(d[0]), complex(d[1]), complex(d[2]), complex(d[3])
 
 
-def _rhs_res(tau, y, c2, delta, gamma, drive, symmetrized):
+def _rhs_res(tau, y, drive, c2, delta, gamma, symmetrized):
+    """The resonant RHS in solve_ivp's form: the drive at tau, then the
+    body."""
+    return _res_body(y, *drive(tau), c2, delta, gamma, symmetrized)
+
+
+def _res_body(y, op, od, th, c2, delta, gamma, symmetrized):
     # y is (4,) for one state or (4, R) for R states stacked as columns;
+    # the pump, dump and detuning op, od, th are floats or (R,) arrays;
     # shared terms are computed once, in the order the equations group them
     fp, f0, fm, fmol = y
     np_ = fp.real ** 2 + fp.imag ** 2
     n0 = f0.real ** 2 + f0.imag ** 2
     nm = fm.real ** 2 + fm.imag ** 2
     cp, c0, cm = y[:3].conjugate()
-    op, od, th = drive(tau)
     detune = 1j * (th + delta)
     collide = 1j * c2 * f0 * f0
     dump = 1j * od * fmol
@@ -290,8 +304,8 @@ def _amplitude_system(family: str, initial: SpinorAmplitudes,
     y0 = np.array([initial.a_plus, initial.a_zero, initial.a_minus,
                    initial.a_m if initial.a_m is not None else 0.0],
                   dtype=complex)
-    return y0, _rhs_res, (params.c2n, params.small_delta, params.gamma,
-                          pulse.drive, symmetrized)
+    return y0, _rhs_res, (pulse.drive, params.c2n, params.small_delta,
+                          params.gamma, symmetrized)
 
 
 def integrate(family: str,
@@ -399,8 +413,19 @@ def integrate_batch(family: str,
                for st in initials]
     _, fun, args = columns[0]
     y0 = np.stack([c[0] for c in columns], axis=1)
-    values = _dopri_batch(lambda t, y: fun(t, y, *args), t0, t_bound, y0,
-                          t_eval, cfg.rel_tol, cfg.abs_tol)
+    if family == "resonant":
+        drive, coeffs = args[0], args[1:]
+
+        def rhs(y, *d):
+            return _res_body(y, *d, *coeffs)
+    else:
+        def drive(tau):
+            return ()
+
+        def rhs(y):
+            return fun(None, y, *args)
+    values = _dopri_batch(rhs, drive, t0, t_bound, y0, t_eval,
+                          cfg.rel_tol, cfg.abs_tol)
     return BatchTrajectory(t_eval, values)
 
 
@@ -446,10 +471,22 @@ def _initial_step(fun, t, y, f, t_bound, rtol, atol) -> np.ndarray:
     return np.minimum(np.minimum(100 * h0, h1), interval)
 
 
-def _dopri_batch(fun, t0: float, t_bound: float, y0: np.ndarray,
+def _stage(drives, s: int) -> list:
+    """Row s of each array in a drive evaluated on the stage times; a float
+    (a constant pump, a fixed detuning) is the same at every stage."""
+    return [v[s] if isinstance(v, np.ndarray) else v for v in drives]
+
+
+def _dopri_batch(rhs, drive, t0: float, t_bound: float, y0: np.ndarray,
                  t_eval: np.ndarray, rtol: float, atol: float) -> np.ndarray:
     """Step every column of y0 from t0 to t_bound; return the states
     sampled on t_eval, shape (n, R, len(t_eval)).
+
+    The derivative at tau is rhs(y, *drive(tau)). The drive is evaluated
+    once per step attempt, on the (5, R) stage times t + c_s h, s = 1..5;
+    its last row, t + h (c_5 = 1), also serves the end-of-step evaluation
+    that the next step reuses. The first derivative and the initial-step
+    probe evaluate it on their own.
 
     One loop pass is one step attempt of every unfinished column. Per
     column the rules are scipy's RK45._step_impl: a new step starts at no
@@ -461,6 +498,9 @@ def _dopri_batch(fun, t0: float, t_bound: float, y0: np.ndarray,
     dense output, as solve_ivp's t_eval does. Finished columns leave the
     working arrays; nothing per step is kept.
     """
+    def fun(t, y):
+        return rhs(y, *drive(t))
+
     n, width = y0.shape
     out = np.empty((n, width, len(t_eval)), dtype=y0.dtype)
     cols = np.arange(width)            # batch index of each working column
@@ -486,12 +526,13 @@ def _dopri_batch(fun, t0: float, t_bound: float, y0: np.ndarray,
         h = t_new - t
         h_abs = np.abs(h)
 
+        drives = drive(t + _C[1:, None] * h)
         K[0] = f
         for s in range(1, _STAGES):
             dy = _combine(K, _A[s, :s]) * h
-            K[s] = fun(t + _C[s] * h, y + dy)
+            K[s] = rhs(y + dy, *_stage(drives, s - 1))
         y_new = y + h * _combine(K, _B)
-        f_new = fun(t + h, y_new)
+        f_new = rhs(y_new, *_stage(drives, -1))
         K[-1] = f_new
 
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol

@@ -6,8 +6,10 @@ Verifies:
   - built-in presets load, list, and run end to end
   - CLI outputs: CSV columns, manifest fields, and rerun byte-identity
   - exit codes 2 (bad input) and 3 (domain violation)
+  - one parser serves consecutive main() calls in a process
 """
 
+import io
 import json
 import math
 import os
@@ -343,6 +345,32 @@ def test_write_csv_matches_format_17g(tmp_path):
                          for k, v in zip(runs, x.tolist())] + [""]
     assert lines[3:9] == ["0,nan", "1,inf", "2,-inf", "3,-0",
                           "4,4.9406564584124654e-324", "5,0.10000000000000001"]
+
+
+def test_write_json_matches_streamed_dump(tmp_path):
+    obj = {"b": [np.float64(0.1), np.int64(3), np.arange(3.0)],
+           "a": {"x": math.nan, "y": -0.0, "z": "text"}, "c": None}
+    cli._write_json(tmp_path / "o.json", obj)
+    stream = io.StringIO()
+    json.dump(obj, stream, indent=2, sort_keys=True, default=cli._json_default)
+    assert (tmp_path / "o.json").read_text() == stream.getvalue() + "\n"
+
+
+def test_cli_main_reuses_its_parser(tmp_path, capsys):
+    # the parser is built once per process; consecutive calls, and a call
+    # after a usage error, parse afresh
+    path = tmp_path / "scenario.ini"
+    path.write_text(preset_text("fig2-frozen"))
+    assert cli.main(["validate", "--config", str(path)]) == 0
+    assert cli.main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "trajectory.csv").is_file()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", str(path), "--unknown"])
+    assert exc.value.code == 2
+    assert cli.main(["validate", "--config", str(path)]) == 0
+    assert cli._parser() is cli._parser()
+    assert "OK: mode = effective" in capsys.readouterr().out
 
 
 def test_cli_energy_grid_rows_and_masked_cells(tmp_path, capsys):

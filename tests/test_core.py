@@ -4,7 +4,8 @@ Verifies:
   - Rb-87 collision strengths: c2/c0 ratio and c0n in rad/s at lab densities
   - coupling identity lightshift_p * lightshift_delta = omega_eff^2
   - ladder construction omega_eff = W with shifts (10 W, W / 10)
-  - validity warning fires strictly below the 10x Rabi boundary
+  - validity warning fires strictly below the 10x Rabi boundary, beyond
+    rounding: no ladder drive warns
   - regime classification incl. the frozen band and scale invariance
   - state observables and normalization gates
 """
@@ -117,6 +118,19 @@ def test_validity_warning_boundary():
     with pytest.warns(ValidityWarning):
         effective_coupling(SystemParams(omega_p=0.1, omega_d=1.0,
                                         big_delta_prime=9.999))
+
+
+def test_validity_warning_ignores_ladder_rounding():
+    # the ladder puts |Delta'| exactly on the boundary; 10 * (100 W) and
+    # 1000 W round up to one machine epsilon apart, which is not "below"
+    import warnings
+    rng = np.random.default_rng(20260814)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in rng.uniform(-0.01, 0.01, 10_000).tolist():
+            omega_p, omega_d, big_delta_prime = drive_ladder(w)
+            effective_coupling(SystemParams(omega_p=omega_p, omega_d=omega_d,
+                                            big_delta_prime=big_delta_prime))
 
 
 def test_regime_classification():

@@ -10,22 +10,29 @@ Verifies:
   - halving tolerances reproduces the tight-tolerance answer
   - time-reversed integration returns to the initial state
   - boundary and configuration errors
-  - batched integration: each column matches its single run, columns do
-    not depend on each other, scipy's step rules, a too-small step names
-    the member
+  - batched integration: each column matches its single run (every
+    detuning lock, both variants), columns do not depend on each other,
+    scipy's step rules, one drive evaluation per step attempt, a too-small
+    step names the member
+  - the RHS kernels: one state against a batch column, the pendulum flow
+    against the energy gradient, next to the S = 0 edge
+  - effective-family symmetries: a global phase changes no observable, and
+    swapping a+ and a- swaps n+ and n-
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from lcse import (DomainError, IntegratorConfig, InvalidInputError,
                   NumericalError, PendulumState, SpinorAmplitudes,
                   SystemParams, crossvalidate_amplitude_vs_pendulum,
-                  effective_coupling, energy_from_amplitudes, integrate,
-                  integrate_batch, rhs_effective, rhs_pendulum, rhs_resonant,
-                  state_observables)
+                  drive_ladder, effective_coupling, energy_from_amplitudes,
+                  integrate, integrate_batch, rhs_effective, rhs_pendulum,
+                  rhs_resonant, state_observables)
 from lcse import dynamics
-from lcse.cpt import cpt_state, make_schedule, resonance_detuning
+from lcse.cpt import (PulseSchedule, cpt_state, make_schedule,
+                      resonance_detuning)
 
 
 LADDER = SystemParams(omega_p=0.1, omega_d=1.0, big_delta_prime=10.0, q=0.01)
@@ -66,6 +73,50 @@ def test_pendulum_rhs_zero_torque_on_axis():
     for theta in (0.0, np.pi):
         _, dn = rhs_pendulum(PendulumState(theta, 0.6), LADDER, c)
         assert dn == pytest.approx(0.0, abs=1e-15)
+
+
+def edge_and_interior_starts(rng, count):
+    """(theta, n0, m) triples: m != 0 starts next to the S = 0 edge
+    n0 = 1 - |m| (gaps 1e-1 .. 1e-14) and interior starts."""
+    out = []
+    for k in range(count):
+        m = rng.uniform(-0.6, 0.6)
+        edge = 1.0 - abs(m)
+        gap = 10.0 ** -(1 + k % 14) if k % 2 else rng.uniform(0.0, 1.0)
+        out.append((rng.uniform(-20.0, 20.0), edge * (1.0 - gap), m))
+    return out
+
+
+def test_effective_kernel_one_state_against_batch_column():
+    # one state runs on Python complex and a batch on numpy rows; numpy's
+    # array loops may fuse a multiply-add (FMA) where Python rounds twice,
+    # so the two agree to rounding, not bit for bit: the largest difference
+    # found over 4e4 random states was 0.83 eps sum|coefficients|
+    rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    for theta, n0, m in edge_and_interior_starts(rng, 2000):
+        st = SpinorAmplitudes.from_populations(
+            max(0.5 * (1.0 - n0 + m), 0.0), n0, max(0.5 * (1.0 - n0 - m), 0.0),
+            phase_plus=theta + rng.uniform(-1.0, 1.0), phase_zero=0.3)
+        y = np.array([st.a_plus, st.a_zero, st.a_minus])
+        coeffs = rng.uniform(-1.0, 1.0, 5) * 10.0 ** rng.uniform(-3, 0, 5)
+        one = dynamics._rhs_eff(0.0, y, *coeffs.tolist())
+        column = dynamics._rhs_eff(0.0, y[:, None], *coeffs)[:, 0]
+        assert one.shape == (3,)
+        assert np.abs(one - column).max() <= 2.0 * eps * np.abs(coeffs).sum()
+
+
+def test_pendulum_kernel_is_energy_gradient():
+    rng = np.random.default_rng(12)
+    for theta, n0, m in edge_and_interior_starts(rng, 2000):
+        coeffs = rng.uniform(-1.0, 1.0, 5).tolist()
+        c_eff, c2, q, ls_delta, ls_p = coeffs
+        dth, dn0 = dynamics._rhs_pend(0.0, np.array([theta, n0]), c_eff, c2,
+                                      q, m, ls_delta, ls_p)
+        s = np.sqrt(max((1.0 - n0) ** 2 - m ** 2, 0.0))
+        assert dth == 2.0 * dynamics.energy_gradient_n0(
+            theta, n0, m, c_eff, c2, q, ls_delta, ls_p)
+        assert dn0 == 2.0 * c_eff * n0 * s * np.sin(theta)
 
 
 def test_energy_drift_effective():
@@ -253,11 +304,29 @@ def spread_starts(count, resonant):
             for k in range(count)]
 
 
-@pytest.mark.parametrize("family", ["effective", "resonant"])
-def test_batch_columns_match_single_runs(family):
+# the batch evaluates the drive on all stage times of an attempt at once:
+# each detuning lock (the fixed one is a float that broadcasts) and both
+# equation variants
+BATCH_CASES = [
+    pytest.param("effective", None, "symmetrized", id="effective"),
+    pytest.param("resonant", FIG4, "symmetrized", id="resonant"),
+    pytest.param("resonant", make_schedule(1.0, 40.0, 20.0, small_delta=3.0,
+                                           c2n=-0.0046,
+                                           theta_variant="stationary"),
+                 "symmetrized", id="resonant-stationary"),
+    pytest.param("resonant", make_schedule(1.0, 40.0, 20.0, small_delta=3.0,
+                                           theta_variant="fixed",
+                                           theta_fixed=-2.9),
+                 "symmetrized", id="resonant-fixed"),
+    pytest.param("resonant", FIG4, "literal", id="resonant-literal"),
+]
+
+
+@pytest.mark.parametrize("family, pulse, variant", BATCH_CASES)
+def test_batch_columns_match_single_runs(family, pulse, variant):
     resonant = family == "resonant"
     params = SystemParams(small_delta=3.0, gamma=1.0) if resonant else LADDER
-    kwargs = (dict(pulse=FIG4) if resonant
+    kwargs = (dict(pulse=pulse, variant=variant) if resonant
               else dict(coupling=ladder_coupling()))
     starts = spread_starts(3, resonant)
     batch = integrate_batch(family, starts, params, (0.0, 30.0),
@@ -279,6 +348,31 @@ def test_batch_columns_do_not_depend_on_each_other():
         sub = integrate_batch("resonant", starts[part], params, (0.0, 10.0),
                               pulse=FIG4, sampling=101)
         assert np.array_equal(sub.values, whole.values[:, part])
+
+
+def test_batch_evaluates_drive_once_per_step_attempt(monkeypatch):
+    calls = {"drive": 0, "rhs": 0}
+    drive, body = PulseSchedule.drive, dynamics._res_body
+
+    def counted_drive(self, tau):
+        calls["drive"] += 1
+        return drive(self, tau)
+
+    def counted_body(*args):
+        calls["rhs"] += 1
+        return body(*args)
+
+    monkeypatch.setattr(PulseSchedule, "drive", counted_drive)
+    monkeypatch.setattr(dynamics, "_res_body", counted_body)
+    integrate_batch("resonant", spread_starts(3, True),
+                    SystemParams(small_delta=3.0, gamma=1.0), (0.0, 10.0),
+                    pulse=FIG4, sampling=11)
+    # set-up: the first derivative and the initial-step probe, one RHS
+    # and one drive each; then six RHS per loop pass
+    setup = 2
+    passes, extra = divmod(calls["rhs"] - setup, 6)
+    assert extra == 0 and passes > 10
+    assert calls["drive"] <= passes + setup
 
 
 def test_batch_step_rules_are_scipys():
@@ -319,3 +413,55 @@ def test_batch_rejects_bad_input():
     with pytest.raises(InvalidInputError, match="sampling"):
         integrate_batch("resonant", starts, params, (0.0, 1.0), pulse=CALM,
                         sampling=[0.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# symmetries of the effective family (hypothesis, derandomized)
+
+ladder_w = strategies.floats(-0.02, 0.02).filter(lambda w: abs(w) > 1e-4)
+phase = strategies.floats(-np.pi, np.pi)
+# every mode occupied at the start, so that theta is defined there
+fraction = strategies.floats(0.05, 0.95)
+
+
+def ladder_run(w, start, tau_end=30.0):
+    omega_p, omega_d, big_delta_prime = drive_ladder(w)
+    params = SystemParams(omega_p=omega_p, omega_d=omega_d,
+                          big_delta_prime=big_delta_prime, q=0.01)
+    return integrate("effective", start, params, (0.0, tau_end),
+                     coupling=effective_coupling(params), sampling=301)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(w=ladder_w, n0=fraction, split=fraction, phase_plus=phase,
+       phase_minus=phase, phi=phase)
+def test_global_phase_leaves_observables_unchanged(w, n0, split, phase_plus,
+                                                   phase_minus, phi):
+    start = SpinorAmplitudes.from_populations(
+        (1.0 - n0) * split, n0, (1.0 - n0) * (1.0 - split),
+        phase_plus=phase_plus, phase_minus=phase_minus)
+    turn = complex(np.exp(1j * phi))
+    turned = SpinorAmplitudes(turn * start.a_plus, turn * start.a_zero,
+                              turn * start.a_minus)
+    a, b = ladder_run(w, start), ladder_run(w, turned)
+    np.testing.assert_allclose(b.populations(), a.populations(),
+                               rtol=1e-9, atol=1e-12)
+    # theta is defined mod 2 pi; the phase may move each arg across the cut
+    assert np.abs(np.angle(np.exp(1j * (b.theta() - a.theta())))).max() < 1e-9
+    np.testing.assert_allclose(b.monitors["energy"], a.monitors["energy"],
+                               rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(w=ladder_w, n0=fraction, split=fraction, phase_plus=phase,
+       phase_minus=phase)
+def test_mirror_swaps_side_populations(w, n0, split, phase_plus, phase_minus):
+    start = SpinorAmplitudes.from_populations(
+        (1.0 - n0) * split, n0, (1.0 - n0) * (1.0 - split),
+        phase_plus=phase_plus, phase_minus=phase_minus)
+    mirrored = SpinorAmplitudes(start.a_minus, start.a_zero, start.a_plus)
+    a, b = ladder_run(w, start), ladder_run(w, mirrored)
+    np.testing.assert_allclose(b.populations(), a.populations()[::-1],
+                               rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(b.monitors["magnetization"],
+                               -a.monitors["magnetization"], atol=1e-12)
