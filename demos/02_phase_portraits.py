@@ -17,7 +17,6 @@ from lcse import (GridSpec, LandscapeParams, RB87_C2_OVER_C0, Stability,
 
 C2 = RB87_C2_OVER_C0
 Q = 0.01
-TAU_MAX = 2500.0  # slowest libration period here is ~1400 tau
 
 
 def landscape_for(c_eff):
@@ -42,7 +41,7 @@ def main():
                       f"n0 = {p.n_zero:.6f}, E = {p.energy:.6e}")
         else:
             print("  no interior fixed points")
-        summary = contour_portrait(lp, GridSpec(), tau_max=TAU_MAX)
+        summary = contour_portrait(lp, GridSpec())
         counts = ", ".join(f"{k}: {v}" for k, v in
                            sorted(summary.counts.items()) if v)
         print(f"  verdicts over the start grid: {counts}")

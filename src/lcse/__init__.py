@@ -22,7 +22,7 @@ from .core import (CouplingSummary, Regime, ScatteringInputs,
 from .cpt import (AdiabaticityReport, PulseSchedule, StationarityResidual,
                   TransferResult, adiabaticity_diagnostic, cpt_populations,
                   cpt_state, make_schedule, resonance_detuning, run_transfer,
-                  sech_pulse, stationarity_residual)
+                  stationarity_residual)
 from .dynamics import (BatchTrajectory, CrossValidation, IntegratorConfig,
                        PendulumState, Trajectory,
                        crossvalidate_amplitude_vs_pendulum,
@@ -54,7 +54,7 @@ __all__ = [
     "AdiabaticityReport", "PulseSchedule", "StationarityResidual",
     "TransferResult", "adiabaticity_diagnostic", "cpt_populations",
     "cpt_state", "make_schedule", "resonance_detuning", "run_transfer",
-    "sech_pulse", "stationarity_residual",
+    "stationarity_residual",
     "BatchTrajectory", "CrossValidation", "IntegratorConfig", "PendulumState",
     "Trajectory", "crossvalidate_amplitude_vs_pendulum",
     "energy_from_amplitudes", "energy_functional", "energy_gradient_n0",

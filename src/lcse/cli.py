@@ -199,15 +199,15 @@ def _run_landscape(cfg: ScenarioConfig, out: Path) -> tuple[list[str], dict]:
         for m2, setting, lp in cases:
             if m2 != mult:
                 continue
-            summary = contour_portrait(lp, gridspec, starts,
-                                       tau_max=g["tau_max"],
-                                       eps_return=g["eps_return"],
-                                       config=build_integrator(cfg))
+            summary = contour_portrait(lp, gridspec, starts)
+            # recorded only: no verdict reads tau_max or eps_return
             doc[f"shifts_{setting}"] = {
                 "c_eff": lp.c_eff,
                 "lightshift_delta": lp.lightshift_delta,
                 "lightshift_p": lp.lightshift_p,
                 **summary.to_dict(),
+                "tau_max": g["tau_max"],
+                "eps_return": g["eps_return"],
             }
             grids[setting] = energy_grid(lp, gridspec)
             counts_echo[f"{mult:g}/{setting}"] = summary.counts

@@ -79,6 +79,7 @@ _SCHEMA = {
         "n_n0": (int, 101),
         "c_eff_over_c2": ("floats", _REQ),
         "shifts": (("on", "off", "both"), _REQ),
+        # accepted and written to portrait.json, no effect on a verdict
         "tau_max": (float, 500.0),
         "eps_return": (float, 1e-4),
         "m_mag": (float, 0.0),

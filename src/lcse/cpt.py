@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -166,17 +166,6 @@ def _locked_detuning(n_s, n0_s, small_delta, c2n, variant):
     else:
         raise InvalidInputError("variant must be 'coherence' or 'stationary'")
     return -small_delta + c2n * shift
-
-
-def sech_pulse(amplitude: float, t0: float) -> Callable[[float], float]:
-    """Even pulse amplitude*sech(tau/t0), peaked at tau = 0."""
-    if t0 <= 0.0:
-        raise InvalidInputError("t0 must be > 0")
-
-    def fn(tau):
-        return _over_cosh(amplitude, tau, t0)
-
-    return fn
 
 
 def make_schedule(omega_p: float, omega_d0: float, t_zero: float,

@@ -3,24 +3,23 @@
 The functional itself lives in dynamics.energy_functional (the pendulum flow
 derives from it); this module evaluates it on grids, locates fixed points on
 the sin(theta) = 0 lines, and classifies trajectories as open (phase winds)
-or closed (bounded, periodic) from the topology of their level set, with the
-flow itself as the fallback near separatrices.
+or closed (bounded, periodic) from the turning points of their level set: the
+real roots of one polynomial of degree at most 4 in n0.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.optimize import brentq
 
-from .dynamics import (IntegratorConfig, PendulumState, energy_functional,
-                       energy_gradient_n0, integrate, outside_domain)
-from .core import CouplingSummary, SystemParams
+from .dynamics import (PendulumState, energy_functional, energy_gradient_n0,
+                       outside_domain)
 from .errors import DomainError, InvalidInputError
 
 
@@ -40,14 +39,6 @@ class LandscapeParams:
             raise InvalidInputError("landscape parameters must be finite")
         if abs(self.m_mag) > 1.0:
             raise InvalidInputError("|m_mag| must be <= 1")
-
-    def _system(self) -> tuple[SystemParams, CouplingSummary]:
-        params = SystemParams(c2n=self.c2n, q=self.q)
-        coupling = CouplingSummary(
-            omega_eff=self.c_eff - self.c2n, c_eff=self.c_eff,
-            lightshift_delta=self.lightshift_delta,
-            lightshift_p=self.lightshift_p)
-        return params, coupling
 
 
 @dataclass(frozen=True)
@@ -82,6 +73,10 @@ class FixedPoint:
 
 
 class Verdict(enum.Enum):
+    """Orbit topology: OPEN, the phase winds; CLOSED, bounded and periodic;
+    BOUNDARY, the orbit reaches the S = 0 domain edge; INDETERMINATE, on a
+    separatrix (the orbit runs into a saddle)."""
+
     OPEN = "Open"
     CLOSED = "Closed"
     BOUNDARY = "Boundary"
@@ -115,9 +110,12 @@ def energy_grid(lp: LandscapeParams, grid: GridSpec) -> EnergyGrid:
     return EnergyGrid(th, n0, vals, mask)
 
 
+# dE/dn0 is sampled on this many points of each axis to bracket its roots
+_FIXED_POINT_SCAN = 4001
+
+
 def find_fixed_points(lp: LandscapeParams,
-                      include_boundary: bool = True,
-                      scan_points: int = 4001) -> list[FixedPoint]:
+                      include_boundary: bool = True) -> list[FixedPoint]:
     """Roots of dE/dn0 on the theta in {0, pi} lines, plus domain endpoints.
 
     dE/dtheta vanishes identically on those lines, so interior fixed points
@@ -131,7 +129,7 @@ def find_fixed_points(lp: LandscapeParams,
     for th in (0.0, math.pi):
         def grad(x, _th=th):
             return float(energy_gradient_n0(_th, x, *args))
-        xs = np.linspace(1e-9, n0_max - 1e-9, scan_points)
+        xs = np.linspace(1e-9, n0_max - 1e-9, _FIXED_POINT_SCAN)
         vals = energy_gradient_n0(th, xs, *args)
         sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         for i in sign_change:
@@ -153,156 +151,76 @@ def find_fixed_points(lp: LandscapeParams,
     return out
 
 
-# The level set is scanned on this many n0 points, skipping those within
-# _START_GAP of the start: for a start on a junction, |g| <= 1 is decided by
-# rounding there. Starts whose energy lies within _SEPARATRIX_MARGIN of the
-# energy range of a saddle or boundary energy are left to the flow, since
-# gaps of the band narrower than the scan step open only there.
-_SCAN_POINTS = 20001
-_START_GAP = 1e-9
-_SEPARATRIX_MARGIN = 1e-4
+# Roots of Q closer than this in n0 are one root: a double root (a saddle or
+# a center) comes out of polyroots split by up to 3e-7 on the fig3
+# landscapes. A root within half of it of the start is the start.
+_ROOT_TOL = 1e-5
 
 
-class _EnergyBand(NamedTuple):
-    n_zero: np.ndarray       # scan grid over [0, 1 - |m|]
-    base: np.ndarray         # E at C = 0, midway between E(0, n0), E(pi, n0)
-    half_width: np.ndarray   # |C| n0 S, half the band's width
-    separatrix: np.ndarray   # saddle and boundary-extremum energies
-    margin: float            # _SEPARATRIX_MARGIN times the energy range
+def classify_trajectory(lp: LandscapeParams,
+                        initial: PendulumState) -> Verdict:
+    """Call the orbit through `initial` open or closed from its turning points.
 
-
-@functools.lru_cache(maxsize=2)
-def _energy_band(lp: LandscapeParams) -> _EnergyBand:
-    n0 = np.linspace(0.0, 1.0 - abs(lp.m_mag), _SCAN_POINTS)
-    rest = (lp.c2n, lp.q, lp.lightshift_delta, lp.lightshift_p)
-    base = energy_functional(0.0, n0, lp.m_mag, 0.0, *rest)
-    half = np.abs(energy_functional(0.0, n0, lp.m_mag, lp.c_eff, *rest) - base)
-    span = float(np.max(base + half) - np.min(base - half))
-    separatrix = np.array([p.energy for p in find_fixed_points(lp)
-                           if p.stability is not Stability.CENTER])
-    return _EnergyBand(n0, base, half, separatrix, _SEPARATRIX_MARGIN * span)
-
-
-def classify_trajectory(lp: LandscapeParams, initial: PendulumState,
-                        tau_max: float = 500.0,
-                        eps_return: float = 1e-4,
-                        config: Optional[IntegratorConfig] = None) -> Verdict:
-    """Call the orbit through `initial` open or closed from its level set.
-
-    On E(theta, n0) = E0 the orbit obeys cos(theta) = g(n0) =
-    (E0 - E|_{C=0}(n0)) / (C n0 S(n0)), so it is the pair of arcs
-    theta = +-arccos(g) over the n0 interval around the start where
-    |g| <= 1. The arcs join at theta = 0 where g = +1 and at theta = pi
-    where g = -1: Open when the interval ends on one of each (the phase
-    winds), Closed when both ends join on the same line, Boundary when the
-    interval reaches the domain edge. C = 0 leaves theta precessing: Open.
-
-    Starts whose energy is within a small margin of a saddle or boundary
-    energy go to classify_by_flow with tau_max, eps_return and config; no
-    other start uses them.
+    At fixed m, (dn0/dtau)^2 = 4 Q(n0) on the level set E = E0, with
+    Q(n) = C^2 n^2 ((1-n)^2 - m^2) - (E0 - base(n))^2 and base(n) =
+    q (1-n) + c2 n (1-n) + (Delta/4) n (2-n) - p n^2 the energy at C = 0.
+    The orbit runs between the roots of Q around the start, where it meets
+    theta = 0 if (E0 - base) C > 0 and theta = pi otherwise: Open when its
+    two ends meet different lines (the phase winds), Closed when they meet
+    the same one. A start on theta = 0 or pi is itself a root; its orbit
+    runs to the next root on the side where Q > 0, and with Q < 0 on both
+    sides it sits at a center (Closed; Open at n0 = 0, where theta winds
+    along the line n0 = 0). Indeterminate: a double root ends the orbit,
+    or Q > 0 on both sides of a start root (a saddle). Boundary: the start
+    or an end is on the S = 0 edge. C = 0 leaves theta precessing: Open.
     """
     if initial.m_mag != lp.m_mag:
         raise InvalidInputError("initial.m_mag must match lp.m_mag")
-    band = _energy_band(lp)
     e0 = float(energy(initial.theta, initial.n_zero, lp))
-    if np.any(np.abs(band.separatrix - e0) <= band.margin):
-        return classify_by_flow(lp, initial, tau_max=tau_max,
-                                eps_return=eps_return, config=config)
     if lp.c_eff == 0.0:
         return Verdict.OPEN
-    gap = e0 - band.base
-    outside = np.abs(gap) > band.half_width
-    above = np.searchsorted(band.n_zero, initial.n_zero + _START_GAP, "right")
-    below = np.searchsorted(band.n_zero, initial.n_zero - _START_GAP, "left")
-    up = np.flatnonzero(outside[above:])
-    down = np.flatnonzero(outside[:below])
-    if len(up) == 0 or len(down) == 0:
+    n, m2 = initial.n_zero, lp.m_mag * lp.m_mag
+    if (1.0 - n) ** 2 - m2 <= 0.0:
         return Verdict.BOUNDARY
-    # just past an end g > 1 (arcs joined on theta = 0) where gap and C share
-    # a sign, g < -1 (joined on theta = pi) otherwise
-    top_on_zero = gap[above + up[0]] * lp.c_eff > 0.0
-    bottom_on_zero = gap[down[-1]] * lp.c_eff > 0.0
-    return Verdict.OPEN if top_on_zero != bottom_on_zero else Verdict.CLOSED
-
-
-def _return_distance(ys: np.ndarray, theta0: float, n00: float) -> np.ndarray:
-    dth = np.angle(np.exp(1j * (ys[0] - theta0)))
-    return np.hypot(dth, ys[1] - n00)
-
-
-def _closest_approach(sol, t_lo: float, t_hi: float, theta0: float,
-                      n00: float) -> float:
-    """Smallest distance to the start on [t_lo, t_hi], by zooming in on the
-    dense output."""
-    for _ in range(4):
-        fine = np.linspace(t_lo, t_hi, 41)
-        dist = _return_distance(sol.sol(fine), theta0, n00)
-        i = int(np.argmin(dist))
-        t_lo, t_hi = fine[max(i - 1, 0)], fine[min(i + 1, 40)]
-    return float(dist[i])
-
-
-def classify_by_flow(lp: LandscapeParams, initial: PendulumState,
-                     tau_max: float = 500.0,
-                     eps_return: float = 1e-4,
-                     config: Optional[IntegratorConfig] = None) -> Verdict:
-    """Follow the pendulum flow and call the orbit open or closed.
-
-    Open: unwrapped |theta - theta(0)| reaches 2 pi (terminal event).
-    Closed: theta band width stays under 2 pi and the orbit re-enters an
-    eps_return ball around the start (wrapped-theta Euclidean metric) after
-    first leaving a 10*eps_return ball; a start that never leaves that ball
-    counts as closed (libration around a nearby fixed point). Boundary: the
-    (1-n0)^2 = m^2 event fires. Anything unresolved by tau_max is
-    Indeterminate. Returns are looked for on the dense output, on a 0.02 tau
-    grid refined around the sampled distance minima near the ball: transits
-    are much shorter than adaptive solver steps, so terminal return events
-    would be unreliable, and they can fall between grid samples.
-    """
-    if initial.m_mag != lp.m_mag:
-        raise InvalidInputError("initial.m_mag must match lp.m_mag")
-    theta0, n00 = initial.theta, initial.n_zero
-    params, coupling = lp._system()
-
-    def wind_up(tau, y, *a):
-        return (y[0] - theta0) - 2.0 * math.pi
-
-    def wind_down(tau, y, *a):
-        return (y[0] - theta0) + 2.0 * math.pi
-
-    wind_up.terminal = True
-    wind_down.terminal = True
-    try:
-        traj = integrate("pendulum", initial, params, (0.0, tau_max),
-                         coupling=coupling, config=config, sampling=2,
-                         events=[wind_up, wind_down], dense_output=True)
-    except DomainError:
+    # E0 - base(n) and Q(n), lowest power first; polyroots drops a zero
+    # leading coefficient, which C^2 = (c2 + Delta/4 + p)^2 makes exactly
+    r = [e0 - lp.q, lp.q - lp.c2n - 0.5 * lp.lightshift_delta,
+         lp.c2n + 0.25 * lp.lightshift_delta + lp.lightshift_p]
+    cc = lp.c_eff * lp.c_eff
+    quartic = [-r[0] * r[0], -2.0 * r[0] * r[1],
+               cc * (1.0 - m2) - r[1] * r[1] - 2.0 * r[0] * r[2],
+               -2.0 * cc - 2.0 * r[1] * r[2], cc - r[2] * r[2]]
+    hi = 1.0 - abs(lp.m_mag) + _ROOT_TOL
+    roots: list[list] = []  # [n0, multiplicity], ascending
+    for x in sorted(z.real for z in P.polyroots(quartic).tolist()
+                    if abs(z.imag) <= _ROOT_TOL and -_ROOT_TOL <= z.real <= hi):
+        if roots and x - roots[-1][0] <= _ROOT_TOL:
+            roots[-1][1] += 1
+        else:
+            roots.append([x, 1])
+    below = [x for x in roots if x[0] < n - 0.5 * _ROOT_TOL]
+    above = [x for x in roots if x[0] > n + 0.5 * _ROOT_TOL]
+    if len(below) + len(above) < len(roots):
+        # start is a root; Q <= 0 at both edges: Q < 0 on a side without roots
+        at = roots[len(below)]
+        up = bool(above) and P.polyval((at[0] + above[0][0]) / 2, quartic) > 0
+        down = bool(below) and P.polyval((at[0] + below[-1][0]) / 2,
+                                         quartic) > 0
+        if up and down:
+            return Verdict.INDETERMINATE
+        if not (up or down):
+            return Verdict.OPEN if n == 0.0 else Verdict.CLOSED
+        ends = (at, above[0]) if up else (below[-1], at)
+    elif below and above:
+        ends = (below[-1], above[0])
+    else:
         return Verdict.BOUNDARY
-    sol = traj.solver
-    if len(sol.t_events[1]) or len(sol.t_events[2]):
-        return Verdict.OPEN
-
-    ts = np.arange(0.0, sol.t[-1], 0.02)
-    ys = sol.sol(ts)
-    dist = _return_distance(ys, theta0, n00)
-    outside = np.nonzero(dist > 10.0 * eps_return)[0]
-    if len(outside) == 0:
-        return Verdict.CLOSED
-    if float(ys[0].max() - ys[0].min()) >= 2.0 * math.pi:
+    if ends[0][1] > 1 or ends[1][1] > 1:
         return Verdict.INDETERMINATE
-    if float(dist[outside[0]:].min()) < eps_return:
-        return Verdict.CLOSED
-    # a pass through the ball can fall between samples: refine each sampled
-    # distance minimum within 10*eps_return plus one sample step of the start
-    step = np.hypot(np.diff(ys[0]), np.diff(ys[1]))
-    k = np.arange(outside[0] + 1, len(ts) - 1)
-    reach = 10.0 * eps_return + np.maximum(step[k - 1], step[k])
-    minima = k[(dist[k] <= dist[k - 1]) & (dist[k] <= dist[k + 1])
-               & (dist[k] < reach)]
-    for i in minima:
-        if _closest_approach(sol, ts[i - 1], ts[i + 1], theta0, n00) < eps_return:
-            return Verdict.CLOSED
-    return Verdict.INDETERMINATE
+    if (1.0 - ends[1][0]) ** 2 - m2 <= _ROOT_TOL ** 2:
+        return Verdict.BOUNDARY
+    on_zero = [P.polyval(x, r) * lp.c_eff > 0.0 for x, _k in ends]
+    return Verdict.OPEN if on_zero[0] != on_zero[1] else Verdict.CLOSED
 
 
 def default_start_grid(n_theta: int = 10, n_n0: int = 10,
@@ -323,8 +241,6 @@ class PortraitSummary:
     fixed_points: list
     masked_fraction: float
     verdicts: list  # (theta0, n0, verdict) per start
-    tau_max: float
-    eps_return: float
 
     def to_dict(self) -> dict:
         return {
@@ -337,16 +253,12 @@ class PortraitSummary:
             "verdicts": [
                 {"theta": t, "n_zero": n, "verdict": v.value}
                 for t, n, v in self.verdicts],
-            "tau_max": self.tau_max,
-            "eps_return": self.eps_return,
         }
 
 
 def contour_portrait(lp: LandscapeParams, grid: GridSpec,
-                     starts: Optional[Sequence[PendulumState]] = None,
-                     tau_max: float = 500.0,
-                     eps_return: float = 1e-4,
-                     config: Optional[IntegratorConfig] = None) -> PortraitSummary:
+                     starts: Optional[Sequence[PendulumState]] = None
+                     ) -> PortraitSummary:
     """Classify every start and aggregate counts, fixed points, mask fraction."""
     if starts is None:
         starts = default_start_grid(m_mag=lp.m_mag)
@@ -354,8 +266,7 @@ def contour_portrait(lp: LandscapeParams, grid: GridSpec,
     counts = {v.value: 0 for v in Verdict}
     verdicts = []
     for st in starts:
-        v = classify_trajectory(lp, st, tau_max=tau_max,
-                                eps_return=eps_return, config=config)
+        v = classify_trajectory(lp, st)
         counts[v.value] += 1
         verdicts.append((st.theta, st.n_zero, v))
     return PortraitSummary(
@@ -363,6 +274,4 @@ def contour_portrait(lp: LandscapeParams, grid: GridSpec,
         fixed_points=find_fixed_points(lp),
         masked_fraction=float(eg.mask.mean()),
         verdicts=verdicts,
-        tau_max=tau_max,
-        eps_return=eps_return,
     )

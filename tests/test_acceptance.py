@@ -138,7 +138,7 @@ def test_criterion_4_portrait_verdicts():
         delta, p = ladder_lightshifts(c_eff - C2)
         lp = LandscapeParams(c_eff=c_eff, c2n=C2, q=0.01,
                              lightshift_delta=delta, lightshift_p=p)
-        summary = contour_portrait(lp, GridSpec(), tau_max=2500.0)
+        summary = contour_portrait(lp, GridSpec())
         results[c_eff] = summary.counts
     ok = True
     parts = []

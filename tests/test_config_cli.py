@@ -1,7 +1,8 @@
 """Config parsing, presets, and the command-line interface.
 
 Verifies:
-  - serialize/parse round trips reproduce the config exactly
+  - serialize/parse round trips reproduce the config exactly, for the
+    presets and for configs drawn over the whole schema
   - the validator reports every problem at once with exit code 2
   - built-in presets load, list, and run end to end
   - CLI outputs: CSV columns, manifest fields, and rerun byte-identity
@@ -18,8 +19,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lcse import ConfigError, InvalidInputError, cli
+from lcse import ConfigError, InvalidInputError, cli, config
 from lcse.config import build_grid_spec, landscape_cases
 from lcse.config import config_to_dict, parse_config, serialize_config
 from lcse.landscape import energy_grid
@@ -59,6 +61,86 @@ def test_round_trip_presets(name):
     assert again == cfg
     # and the dict view is JSON-serializable
     json.dumps(config_to_dict(cfg))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# keys whose values parse_config cross-checks; every other key takes any
+# value of its schema type
+CONSTRAINED = {
+    ("integration", "samples"): st.integers(2, 10 ** 6),
+    ("integration", "tau_start"): st.floats(-1e6, 1e6),
+    ("seeds", "runs"): st.integers(1, 10 ** 6),
+    ("initial", "n_plus"): st.floats(0.0, 0.25),
+    ("initial", "n_minus"): st.floats(0.0, 0.25),
+    ("initial", "n_m"): st.floats(0.0, 0.25),
+}
+
+
+def schema_value(sec, key):
+    if (sec, key) in CONSTRAINED:
+        return CONSTRAINED[sec, key]
+    typ, _default = config._SCHEMA[sec][key]
+    if typ is float:
+        return finite
+    if typ == "floats":
+        return st.lists(finite, min_size=1, max_size=4).map(tuple)
+    if typ is int:
+        return st.integers(-10 ** 12, 10 ** 12)
+    if typ is str:
+        return st.text("abcXYZ019/._-", max_size=12)
+    return st.sampled_from(typ)
+
+
+@st.composite
+def scenario_texts(draw):
+    """INI text for any mode, every key of its sections drawn or left to
+    its default, with the values parse_config cross-checks kept valid."""
+    mode = draw(st.sampled_from(config.MODES))
+    kind = draw(st.sampled_from(("cpt", "effective")))
+    sections = [s for s in config._MODE_SECTIONS[mode] if s != "scenario"]
+    if mode == "ensemble" and kind == "cpt":
+        sections.append("pulse")
+    required = set(config._MODE_REQUIRED[mode])
+    values = {}
+    for sec in sections:
+        values[sec] = {}
+        for key, (_typ, default) in config._SCHEMA[sec].items():
+            keep = (default is config._REQ or (sec, key) in required
+                    or (mode == "ensemble" and sec == "params")
+                    or draw(st.booleans()))
+            if keep:
+                values[sec][key] = draw(schema_value(sec, key))
+    if mode == "ensemble":
+        values["seeds"]["kind"] = kind
+    if mode in ("effective", "resonant", "cpt"):
+        ini = values["initial"]
+        ini["n_zero"] = 1.0 - ini["n_plus"] - ini["n_minus"] - 2.0 * ini.get(
+            "n_m", 0.0)
+    integ = values["integration"]
+    integ["tau_end"] = integ["tau_start"] + draw(st.floats(1e-6, 1e6))
+    pulse = values.get("pulse", {})
+    if pulse.get("theta_variant") == "fixed":
+        pulse.setdefault("theta_fixed", draw(finite))
+    lines = [f"[scenario]\nmode = {mode}\n"]
+    for sec, vals in values.items():
+        lines.append(f"[{sec}]")
+        lines += [f"{k} = {config._fmt(v)}" for k, v in vals.items()]
+        lines.append("")
+    return "\n".join(lines), mode, values
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drawn=scenario_texts())
+def test_round_trip_over_schema(drawn):
+    text, mode, values = drawn
+    cfg = parse_config(text)
+    assert cfg.mode == mode
+    for sec, vals in values.items():
+        for key, val in vals.items():
+            assert getattr(cfg, sec)[key] == val, (sec, key)
+    again = serialize_config(cfg)
+    assert parse_config(again) == cfg
+    assert serialize_config(parse_config(again)) == again
 
 
 def test_round_trip_is_stable_text():

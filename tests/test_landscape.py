@@ -5,26 +5,26 @@ Verifies:
   - the domain gate (1 - n0)^2 >= m^2
   - grid evaluation with masked infeasible cells
   - bracketing fixed-point search against frozen center/saddle locations
-  - orbit verdicts: winding, epsilon-return, boundary starts, and the
-    frozen 10x10 grid counts for the four standard couplings
-  - level-set verdicts against the flow classifier on every fig3 start and
-    on random landscapes, with no fig3 start sent to the flow fallback
+  - orbit verdicts: winding, boundary starts, saddle starts, landscapes
+    whose orbit polynomial has degree 3, and the frozen 10x10 grid counts
+    for the four standard couplings with drive shifts on and off
+  - level-set verdicts against the flow classifier (tests/flow_oracle.py)
+    on every fig3 start and on random landscapes
   - energy conservation along a classified closed orbit
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lcse import (DomainError, GridSpec, InvalidInputError, LandscapeParams,
                   PendulumState, Stability, Verdict, classify_trajectory,
                   contour_portrait, default_start_grid, energy, energy_grid,
                   find_fixed_points, ladder_lightshifts, RB87_C2_OVER_C0)
-from lcse import landscape
-from lcse.landscape import classify_by_flow
+
+from flow_oracle import classify_by_flow, pendulum_system
 
 C2 = RB87_C2_OVER_C0
 
@@ -143,7 +143,7 @@ def test_fixed_point_symmetry_under_coupling_flip():
 def test_fixed_points_kill_the_gradient():
     from lcse.dynamics import rhs_pendulum
     lp = ladder_params(-C2)
-    params, coupling = lp._system()
+    params, coupling = pendulum_system(lp)
     for p in find_fixed_points(lp, include_boundary=False):
         dth, dn0 = rhs_pendulum(PendulumState(p.theta, p.n_zero), params,
                                 coupling)
@@ -154,15 +154,14 @@ def test_fixed_points_kill_the_gradient():
 def test_classify_zero_coupling_is_open():
     # with C = 0 the angle precesses at a fixed rate and never turns back
     lp = LandscapeParams(c_eff=0.0, c2n=C2, q=0.01)
-    v = classify_trajectory(lp, PendulumState(0.0, 0.5), tau_max=500.0)
+    v = classify_trajectory(lp, PendulumState(0.0, 0.5))
     assert v is Verdict.OPEN
 
 
 def test_classify_invariant_under_full_turn_offset():
     lp = ladder_params(-0.5 * C2)
-    a = classify_trajectory(lp, PendulumState(0.3, 0.75), tau_max=2500.0)
-    b = classify_trajectory(lp, PendulumState(0.3 + 2 * np.pi, 0.75),
-                            tau_max=2500.0)
+    a = classify_trajectory(lp, PendulumState(0.3, 0.75))
+    b = classify_trajectory(lp, PendulumState(0.3 + 2 * np.pi, 0.75))
     assert a is b
 
 
@@ -171,14 +170,14 @@ def test_classify_near_center_is_closed():
     pts = find_fixed_points(lp)
     center = next(p for p in pts if p.stability is Stability.CENTER)
     start = PendulumState(center.theta, center.n_zero + 1e-4)
-    v = classify_trajectory(lp, start, tau_max=2500.0)
+    v = classify_trajectory(lp, start)
     assert v is Verdict.CLOSED
 
 
 def test_energy_conserved_along_closed_orbit():
     from lcse.dynamics import integrate
     lp = ladder_params(-0.5 * C2)
-    params, coupling = lp._system()
+    params, coupling = pendulum_system(lp)
     pts = find_fixed_points(lp)
     center = next(p for p in pts if p.stability is Stability.CENTER)
     traj = integrate("pendulum", PendulumState(center.theta, 0.6),
@@ -210,7 +209,7 @@ def test_portrait_small_grid_aggregates():
     lp = ladder_params(-C2)
     starts = default_start_grid(n_theta=3, n_n0=3)
     summary = contour_portrait(lp, GridSpec(resolution=(11, 11)),
-                               starts=starts, tau_max=2500.0)
+                               starts=starts)
     assert sum(summary.counts.values()) == 9
     assert len(summary.verdicts) == 9
     d = summary.to_dict()
@@ -219,24 +218,21 @@ def test_portrait_small_grid_aggregates():
     assert d["counts"] == dict(summary.counts)
 
 
-def test_portrait_frozen_grid_counts():
-    lp = ladder_params(-0.5 * C2)
-    summary = contour_portrait(lp, GridSpec(), tau_max=2500.0)
-    assert summary.counts.get("Open", 0) == 74
-    assert summary.counts.get("Closed", 0) == 26
-    assert summary.counts.get("Indeterminate", 0) == 0
+# (Open, Closed) over the 10x10 fig3 start grid per (c_eff / c2, shifts);
+# the flow oracle gives the same verdicts
+FROZEN_COUNTS = {(1.0, True): (100, 0), (1.0, False): (100, 0),
+                 (0.5, True): (100, 0), (0.5, False): (100, 0),
+                 (-0.5, True): (74, 26), (-0.5, False): (100, 0),
+                 (-1.0, True): (72, 28), (-1.0, False): (100, 0)}
 
 
-class _FlowFallback(Exception):
-    pass
-
-
-def level_set_verdict(lp, start):
-    """classify_trajectory with the flow fallback refused."""
-    def refuse(*args, **kwargs):
-        raise _FlowFallback
-    with mock.patch.object(landscape, "classify_by_flow", refuse):
-        return classify_trajectory(lp, start, tau_max=2500.0)
+@pytest.mark.parametrize("mult, shifts", sorted(FROZEN_COUNTS))
+def test_portrait_frozen_grid_counts(mult, shifts):
+    lp = ladder_params(mult * C2, shifts=shifts)
+    summary = contour_portrait(lp, GridSpec())
+    n_open, n_closed = FROZEN_COUNTS[mult, shifts]
+    assert summary.counts == {"Open": n_open, "Closed": n_closed,
+                              "Boundary": 0, "Indeterminate": 0}
 
 
 @pytest.mark.parametrize("shifts", [True, False])
@@ -244,7 +240,7 @@ def level_set_verdict(lp, start):
 def test_level_set_matches_flow_on_fig3_starts(mult, shifts):
     lp = ladder_params(mult * C2, shifts=shifts)
     for start in default_start_grid():
-        assert level_set_verdict(lp, start) is classify_by_flow(
+        assert classify_trajectory(lp, start) is classify_by_flow(
             lp, start, tau_max=2500.0), start
 
 
@@ -253,7 +249,62 @@ def test_classify_center_start_is_closed():
     center = next(p for p in find_fixed_points(lp)
                   if p.stability is Stability.CENTER)
     start = PendulumState(center.theta, center.n_zero)
-    assert level_set_verdict(lp, start) is Verdict.CLOSED
+    assert classify_trajectory(lp, start) is Verdict.CLOSED
+
+
+@pytest.mark.parametrize("mult", [-0.5, -1.0])
+def test_classify_saddle_start_is_indeterminate(mult):
+    # the saddle is a double root of the orbit quartic with Q > 0 on both
+    # sides: its level set crosses itself there
+    lp = ladder_params(mult * C2)
+    saddle = next(p for p in find_fixed_points(lp)
+                  if p.stability is Stability.SADDLE)
+    start = PendulumState(saddle.theta, saddle.n_zero)
+    assert classify_trajectory(lp, start) is Verdict.INDETERMINATE
+
+
+@pytest.mark.parametrize("mult", [-0.5, -1.0])
+@pytest.mark.parametrize("offset", [0.05, 0.2])
+def test_classify_start_on_saddle_level_is_indeterminate(mult, offset):
+    # a start away from the saddle but on its energy: the orbit runs into
+    # the saddle, a double root at one end of the start's interval
+    lp = ladder_params(mult * C2)
+    saddle = next(p for p in find_fixed_points(lp)
+                  if p.stability is Stability.SADDLE)
+    n0 = saddle.n_zero - offset
+    base = energy(math.pi / 2, n0, lp)
+    cos_theta = (saddle.energy - base) / (lp.c_eff * n0 * (1.0 - n0))
+    assert abs(cos_theta) < 1.0
+    start = PendulumState(math.acos(cos_theta), n0)
+    assert energy(start.theta, n0, lp) == pytest.approx(saddle.energy,
+                                                        rel=1e-14)
+    assert classify_trajectory(lp, start) is Verdict.INDETERMINATE
+
+
+@pytest.mark.parametrize("c_eff, verdict", [(0.01, Verdict.OPEN),
+                                             (0.05, Verdict.INDETERMINATE)])
+def test_classify_start_on_n0_zero_line(c_eff, verdict):
+    # E = q along all of n0 = 0: theta winds there when Q < 0 just above
+    # it; otherwise theta runs into a fixed point on the line
+    lp = LandscapeParams(c_eff=c_eff, c2n=C2, q=0.01)
+    for theta in (0.0, 1.0, 3.0):
+        start = PendulumState(theta, 0.0)
+        assert classify_trajectory(lp, start) is verdict
+        assert classify_by_flow(lp, start, tau_max=2500.0) is verdict
+
+
+@pytest.mark.parametrize("mult, shifts", [(1.0, True), (1.0, False),
+                                          (-1.0, False)])
+def test_classify_when_quartic_drops_degree(mult, shifts):
+    # C^2 = (c2 + Delta/4 + p)^2 exactly: the n^4 coefficient of Q(n)
+    # vanishes and Q has degree 3
+    lp = ladder_params(mult * C2, shifts=shifts)
+    b2 = lp.c2n + 0.25 * lp.lightshift_delta + lp.lightshift_p
+    assert lp.c_eff * lp.c_eff - b2 * b2 == 0.0
+    starts = default_start_grid() + [PendulumState(0.0, 0.5),
+                                     PendulumState(math.pi, 0.999)]
+    for start in starts:
+        assert classify_trajectory(lp, start) is Verdict.OPEN
 
 
 def test_flow_finds_return_between_samples():
@@ -268,7 +319,7 @@ def test_flow_finds_return_between_samples():
     assert len(hits) == 2
     for start in hits:
         assert classify_by_flow(lp, start, tau_max=2500.0) is Verdict.CLOSED
-        assert classify_trajectory(lp, start, tau_max=2500.0) is Verdict.CLOSED
+        assert classify_trajectory(lp, start) is Verdict.CLOSED
 
 
 coefficient = st.floats(-1.0, 1.0)
@@ -285,11 +336,8 @@ def test_level_set_matches_flow_on_random_landscapes(
     lp = LandscapeParams(c_eff=c_sign * c_abs, c2n=c2n, q=q, m_mag=m_mag,
                          lightshift_delta=ls_delta, lightshift_p=ls_p)
     start = PendulumState(theta, n0_frac * (1.0 - abs(m_mag)), m_mag)
-    try:
-        verdict = level_set_verdict(lp, start)
-    except _FlowFallback:
-        reject()  # inside the separatrix margin: the flow decides anyway
-    assert verdict is classify_by_flow(lp, start, tau_max=300.0)
+    assert classify_trajectory(lp, start) is classify_by_flow(
+        lp, start, tau_max=300.0)
 
 
 def test_fixed_points_at_rounded_domain_edge():
