@@ -161,14 +161,14 @@ def _run_resonant(cfg: ScenarioConfig, out: Path,
                          sampling=integ["samples"], variant=variant)
         result = None
     pops = traj.populations()
+    _, omega_d, theta_big = pulse.drive(traj.times)
     _write_csv(out / "trajectory.csv",
                ["resonant four-mode run (molecular mode explicit)",
                 "columns: tau, n_plus, n_zero, n_minus, n_m, theta_big "
                 "(two-photon detuning), omega_d (dump Rabi)"],
                {"tau": traj.times, "n_plus": pops[0], "n_zero": pops[1],
                 "n_minus": pops[2], "n_m": pops[3],
-                "theta_big": pulse.theta_fn(traj.times),
-                "omega_d": pulse.omega_d_fn(traj.times)})
+                "theta_big": theta_big, "omega_d": omega_d})
     outputs = ["trajectory.csv"]
     extra = {"conservation": _drift(traj),
              "derived": {"pulse": dict(pulse.meta), "variant": variant}}

@@ -35,6 +35,7 @@ _REQ = object()  # sentinel: no default, may be required per mode
 _SCHEMA = {
     "scenario": {"mode": (MODES, _REQ)},
     "params": {
+        # accepted and written to manifest.json; the model is in units of c0n
         "c0n": (float, 1.0),
         "c2n": (float, RB87_C2_OVER_C0),
         "q": (float, 0.0),
@@ -315,7 +316,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 def build_system_params(cfg: ScenarioConfig) -> SystemParams:
     p = cfg.params
-    return SystemParams(c0n=p["c0n"], c2n=p["c2n"], q=p["q"],
+    return SystemParams(c2n=p["c2n"], q=p["q"],
                         omega_p=p["omega_p"], omega_d=p["omega_d"],
                         big_delta_prime=p["big_delta_prime"],
                         small_delta=p["small_delta"], gamma=p["gamma"])

@@ -66,14 +66,12 @@ def derive_collision_strengths(inputs: ScatteringInputs) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Scaled system parameters.
-
-    c0n and c2n may be in rad/s or dimensionless after tau-scaling; all Rabi
-    frequencies and detunings are dimensionless (omega_p = Omega_p / (c0 sqrt n),
-    big_delta_prime = Delta' / c0n, small_delta = delta' / c0n, tau = c0n * t).
+    """Scaled system parameters, all dimensionless in units of c0n
+    (c2n = c2 n / c0 n, omega_p = Omega_p / (c0 sqrt n),
+    big_delta_prime = Delta' / c0n, small_delta = delta' / c0n), with
+    tau = c0n * t.
     """
 
-    c0n: float = 1.0
     c2n: float = constants.RB87_C2_OVER_C0
     omega_p: float = 0.0
     omega_d: float = 0.0
@@ -87,8 +85,6 @@ class SystemParams:
             raise InvalidInputError("system parameters must be finite")
         if self.gamma < 0:
             raise InvalidInputError("gamma must be >= 0")
-        if self.c0n <= 0:
-            raise InvalidInputError("c0n must be > 0 (used for time scaling)")
 
 
 class Regime(enum.Enum):

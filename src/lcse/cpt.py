@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import SpinorAmplitudes, SystemParams, state_observables
+from .core import SpinorAmplitudes, SystemParams
 from .dynamics import IntegratorConfig, Trajectory, integrate, rhs_resonant
 from .errors import InvalidInputError
 
@@ -50,9 +50,8 @@ class PulseSchedule:
     'stationary' locks Theta to the instantaneous collision-shifted
     resonance (resonance_detuning at the current Rabi ratio); 'fixed' holds
     it at theta_fixed. The pump must be > 0 so the ratio
-    r = Omega'_d / Omega'_p is always defined. The *_fn methods take a float
-    tau (and return a float) or an array of tau (and return an array of the
-    same shape).
+    r = Omega'_d / Omega'_p is always defined. drive(tau) is the one reader
+    of these fields.
     """
 
     omega_p: float
@@ -78,32 +77,21 @@ class PulseSchedule:
         elif self.theta_variant == "fixed":
             raise InvalidInputError("theta_variant 'fixed' needs theta_fixed")
 
-    def omega_p_fn(self, tau):
-        if isinstance(tau, (float, int)):
-            return self.omega_p
-        return np.full(np.shape(tau), self.omega_p)
-
-    def omega_d_fn(self, tau):
-        return _over_cosh(self.omega_d0, tau, self.t_zero)
-
-    def theta_fn(self, tau):
-        theta = self._detuning(self.omega_d_fn(tau))
-        if self.theta_variant == "fixed" and not isinstance(tau, (float, int)):
-            return np.full(np.shape(tau), theta)
-        return theta
-
     def drive(self, tau):
-        """(pump, dump, detuning) at tau with the dump evaluated once; the
-        pump and a fixed detuning come back as floats, which broadcast."""
-        omega_d = self.omega_d_fn(tau)
-        return self.omega_p, omega_d, self._detuning(omega_d)
-
-    def _detuning(self, omega_d):
-        if self.theta_variant == "fixed":
-            return self.theta_fixed
-        n_s, n0_s = _dark_split(self.omega_p, omega_d)
-        return _locked_detuning(n_s, n0_s, self.small_delta, self.c2n,
-                                self.theta_variant)
+        """(pump, dump, detuning) at tau: three floats for a float tau, three
+        read-only arrays of tau's shape for an array tau (the pump and a
+        fixed detuning broadcast from one value)."""
+        omega_d = _over_cosh(self.omega_d0, tau, self.t_zero)
+        theta = self.theta_fixed
+        if self.theta_variant != "fixed":
+            theta = _locked_detuning(*_dark_split(self.omega_p, omega_d),
+                                     self.small_delta, self.c2n,
+                                     self.theta_variant)
+        if isinstance(tau, (float, int)):
+            return self.omega_p, omega_d, theta
+        shape = np.shape(omega_d)
+        return (np.broadcast_to(self.omega_p, shape), omega_d,
+                np.broadcast_to(theta, shape))
 
     @property
     def meta(self) -> dict:
@@ -234,8 +222,7 @@ def run_transfer(initial: SpinorAmplitudes, params: SystemParams,
                      config=config, sampling=sampling, variant=variant)
     n = traj.populations()            # rows: n+, n0, n-, n_m
     atoms = n[0] + n[1] + n[2]
-    n_s, n0_s = cpt_populations(pulse.omega_p_fn(traj.times),
-                                pulse.omega_d_fn(traj.times))
+    n_s, n0_s = cpt_populations(*pulse.drive(traj.times)[:2])
     dev_inst = float(np.max(np.abs(n[:3] - np.stack([n_s, n0_s, n_s]))))
     final_ref = np.array([[n_s[-1]], [n0_s[-1]], [n_s[-1]]])
     dev_final = float(np.max(np.abs(n[:3] - final_ref)))
@@ -317,13 +304,11 @@ def adiabaticity_diagnostic(pulse: PulseSchedule,
         tau_grid = np.linspace(-100.0, 150.0, 20001)
     ts = np.asarray(tau_grid, dtype=float)
     h = 1e-6
-    np1, n01 = cpt_populations(pulse.omega_p_fn(ts + h),
-                               pulse.omega_d_fn(ts + h))
-    np0, n00 = cpt_populations(pulse.omega_p_fn(ts - h),
-                               pulse.omega_d_fn(ts - h))
+    np1, n01 = cpt_populations(*pulse.drive(ts + h)[:2])
+    np0, n00 = cpt_populations(*pulse.drive(ts - h)[:2])
     dn = np.sqrt(2.0 * ((np1 - np0) / (2 * h)) ** 2
                  + ((n01 - n00) / (2 * h)) ** 2)
-    ratio = dn / np.hypot(pulse.omega_p_fn(ts), pulse.omega_d_fn(ts))
+    ratio = dn / np.hypot(*pulse.drive(ts)[:2])
     i = int(np.argmax(ratio))  # the first maximum
     best = float(ratio[i])
     return AdiabaticityReport(best, float(ts[i]), best < 1.0)

@@ -159,12 +159,12 @@ def rhs_effective(state: SpinorAmplitudes, params: SystemParams,
     C a0^2 conj(a_-+) moves population pairwise between (0,0) and (+,-).
     """
     y = np.array([state.a_plus, state.a_zero, state.a_minus], dtype=complex)
-    d = _rhs_eff(0.0, y, coupling.c_eff, params.c2n, params.q,
+    d = _rhs_eff(y, coupling.c_eff, params.c2n, params.q,
                  coupling.lightshift_delta, coupling.lightshift_p)
     return complex(d[0]), complex(d[1]), complex(d[2])
 
 
-def _rhs_eff(tau, y, c_eff, c2, q, ls_delta, ls_p):
+def _rhs_eff(y, c_eff, c2, q, ls_delta, ls_p):
     # one state runs on Python complex, which costs a fraction of numpy
     # scalar arithmetic; a (3, R) batch runs on its rows
     ap, a0, am = y.tolist() if y.ndim == 1 else y
@@ -235,26 +235,24 @@ def rhs_resonant(state: SpinorAmplitudes, params: SystemParams, pulse,
         raise InvalidInputError("resonant family needs the molecular amplitude")
     y = np.array([state.a_plus, state.a_zero, state.a_minus, state.a_m],
                  dtype=complex)
-    d = _rhs_res(tau, y, pulse.drive, params.c2n, params.small_delta,
-                 params.gamma, symmetrized)
+    d = _res_body(y, *pulse.drive(tau), params.c2n, params.small_delta,
+                  params.gamma, symmetrized)
     return complex(d[0]), complex(d[1]), complex(d[2]), complex(d[3])
 
 
-def _rhs_res(tau, y, drive, c2, delta, gamma, symmetrized):
-    """The resonant RHS in solve_ivp's form: the drive at tau, then the
-    body."""
-    return _res_body(y, *drive(tau), c2, delta, gamma, symmetrized)
-
-
 def _res_body(y, op, od, th, c2, delta, gamma, symmetrized):
-    # y is (4,) for one state or (4, R) for R states stacked as columns;
-    # the pump, dump and detuning op, od, th are floats or (R,) arrays;
-    # shared terms are computed once, in the order the equations group them
-    fp, f0, fm, fmol = y
-    np_ = fp.real ** 2 + fp.imag ** 2
-    n0 = f0.real ** 2 + f0.imag ** 2
-    nm = fm.real ** 2 + fm.imag ** 2
-    cp, c0, cm = y[:3].conjugate()
+    # one state (4,) runs on Python complex with a float drive, R states
+    # stacked as columns (4, R) on numpy rows with an (R,) drive; shared
+    # terms are computed once, in the order the equations group them
+    fp, f0, fm, fmol = y.tolist() if y.ndim == 1 else y
+    try:
+        np_ = fp.real ** 2 + fp.imag ** 2
+        n0 = f0.real ** 2 + f0.imag ** 2
+        nm = fm.real ** 2 + fm.imag ** 2
+    except OverflowError:
+        # Python floats raise past 1.3e154, numpy gives inf: step rejected
+        np_ = n0 = nm = math.inf
+    cp, c0, cm = fp.conjugate(), f0.conjugate(), fm.conjugate()
     detune = 1j * (th + delta)
     collide = 1j * c2 * f0 * f0
     dump = 1j * od * fmol
@@ -286,17 +284,25 @@ def _sample_grid(tau_span, sampling) -> np.ndarray:
     return np.asarray(sampling, dtype=float)
 
 
+def _no_drive(tau) -> tuple:
+    """The effective family's drive: folded into its coefficients."""
+    return ()
+
+
 def _amplitude_system(family: str, initial: SpinorAmplitudes,
                       params: SystemParams, coupling, pulse, variant: str):
-    """(y0, rhs, rhs extra arguments) of an amplitude family."""
+    """(y0, body, drive, coeffs) of an amplitude family: the derivative at
+    tau is body(y, *drive(tau), *coeffs) for a state of shape (n,) or
+    (n, R)."""
     if family == "effective":
         if coupling is None:
             raise InvalidInputError("effective family needs a CouplingSummary")
         require_normalized(initial)
         y0 = np.array([initial.a_plus, initial.a_zero, initial.a_minus],
                       dtype=complex)
-        return y0, _rhs_eff, (coupling.c_eff, params.c2n, params.q,
-                              coupling.lightshift_delta, coupling.lightshift_p)
+        return y0, _rhs_eff, _no_drive, (
+            coupling.c_eff, params.c2n, params.q, coupling.lightshift_delta,
+            coupling.lightshift_p)
     if pulse is None:
         raise InvalidInputError("resonant family needs a pulse schedule")
     symmetrized = _symmetrized(variant)
@@ -304,8 +310,13 @@ def _amplitude_system(family: str, initial: SpinorAmplitudes,
     y0 = np.array([initial.a_plus, initial.a_zero, initial.a_minus,
                    initial.a_m if initial.a_m is not None else 0.0],
                   dtype=complex)
-    return y0, _rhs_res, (pulse.drive, params.c2n, params.small_delta,
-                          params.gamma, symmetrized)
+    return y0, _res_body, pulse.drive, (params.c2n, params.small_delta,
+                                        params.gamma, symmetrized)
+
+
+def _derivative(tau, y, body, drive, coeffs):
+    """An amplitude family's RHS in solve_ivp's form."""
+    return body(y, *drive(tau), *coeffs)
 
 
 def integrate(family: str,
@@ -343,8 +354,9 @@ def integrate(family: str,
         boundary = _pendulum_boundary_event(initial.m_mag)
         events = [boundary] + list(events or [])
     else:
-        y0, fun, args = _amplitude_system(family, initial, params, coupling,
-                                          pulse, variant)
+        y0, body, drive, coeffs = _amplitude_system(
+            family, initial, params, coupling, pulse, variant)
+        fun, args = _derivative, (body, drive, coeffs)
 
     sol = solve_ivp(fun, tau_span, y0, method="RK45", args=args,
                     rtol=cfg.rel_tol, atol=cfg.abs_tol,
@@ -411,20 +423,9 @@ def integrate_batch(family: str,
     cfg = config or IntegratorConfig()
     columns = [_amplitude_system(family, st, params, coupling, pulse, variant)
                for st in initials]
-    _, fun, args = columns[0]
+    _, body, drive, coeffs = columns[0]
     y0 = np.stack([c[0] for c in columns], axis=1)
-    if family == "resonant":
-        drive, coeffs = args[0], args[1:]
-
-        def rhs(y, *d):
-            return _res_body(y, *d, *coeffs)
-    else:
-        def drive(tau):
-            return ()
-
-        def rhs(y):
-            return fun(None, y, *args)
-    values = _dopri_batch(rhs, drive, t0, t_bound, y0, t_eval,
+    values = _dopri_batch(body, drive, coeffs, t0, t_bound, y0, t_eval,
                           cfg.rel_tol, cfg.abs_tol)
     return BatchTrajectory(t_eval, values)
 
@@ -471,22 +472,16 @@ def _initial_step(fun, t, y, f, t_bound, rtol, atol) -> np.ndarray:
     return np.minimum(np.minimum(100 * h0, h1), interval)
 
 
-def _stage(drives, s: int) -> list:
-    """Row s of each array in a drive evaluated on the stage times; a float
-    (a constant pump, a fixed detuning) is the same at every stage."""
-    return [v[s] if isinstance(v, np.ndarray) else v for v in drives]
-
-
-def _dopri_batch(rhs, drive, t0: float, t_bound: float, y0: np.ndarray,
-                 t_eval: np.ndarray, rtol: float, atol: float) -> np.ndarray:
+def _dopri_batch(body, drive, coeffs, t0: float, t_bound: float, y0, t_eval,
+                 rtol: float, atol: float) -> np.ndarray:
     """Step every column of y0 from t0 to t_bound; return the states
     sampled on t_eval, shape (n, R, len(t_eval)).
 
-    The derivative at tau is rhs(y, *drive(tau)). The drive is evaluated
-    once per step attempt, on the (5, R) stage times t + c_s h, s = 1..5;
-    its last row, t + h (c_5 = 1), also serves the end-of-step evaluation
-    that the next step reuses. The first derivative and the initial-step
-    probe evaluate it on their own.
+    The derivative at tau is body(y, *drive(tau), *coeffs). The drive is
+    evaluated once per step attempt, on the (5, R) stage times t + c_s h,
+    s = 1..5, and read by stage row; the last, t + h (c_5 = 1), also serves
+    the end-of-step evaluation that the next step reuses. The first
+    derivative and the initial-step probe evaluate it on their own.
 
     One loop pass is one step attempt of every unfinished column. Per
     column the rules are scipy's RK45._step_impl: a new step starts at no
@@ -499,7 +494,7 @@ def _dopri_batch(rhs, drive, t0: float, t_bound: float, y0: np.ndarray,
     working arrays; nothing per step is kept.
     """
     def fun(t, y):
-        return rhs(y, *drive(t))
+        return body(y, *drive(t), *coeffs)
 
     n, width = y0.shape
     out = np.empty((n, width, len(t_eval)), dtype=y0.dtype)
@@ -530,9 +525,9 @@ def _dopri_batch(rhs, drive, t0: float, t_bound: float, y0: np.ndarray,
         K[0] = f
         for s in range(1, _STAGES):
             dy = _combine(K, _A[s, :s]) * h
-            K[s] = rhs(y + dy, *_stage(drives, s - 1))
+            K[s] = body(y + dy, *(d[s - 1] for d in drives), *coeffs)
         y_new = y + h * _combine(K, _B)
-        f_new = rhs(y_new, *_stage(drives, -1))
+        f_new = body(y_new, *(d[-1] for d in drives), *coeffs)
         K[-1] = f_new
 
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol

@@ -227,6 +227,8 @@ def default_start_grid(n_theta: int = 10, n_n0: int = 10,
                        n0_lo: float = 0.05, n0_hi: float = 0.95,
                        m_mag: float = 0.0) -> list[PendulumState]:
     """Uniform grid of starts used by the portrait scenarios."""
+    if n_theta < 0 or n_n0 < 0:
+        raise InvalidInputError("start counts must be >= 0")
     thetas = np.linspace(-math.pi, math.pi, n_theta)
     n0s = np.linspace(n0_lo, n0_hi, n_n0)
     return [PendulumState(float(t), float(n), m_mag)
@@ -262,7 +264,6 @@ def contour_portrait(lp: LandscapeParams, grid: GridSpec,
     """Classify every start and aggregate counts, fixed points, mask fraction."""
     if starts is None:
         starts = default_start_grid(m_mag=lp.m_mag)
-    eg = energy_grid(lp, grid)
     counts = {v.value: 0 for v in Verdict}
     verdicts = []
     for st in starts:
@@ -272,6 +273,7 @@ def contour_portrait(lp: LandscapeParams, grid: GridSpec,
     return PortraitSummary(
         counts=counts,
         fixed_points=find_fixed_points(lp),
-        masked_fraction=float(eg.mask.mean()),
+        masked_fraction=float(outside_domain(  # the mask depends on n0 only
+            np.linspace(*grid.n0_range, grid.resolution[1]), lp.m_mag).mean()),
         verdicts=verdicts,
     )

@@ -15,8 +15,6 @@ measured numbers. Criteria:
 """
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +29,8 @@ from lcse import RB87_C2_OVER_C0 as C2
 from lcse.cpt import (cpt_state, make_schedule, resonance_detuning,
                       run_transfer, stationarity_residual)
 from lcse.presets import preset_names
+
+from cli_run import run_cli
 
 TOL = 1e-8
 
@@ -226,9 +226,7 @@ def test_criterion_8_preset_determinism(tmp_path):
         run_dirs = []
         for attempt in ("first", "second"):
             out = tmp_path / f"{name}-{attempt}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "lcse.cli", "run", "--preset", name,
-                 "--out", str(out)], capture_output=True, text=True)
+            proc = run_cli("run", "--preset", name, "--out", str(out))
             assert proc.returncode == 0, f"{name}: {proc.stderr}"
             run_dirs.append(out)
         a, b = run_dirs

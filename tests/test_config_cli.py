@@ -13,9 +13,6 @@ Verifies:
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -27,14 +24,10 @@ from lcse.config import config_to_dict, parse_config, serialize_config
 from lcse.landscape import energy_grid
 from lcse.presets import load_preset, preset_description, preset_names, preset_text
 
+from cli_run import run_cli
+
 PRESET_NAMES = ["fig2-collision", "fig2-frozen", "fig2-reversed",
                 "fig3-portraits", "fig4-cpt", "fig4-ensemble"]
-
-
-def run_cli(*args, cwd=None, timeout=None):
-    return subprocess.run([sys.executable, "-m", "lcse.cli", *args],
-                          capture_output=True, text=True, cwd=cwd,
-                          timeout=timeout)
 
 
 def test_preset_registry():
@@ -410,6 +403,17 @@ def test_cli_landscape_starts_on_domain_edge(tmp_path):
     grid = np.genfromtxt(out / "energy_grid.csv", delimiter=",", names=True,
                          skip_header=2)
     assert not grid["mask"].any()
+
+
+@pytest.mark.parametrize("key", ["starts_n_theta", "starts_n_n0"])
+def test_cli_negative_start_count_exits_2(tmp_path, key):
+    path = tmp_path / "starts.ini"
+    path.write_text("[scenario]\nmode = landscape\n\n[grid]\n"
+                    f"c_eff_over_c2 = -0.5\nshifts = off\n{key} = -1\n")
+    proc = run_cli("run", "--config", str(path), "--out",
+                   str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_write_csv_matches_format_17g(tmp_path):

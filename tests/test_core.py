@@ -193,8 +193,6 @@ def test_nonfinite_amplitudes_rejected():
 def test_system_params_validation():
     with pytest.raises(InvalidInputError):
         SystemParams(gamma=-0.1)
-    with pytest.raises(InvalidInputError):
-        SystemParams(c0n=0.0)
 
 
 @pytest.mark.parametrize("field", ["q", "c2n", "omega_p", "big_delta_prime",

@@ -82,8 +82,13 @@ def test_detuning_unknown_variant():
         resonance_detuning(1.0, 1.0, 0.0, C2, variant="nope")
 
 
+def dump(pulse):
+    """The dump Rabi frequency of a schedule as a function of tau."""
+    return lambda tau: pulse.drive(tau)[1]
+
+
 def test_sech_pulse_shape():
-    f = PulseSchedule(omega_p=1.0, omega_d0=40.0, t_zero=20.0).omega_d_fn
+    f = dump(PulseSchedule(omega_p=1.0, omega_d0=40.0, t_zero=20.0))
     assert f(0.0) == pytest.approx(40.0, rel=1e-15)
     assert f(7.3) == pytest.approx(f(-7.3), rel=1e-14)
     assert f(0.0) > f(10.0) > f(100.0) > 0.0
@@ -97,15 +102,15 @@ def test_make_schedule_variants():
     with pytest.raises(InvalidInputError):
         make_schedule(1.0, 40.0, 20.0, theta_variant="fixed")
     p = make_schedule(1.0, 40.0, 20.0, theta_variant="fixed", theta_fixed=0.4)
-    assert p.theta_fn(12.0) == 0.4
+    assert p.drive(12.0)[2] == 0.4
     # a locked schedule tracks the instantaneous Rabi ratio
     delta = 3.0
     p = make_schedule(1.0, 40.0, 20.0, small_delta=delta, c2n=C2,
                       theta_variant="stationary")
     expect = resonance_detuning(1.0, 40.0, delta, C2, variant="stationary")
-    assert p.theta_fn(0.0) == pytest.approx(expect, rel=1e-12)
-    assert p.omega_d_fn(0.0) == pytest.approx(40.0, rel=1e-15)
-    assert p.omega_p_fn(123.0) == 1.0
+    assert p.drive(0.0)[2] == pytest.approx(expect, rel=1e-12)
+    assert p.drive(0.0)[1] == pytest.approx(40.0, rel=1e-15)
+    assert p.drive(123.0)[0] == 1.0
     with pytest.raises(InvalidInputError):
         make_schedule(1.0, 40.0, 20.0, theta_variant="unknown")
 
@@ -125,27 +130,26 @@ def test_array_pulse_matches_scalar_pulse(kwargs):
     # so amplitude / cosh up to two; the pump is exact
     pulse = make_schedule(**kwargs)
     taus = np.linspace(-100.0, 150.0, 2001)
-    for fn, ulps in ((pulse.omega_p_fn, 0), (pulse.omega_d_fn, 2),
-                     (pulse.theta_fn, 2)):
-        vec = fn(taus)
-        one = np.array([fn(float(t)) for t in taus])
+    levels = pulse.drive(taus)
+    singles = [pulse.drive(float(t)) for t in taus]
+    assert all(isinstance(v, float) for v in singles[0])
+    # pump, dump, detuning
+    for k, ulps in ((0, 0), (1, 2), (2, 2)):
+        vec = levels[k]
+        one = np.array([s[k] for s in singles])
         assert vec.shape == taus.shape
         assert np.all(np.abs(vec - one) <= ulps * np.spacing(np.abs(one)))
-    levels = pulse.drive(taus)
-    assert np.array_equal(levels[1], pulse.omega_d_fn(taus))
-    assert np.array_equal(np.broadcast_to(levels[2], taus.shape),
-                          pulse.theta_fn(taus))
 
 
 def test_short_pulse_dump_reaches_zero_without_overflow():
     # tau / t0 = 1500 overflows cosh; sech there is taken as exactly 0
     pulse = make_schedule(1.0, 40.0, 0.1, small_delta=3.0, c2n=C2)
-    f = pulse.omega_d_fn
+    f = dump(pulse)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert f(150.0) == 0.0 and f(-150.0) == 0.0
         assert np.array_equal(f(np.array([-150.0, 150.0])), [0.0, 0.0])
-        assert pulse.theta_fn(150.0) == resonance_detuning(
+        assert pulse.drive(150.0)[2] == resonance_detuning(
             1.0, 0.0, 3.0, C2)
         rep = adiabaticity_diagnostic(pulse)
     assert np.isfinite(rep.value)

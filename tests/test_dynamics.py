@@ -100,9 +100,29 @@ def test_effective_kernel_one_state_against_batch_column():
             phase_plus=theta + rng.uniform(-1.0, 1.0), phase_zero=0.3)
         y = np.array([st.a_plus, st.a_zero, st.a_minus])
         coeffs = rng.uniform(-1.0, 1.0, 5) * 10.0 ** rng.uniform(-3, 0, 5)
-        one = dynamics._rhs_eff(0.0, y, *coeffs.tolist())
-        column = dynamics._rhs_eff(0.0, y[:, None], *coeffs)[:, 0]
+        one = dynamics._rhs_eff(y, *coeffs.tolist())
+        column = dynamics._rhs_eff(y[:, None], *coeffs)[:, 0]
         assert one.shape == (3,)
+        assert np.abs(one - column).max() <= 2.0 * eps * np.abs(coeffs).sum()
+
+
+def test_resonant_kernel_one_state_against_batch_column():
+    # as for the effective kernel: Python complex against numpy rows with
+    # (R,) drive arrays; the largest difference found over 4e4 random
+    # states was 0.62 eps sum|coefficients|
+    rng = np.random.default_rng(13)
+    eps = np.finfo(float).eps
+    for k in range(2000):
+        y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        y /= np.sqrt(np.sum(np.abs(y) ** 2 * [1.0, 1.0, 1.0, 2.0]))
+        coeffs = rng.uniform(-1.0, 1.0, 6) * 10.0 ** rng.uniform(-3, 2, 6)
+        coeffs[5] = abs(coeffs[5])   # the decay rate
+        op, od, th, c2, delta, gamma = coeffs.tolist()
+        symmetrized = bool(k % 2)
+        one = dynamics._res_body(y, op, od, th, c2, delta, gamma, symmetrized)
+        column = dynamics._res_body(y[:, None], *coeffs[:3, None], c2, delta,
+                                    gamma, symmetrized)[:, 0]
+        assert one.shape == (4,)
         assert np.abs(one - column).max() <= 2.0 * eps * np.abs(coeffs).sum()
 
 

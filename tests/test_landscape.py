@@ -203,6 +203,22 @@ def test_default_start_grid():
     assert len(starts) == 100
     assert all(0.05 <= s.n_zero <= 0.95 for s in starts)
     assert all(-np.pi <= s.theta <= np.pi for s in starts)
+    for counts in ((-1, 10), (10, -1)):
+        with pytest.raises(InvalidInputError):
+            default_start_grid(*counts)
+
+
+def test_masked_fraction_matches_energy_grid_mask():
+    # the mask depends on n0 alone, so the portrait takes its fraction from
+    # the n0 axis; it must equal the full grid's, bit for bit
+    for m_mag, resolution in ((0.2, (31, 41)), (0.5, (181, 101)),
+                              (0.1, (7, 1000))):
+        lp = LandscapeParams(c_eff=-0.01, c2n=C2, q=0.01, m_mag=m_mag)
+        grid = GridSpec(n0_range=(0.0, 1.0), resolution=resolution)
+        summary = contour_portrait(lp, grid, starts=[])
+        mask = energy_grid(lp, grid).mask
+        assert 0.0 < summary.masked_fraction < 1.0
+        assert summary.masked_fraction == float(mask.mean())
 
 
 def test_portrait_small_grid_aggregates():
