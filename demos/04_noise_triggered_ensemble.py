@@ -9,10 +9,8 @@ prints the onset-time statistics.
 Equivalent CLI run: lcse run --preset fig4-ensemble
 """
 
-import numpy as np
-
-from lcse import (EnsembleScenario, RB87_C2_OVER_C0, SeedSpec,
-                  SpinorAmplitudes, SystemParams, run_ensemble)
+from lcse import (RB87_C2_OVER_C0, SeedSpec, SpinorAmplitudes, SystemParams,
+                  run_ensemble)
 from lcse.cpt import make_schedule, run_transfer
 
 C2 = RB87_C2_OVER_C0
@@ -34,11 +32,10 @@ def main():
                       + classical.final_populations[2])
     print(f"classical seed 1e-5: final n+ + n- = {classical_side:.4f}")
 
-    scenario = EnsembleScenario(kind="cpt", params=params, pulse=pulse,
-                                tau_span=(0.0, 150.0))
     spec = SeedSpec(mode="vacuum-sampled", atom_number_N=ATOMS,
                     rng_seed=RNG_SEED)
-    stats = run_ensemble(spec, scenario, runs=RUNS)
+    stats = run_ensemble(spec, RUNS, "resonant", params,
+                         tau_span=(0.0, 150.0), pulse=pulse)
 
     print(f"\nvacuum ensemble, N = {ATOMS:.0e}, {RUNS} runs:")
     print(f"  final n+ + n-: mean {stats.mean_final_side:.4f}, "
@@ -49,8 +46,7 @@ def main():
     print(f"  |ensemble mean - classical| = "
           f"{abs(stats.mean_final_side - classical_side):.4f}")
 
-    sides = np.array([r.final_side for r in stats.records])
-    lo, hi = sides.min(), sides.max()
+    lo, hi = stats.final_side.min(), stats.final_side.max()
     print(f"  run-to-run spread of the final side population: "
           f"[{lo:.4f}, {hi:.4f}]")
 

@@ -36,8 +36,7 @@ from .landscape import (EnergyGrid, FixedPoint, GridSpec, LandscapeParams,
                         classify_trajectory, contour_portrait,
                         default_start_grid, energy, energy_grid,
                         find_fixed_points)
-from .stochastic import (EnsembleRecord, EnsembleScenario, EnsembleStats,
-                         SeedSpec, run_ensemble, sample_seed)
+from .stochastic import EnsembleStats, SeedSpec, run_ensemble, sample_seed
 from .config import (ScenarioConfig, parse_config, serialize_config,
                      config_to_dict)
 from .presets import load_preset, preset_names, preset_text
@@ -66,8 +65,7 @@ __all__ = [
     "PortraitSummary", "Stability", "Verdict", "classify_trajectory",
     "contour_portrait", "default_start_grid", "energy", "energy_grid",
     "find_fixed_points",
-    "EnsembleRecord", "EnsembleScenario", "EnsembleStats", "SeedSpec",
-    "run_ensemble", "sample_seed",
+    "EnsembleStats", "SeedSpec", "run_ensemble", "sample_seed",
     "ScenarioConfig", "parse_config", "serialize_config", "config_to_dict",
     "load_preset", "preset_names", "preset_text",
     "__version__",

@@ -28,7 +28,7 @@ from .dynamics import integrate
 from .errors import ConfigError, DomainError, InvalidInputError, NumericalError
 from .landscape import contour_portrait, default_start_grid, energy_grid
 from .presets import load_preset, preset_description, preset_names
-from .stochastic import EnsembleScenario, run_ensemble
+from .stochastic import run_ensemble
 
 _NOTES = [
     "time axis is scaled: tau = c0n * t",
@@ -240,25 +240,24 @@ def _run_ensemble(cfg: ScenarioConfig, out: Path,
     params = build_system_params(cfg)
     spec = build_seed_spec(cfg)
     integ = cfg.integration
-    span = (integ["tau_start"], integ["tau_end"])
     kind = cfg.seeds["kind"]
-    cpt = kind == "cpt"
-    scenario = EnsembleScenario(
-        kind=kind, params=params, pulse=build_pulse(cfg) if cpt else None,
-        coupling=None if cpt else build_coupling(cfg), tau_span=span,
-        sampling=integ["samples"], config=build_integrator(cfg),
+    cpt = kind == "cpt"  # a kind = cpt member is a resonant transfer
+    stats = run_ensemble(
+        spec, int(cfg.seeds["runs"]), "resonant" if cpt else "effective",
+        params, (integ["tau_start"], integ["tau_end"]),
+        coupling=None if cpt else build_coupling(cfg),
+        pulse=build_pulse(cfg) if cpt else None,
+        config=build_integrator(cfg), sampling=integ["samples"],
         variant=variant)
-    stats = run_ensemble(spec, scenario, int(cfg.seeds["runs"]))
-    recs = stats.records
-    seeds = np.array([(r.seed_plus, r.seed_minus) for r in recs]).T
-    finals = np.array([r.final_populations for r in recs]).T
-    columns = {"run": [r.run for r in recs],
-               "seed_plus_re": seeds[0].real, "seed_plus_im": seeds[0].imag,
-               "seed_minus_re": seeds[1].real, "seed_minus_im": seeds[1].imag,
+    finals = stats.final_populations
+    columns = {"run": np.arange(stats.runs),
+               "seed_plus_re": stats.seed_plus.real,
+               "seed_plus_im": stats.seed_plus.imag,
+               "seed_minus_re": stats.seed_minus.real,
+               "seed_minus_im": stats.seed_minus.imag,
                "n_plus_final": finals[0], "n_zero_final": finals[1],
                "n_minus_final": finals[2], "n_m_final": finals[3],
-               "final_side": [r.final_side for r in recs],
-               "tau_onset": [r.tau_onset for r in recs]}
+               "final_side": stats.final_side, "tau_onset": stats.tau_onset}
     _write_csv(out / "ensemble.csv",
                [f"{spec.mode} ensemble, kind = {kind}, "
                 f"rng_seed = {spec.rng_seed}", _columns_line(columns),
@@ -266,8 +265,10 @@ def _run_ensemble(cfg: ScenarioConfig, out: Path,
                 "(nan if never)"],
                columns)
     _write_json(out / "ensemble_stats.json", stats.to_dict())
-    return (["ensemble.csv", "ensemble_stats.json"],
-            {"derived": {"stats": stats.to_dict()}})
+    derived = {"stats": stats.to_dict()}
+    if cpt:
+        derived["variant"] = variant
+    return ["ensemble.csv", "ensemble_stats.json"], {"derived": derived}
 
 
 def _dispatch(cfg: ScenarioConfig, out: Path, variant: str) -> dict:
@@ -362,10 +363,11 @@ def _execute(args) -> int:
         if cfg.mode != "ensemble":
             raise InvalidInputError("--seed only applies to ensemble runs")
         cfg.seeds["rng_seed"] = int(args.seed)
-    if args.variant != "symmetrized" and cfg.mode not in (
-            "resonant", "cpt", "ensemble"):
-        raise InvalidInputError(
-            "--variant only applies to resonant, cpt and ensemble runs")
+    resonant = cfg.mode in ("resonant", "cpt") or (
+        cfg.mode == "ensemble" and cfg.seeds["kind"] == "cpt")
+    if args.variant != "symmetrized" and not resonant:
+        raise InvalidInputError("--variant only applies to resonant, cpt "
+                                "and kind = cpt ensemble runs")
 
     out = Path(args.out) if args.out else Path(cfg.output.get("dir", "."))
     out.mkdir(parents=True, exist_ok=True)

@@ -218,14 +218,10 @@ def parse_config(text: str) -> ScenarioConfig:
     if mode is not None:
         required = list(_MODE_REQUIRED[mode])
         if mode == "ensemble":
+            # an ensemble of kind k needs the drive of mode k
             kind = sections.get("seeds", {}).get("kind", "cpt")
-            if kind == "cpt":
-                required += [("params", "small_delta"), ("params", "gamma"),
-                             ("pulse", "omega_p"), ("pulse", "omega_d0"),
-                             ("pulse", "t_zero")]
-            else:
-                required += [("params", "omega_p"), ("params", "omega_d"),
-                             ("params", "big_delta_prime"), ("params", "q")]
+            required += [(sec, key) for sec, key in _MODE_REQUIRED[kind]
+                         if sec in ("params", "pulse")]
         for sec, key in required:
             if key not in sections.get(sec, {}):
                 problems.append(
@@ -254,6 +250,9 @@ def _cross_validate(mode: Optional[str], sections: dict, problems: list):
     if mode is None:
         return
     ini = sections.get("initial", {})
+    if mode == "effective" and ini.get("n_m", 0.0) != 0.0:
+        problems.append("[initial] n_m must be 0 in mode 'effective', "
+                        "which has no molecular mode")
     needs_norm = (mode in ("effective", "resonant", "cpt")
                   and all(k in ini for k in ("n_plus", "n_zero", "n_minus")))
     if needs_norm:
@@ -329,7 +328,7 @@ def build_coupling(cfg: ScenarioConfig) -> CouplingSummary:
 def build_initial_state(cfg: ScenarioConfig,
                         resonant: bool) -> SpinorAmplitudes:
     ini = cfg.initial
-    n_m = ini.get("n_m", 0.0) if resonant else 0.0
+    n_m = ini["n_m"]  # 0 unless resonant: parse_config refuses it
     total = ini["n_plus"] + ini["n_zero"] + ini["n_minus"] + 2.0 * n_m
     scale = 1.0 / total  # exact renormalization of the allowed 1e-9 slack
     return SpinorAmplitudes.from_populations(

@@ -11,7 +11,7 @@ r from large to small walks the condensate from the polar state into the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -195,17 +195,9 @@ class TransferResult:
     trajectory: Trajectory
 
     def to_dict(self) -> dict:
-        return {
-            "final_populations": list(self.final_populations),
-            "efficiency": self.efficiency,
-            "peak_molecular": self.peak_molecular,
-            "cpt_deviation": self.cpt_deviation,
-            "cpt_deviation_final": self.cpt_deviation_final,
-            "atom_survival": self.atom_survival,
-            "efficiency_surviving": self.efficiency_surviving,
-            "peak_molecular_late": self.peak_molecular_late,
-            "max_population_asymmetry": self.max_population_asymmetry,
-        }
+        """Every field but the trajectory."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "trajectory"}
 
 
 LATE_WINDOW_TAU = 30.0

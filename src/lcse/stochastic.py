@@ -11,8 +11,8 @@ dynamics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -73,48 +73,19 @@ def sample_seed(spec: SeedSpec,
     return SpinorAmplitudes(zp, math.sqrt(rest) + 0.0j, zm, 0.0j)
 
 
-@dataclass(frozen=True)
-class EnsembleScenario:
-    """What each ensemble member integrates.
-
-    kind 'cpt' runs the resonant transfer (needs pulse); kind 'effective'
-    runs the off-resonant three-mode system (needs coupling).
-    """
-
-    kind: str
-    params: SystemParams
-    pulse: Optional[PulseSchedule] = None
-    coupling: Optional[CouplingSummary] = None
-    tau_span: tuple[float, float] = (0.0, 150.0)
-    sampling: int = 2001
-    config: Optional[IntegratorConfig] = None
-    variant: str = "symmetrized"
-
-    def __post_init__(self):
-        if self.kind not in ("cpt", "effective"):
-            raise InvalidInputError("kind must be 'cpt' or 'effective'")
-        if self.kind == "cpt" and self.pulse is None:
-            raise InvalidInputError("cpt scenario needs a pulse")
-        if self.kind == "effective" and self.coupling is None:
-            raise InvalidInputError("effective scenario needs a coupling")
-
-
-@dataclass(frozen=True)
-class EnsembleRecord:
-    run: int
-    seed_plus: complex
-    seed_minus: complex
-    final_populations: tuple
-    final_side: float
-    tau_onset: float  # NaN when n+ + n- never crosses the threshold
+def _per_run():
+    """A per-run column of EnsembleStats: an array over the runs."""
+    return field(repr=False, compare=False, metadata={"per_run": True})
 
 
 @dataclass
 class EnsembleStats:
-    """Per-run records plus mean / std of the transfer summary numbers.
+    """Mean / std of the transfer summary numbers plus per-run columns.
 
-    tau_onset is the first sampled tau with n+ + n- > 0.1; runs that never
-    cross are excluded from the onset statistics (their count is onset_misses).
+    tau_onset is the first sampled tau with n+ + n- > 0.1, NaN for runs
+    that never cross; those are excluded from the onset statistics (their
+    count is onset_misses). final_populations has shape (4, runs), rows
+    n+, n0, n-, n_m; the n_m row is 0 for the effective family.
     """
 
     runs: int
@@ -123,79 +94,77 @@ class EnsembleStats:
     mean_tau_onset: float
     std_tau_onset: float
     onset_misses: int
-    records: list = field(default_factory=list)
+    seed_plus: np.ndarray = _per_run()          # complex, (runs,)
+    seed_minus: np.ndarray = _per_run()         # complex, (runs,)
+    final_populations: np.ndarray = _per_run()  # (4, runs)
+    final_side: np.ndarray = _per_run()         # (runs,)
+    tau_onset: np.ndarray = _per_run()          # (runs,)
 
     def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "mean_final_side": self.mean_final_side,
-            "std_final_side": self.std_final_side,
-            "mean_tau_onset": self.mean_tau_onset,
-            "std_tau_onset": self.std_tau_onset,
-            "onset_misses": self.onset_misses,
-        }
+        """The summary numbers, without the per-run columns."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if not f.metadata.get("per_run")}
 
 
-def _run_block(scenario: EnsembleScenario, first: int,
-               states: list) -> list:
-    """Integrate runs first, first + 1, ... together; one record each."""
-    cpt = scenario.kind == "cpt"
-    try:
-        batch = integrate_batch(
-            "resonant" if cpt else "effective", states, scenario.params,
-            scenario.tau_span, coupling=scenario.coupling,
-            pulse=scenario.pulse, config=scenario.config,
-            sampling=scenario.sampling, variant=scenario.variant)
-    except NumericalError as exc:
-        run = first + exc.member
-        raise NumericalError(f"ensemble run {run}: {exc}", tau=exc.tau,
-                             member=run) from exc
-    finals = np.abs(batch.values[:, :, -1]) ** 2          # (modes, members)
-    side = np.abs(batch.values[0]) ** 2 + np.abs(batch.values[2]) ** 2
-    crossed = side > ONSET_THRESHOLD
-    onset = np.where(crossed.any(axis=1),
-                     batch.times[crossed.argmax(axis=1)], math.nan)
-    records = []
-    for j, state in enumerate(states):
-        n = [float(v) for v in finals[:, j]]
-        records.append(EnsembleRecord(
-            run=first + j, seed_plus=complex(state.a_plus),
-            seed_minus=complex(state.a_minus),
-            final_populations=tuple(n) if cpt else (*n, 0.0),
-            final_side=float(side[j, -1]), tau_onset=float(onset[j])))
-    return records
-
-
-def run_ensemble(spec: SeedSpec, scenario: EnsembleScenario,
-                 runs: int) -> EnsembleStats:
+def run_ensemble(spec: SeedSpec, runs: int, family: str,
+                 params: SystemParams,
+                 tau_span: tuple[float, float] = (0.0, 150.0),
+                 coupling: Optional[CouplingSummary] = None,
+                 pulse: Optional[PulseSchedule] = None,
+                 config: Optional[IntegratorConfig] = None,
+                 sampling: Union[int, Sequence[float]] = 2001,
+                 variant: str = "symmetrized") -> EnsembleStats:
     """Integrate `runs` independently seeded members and aggregate.
 
-    Run k draws from a generator spawned off (rng_seed, k), so the ensemble
-    is deterministic and order-independent. Members are integrated
-    ENSEMBLE_BLOCK at a time by dynamics.integrate_batch, each with its own
-    step control, so a member's numbers do not depend on which others share
+    family, params and the keywords are integrate_batch's: 'resonant' (the
+    CPT transfer, needs pulse) or 'effective' (the off-resonant three-mode
+    system, needs coupling). Run k draws from a generator spawned off
+    (rng_seed, k), so the ensemble is deterministic and order-independent.
+    Members are integrated ENSEMBLE_BLOCK at a time, each with its own step
+    control, and each block is reduced to the per-run columns before the
+    next starts. So a member's numbers do not depend on which others share
     its block: any subset of runs, executed in any grouping, reproduces the
-    same records bit for bit, and each record matches a direct single run
+    same columns bit for bit, and each run matches a direct single run
     (run_transfer or integrate) to rounding.
     """
     if runs < 1:
         raise InvalidInputError("runs must be >= 1")
-    records = []
+    seeds = np.empty((2, runs), dtype=complex)
+    finals = np.zeros((4, runs))
+    side = np.empty(runs)
+    onset = np.empty(runs)
     for first in range(0, runs, ENSEMBLE_BLOCK):
+        block = slice(first, min(first + ENSEMBLE_BLOCK, runs))
         states = [sample_seed(spec, np.random.default_rng(
                       np.random.SeedSequence(entropy=spec.rng_seed,
                                              spawn_key=(k,))))
-                  for k in range(first, min(first + ENSEMBLE_BLOCK, runs))]
-        records += _run_block(scenario, first, states)
-    sides = np.array([r.final_side for r in records])
-    onsets = np.array([r.tau_onset for r in records])
-    hit = onsets[np.isfinite(onsets)]
+                  for k in range(block.start, block.stop)]
+        try:
+            batch = integrate_batch(family, states, params, tau_span,
+                                    coupling=coupling, pulse=pulse,
+                                    config=config, sampling=sampling,
+                                    variant=variant)
+        except NumericalError as exc:
+            run = first + exc.member
+            raise NumericalError(f"ensemble run {run}: {exc}", tau=exc.tau,
+                                 member=run) from exc
+        seeds[:, block] = [[s.a_plus for s in states],
+                           [s.a_minus for s in states]]
+        values = batch.values                       # (modes, members, samples)
+        finals[:len(values), block] = np.abs(values[:, :, -1]) ** 2
+        sides = np.abs(values[0]) ** 2 + np.abs(values[2]) ** 2
+        side[block] = sides[:, -1]
+        crossed = sides > ONSET_THRESHOLD
+        onset[block] = np.where(crossed.any(axis=1),
+                                batch.times[crossed.argmax(axis=1)], math.nan)
+    hit = onset[np.isfinite(onset)]
     return EnsembleStats(
         runs=runs,
-        mean_final_side=float(sides.mean()),
-        std_final_side=float(sides.std()),
+        mean_final_side=float(side.mean()),
+        std_final_side=float(side.std()),
         mean_tau_onset=float(hit.mean()) if len(hit) else math.nan,
         std_tau_onset=float(hit.std()) if len(hit) else math.nan,
-        onset_misses=int(len(records) - len(hit)),
-        records=records,
+        onset_misses=int(runs - len(hit)),
+        seed_plus=seeds[0], seed_minus=seeds[1], final_populations=finals,
+        final_side=side, tau_onset=onset,
     )

@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lcse import (EnsembleScenario, GridSpec, LandscapeParams, PendulumState,
-                  SeedSpec, SpinorAmplitudes, SystemParams,
-                  contour_portrait, crossvalidate_amplitude_vs_pendulum,
-                  drive_ladder, effective_coupling, integrate,
-                  ladder_lightshifts, run_ensemble, state_observables)
+from lcse import (GridSpec, LandscapeParams, PendulumState, SeedSpec,
+                  SpinorAmplitudes, SystemParams, contour_portrait,
+                  crossvalidate_amplitude_vs_pendulum, drive_ladder,
+                  effective_coupling, integrate, ladder_lightshifts,
+                  run_ensemble, state_observables)
 from lcse import RB87_C2_OVER_C0 as C2
 from lcse.cpt import (cpt_state, make_schedule, resonance_detuning,
                       run_transfer, stationarity_residual)
@@ -207,11 +207,10 @@ def test_criterion_7_noise_vs_classical():
         params, pulse, tau_span=(0.0, 150.0))
     classical_side = (classical.final_populations[0]
                       + classical.final_populations[2])
-    scenario = EnsembleScenario(kind="cpt", params=params, pulse=pulse,
-                                tau_span=(0.0, 150.0))
     spec = SeedSpec(mode="vacuum-sampled", atom_number_N=1e4,
                     rng_seed=20260814)
-    stats = run_ensemble(spec, scenario, runs=64)
+    stats = run_ensemble(spec, 64, "resonant", params,
+                         tau_span=(0.0, 150.0), pulse=pulse)
     diff = abs(stats.mean_final_side - classical_side)
     ok = diff < 0.05
     assert report(7, ok,

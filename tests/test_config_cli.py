@@ -107,6 +107,8 @@ def scenario_texts(draw):
         values["seeds"]["kind"] = kind
     if mode in ("effective", "resonant", "cpt"):
         ini = values["initial"]
+        if mode == "effective" and "n_m" in ini:
+            ini["n_m"] = 0.0  # no molecular mode to hold it
         ini["n_zero"] = 1.0 - ini["n_plus"] - ini["n_minus"] - 2.0 * ini.get(
             "n_m", 0.0)
     integ = values["integration"]
@@ -177,6 +179,29 @@ def test_parse_rejects_bad_time_window():
                                                  "tau_end = 0")
     with pytest.raises(ConfigError, match="tau"):
         parse_config(text)
+
+
+def test_parse_rejects_molecules_in_effective_mode():
+    # the three-mode system has no molecular mode: n_m used to be dropped
+    # and the rest rescaled, so this start ran as 0.0625 / 0.875 / 0.0625
+    text = preset_text("fig2-collision").replace("n_zero = 0.9",
+                                                 "n_zero = 0.7\nn_m = 0.1")
+    with pytest.raises(ConfigError, match="n_m must be 0") as err:
+        parse_config(text)
+    assert err.value.problems == [
+        "[initial] n_m must be 0 in mode 'effective', which has no "
+        "molecular mode"]
+
+
+def test_cli_molecules_in_effective_mode_exit_2(tmp_path):
+    path = tmp_path / "molecules.ini"
+    path.write_text(preset_text("fig2-collision").replace(
+        "n_zero = 0.9", "n_zero = 0.7\nn_m = 0.1"))
+    out = tmp_path / "o"
+    proc = run_cli("run", "--config", str(path), "--out", str(out))
+    assert proc.returncode == 2
+    assert "n_m must be 0" in proc.stderr
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_parse_rejects_too_few_samples():
@@ -318,6 +343,61 @@ def test_cli_variant_flag_restricted(tmp_path):
     proc = run_cli("run", "--preset", "fig2-frozen", "--variant", "literal",
                    "--out", str(tmp_path / "x"))
     assert proc.returncode == 2
+
+
+SHORT_ENSEMBLE = """
+[scenario]
+mode = ensemble
+
+[seeds]
+mode = vacuum-sampled
+kind = {kind}
+atom_number = 1e4
+rng_seed = 5
+runs = 2
+
+[params]
+{params}
+
+[integration]
+tau_start = 0
+tau_end = 10
+samples = 101
+"""
+CPT_DRIVE = ("small_delta = 3\ngamma = 1\n\n[pulse]\nomega_p = 1\n"
+             "omega_d0 = 40\nt_zero = 20")
+EFFECTIVE_DRIVE = ("c2n = -0.5\nq = 0.5\nomega_p = 0.01\nomega_d = 0.1\n"
+                   "big_delta_prime = 1")
+
+
+def test_cli_ensemble_records_variant(tmp_path):
+    path = tmp_path / "cpt.ini"
+    path.write_text(SHORT_ENSEMBLE.format(kind="cpt", params=CPT_DRIVE))
+    variants = {}
+    for variant in ("literal", "symmetrized"):
+        out = tmp_path / variant
+        proc = run_cli("run", "--config", str(path), "--out", str(out),
+                       "--variant", variant)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["derived"]["variant"] == variant
+        variants[variant] = (out / "ensemble.csv").read_text()
+    assert variants["literal"] != variants["symmetrized"]
+
+
+def test_cli_effective_ensemble_refuses_variant(tmp_path):
+    path = tmp_path / "effective.ini"
+    path.write_text(SHORT_ENSEMBLE.format(kind="effective",
+                                          params=EFFECTIVE_DRIVE))
+    proc = run_cli("run", "--config", str(path), "--out",
+                   str(tmp_path / "x"), "--variant", "literal")
+    assert proc.returncode == 2
+    assert "--variant" in proc.stderr
+    out = tmp_path / "o"
+    proc = run_cli("run", "--config", str(path), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "variant" not in manifest["derived"]
 
 
 def test_cli_rerun_byte_identical(tmp_path):

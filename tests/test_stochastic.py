@@ -7,10 +7,10 @@ Verifies:
   - ensembles are reproducible bit for bit from the stored seed
   - a single fixed-seed ensemble member reproduces the direct transfer run
   - onset times are finite when growth happens and flagged when it cannot
-  - input validation on seed specs and scenarios
-  - any subset of runs, in any blocking, reproduces the same records bit
-    for bit, each matching its direct single run; a too-small step names
-    the run
+  - input validation on seed specs and ensemble arguments
+  - any subset of runs, in any blocking, reproduces the same per-run
+    columns bit for bit, each run matching its direct single run; blocks
+    hold at most ENSEMBLE_BLOCK members; a too-small step names the run
 """
 
 import math
@@ -18,8 +18,8 @@ import math
 import numpy as np
 import pytest
 
-from lcse import (EnsembleScenario, InvalidInputError, NumericalError,
-                  SeedSpec, SpinorAmplitudes, SystemParams, effective_coupling,
+from lcse import (InvalidInputError, NumericalError, SeedSpec,
+                  SpinorAmplitudes, SystemParams, effective_coupling,
                   integrate, run_ensemble, sample_seed, state_observables)
 from lcse import stochastic
 from lcse import RB87_C2_OVER_C0 as C2
@@ -89,59 +89,54 @@ def test_seed_spec_validation():
 
 def test_scenario_validation():
     with pytest.raises(InvalidInputError):
-        EnsembleScenario(kind="unknown", params=fig4_params())
+        run_ensemble(SeedSpec(), 1, "unknown", fig4_params(),
+                     pulse=fig4_pulse())
     with pytest.raises(InvalidInputError):
-        EnsembleScenario(kind="cpt", params=fig4_params())  # needs a pulse
+        run_ensemble(SeedSpec(), 1, "resonant", fig4_params())  # pulse
     with pytest.raises(InvalidInputError):
-        EnsembleScenario(kind="effective", params=fig4_params())  # coupling
+        run_ensemble(SeedSpec(), 1, "effective", fig4_params())  # coupling
 
 
 def test_run_ensemble_rejects_zero_runs():
-    scenario = EnsembleScenario(kind="cpt", params=fig4_params(),
-                                pulse=fig4_pulse())
     with pytest.raises(InvalidInputError):
-        run_ensemble(SeedSpec(), scenario, runs=0)
+        run_ensemble(SeedSpec(), 0, "resonant", fig4_params(),
+                     pulse=fig4_pulse())
 
 
 def test_ensemble_bitwise_reproducible():
     spec = SeedSpec(mode="vacuum-sampled", atom_number_N=1e4, rng_seed=7)
-    scenario = EnsembleScenario(kind="cpt", params=fig4_params(),
-                                pulse=fig4_pulse(), tau_span=(0.0, 30.0),
-                                sampling=301)
-    a = run_ensemble(spec, scenario, runs=3)
-    b = run_ensemble(spec, scenario, runs=3)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.seed_plus == rb.seed_plus
-        assert ra.seed_minus == rb.seed_minus
-        assert ra.final_side == rb.final_side
-        assert tuple(ra.final_populations) == tuple(rb.final_populations)
+    scenario = dict(family="resonant", params=fig4_params(),
+                    pulse=fig4_pulse(), tau_span=(0.0, 30.0), sampling=301)
+    a = run_ensemble(spec, 3, **scenario)
+    b = run_ensemble(spec, 3, **scenario)
+    assert np.array_equal(a.seed_plus, b.seed_plus)
+    assert np.array_equal(a.seed_minus, b.seed_minus)
+    assert np.array_equal(a.final_side, b.final_side)
+    assert np.array_equal(a.final_populations, b.final_populations)
     assert a.mean_final_side == b.mean_final_side
 
 
 def test_fixed_seed_member_matches_direct_run():
     spec = SeedSpec(mode="fixed-classical", classical_n=1e-5)
-    scenario = EnsembleScenario(kind="cpt", params=fig4_params(),
-                                pulse=fig4_pulse(), tau_span=(0.0, 150.0))
-    stats = run_ensemble(spec, scenario, runs=1)
+    stats = run_ensemble(spec, 1, "resonant", fig4_params(),
+                         tau_span=(0.0, 150.0), pulse=fig4_pulse())
     direct = run_transfer(seeded_polar(1e-5), fig4_params(), fig4_pulse(),
                           tau_span=(0.0, 150.0))
-    member = stats.records[0]
-    assert member.final_side == pytest.approx(
+    final_side = stats.final_side[0]
+    assert final_side == pytest.approx(
         direct.final_populations[0] + direct.final_populations[2],
         rel=1e-12)
     assert stats.runs == 1
-    assert stats.mean_final_side == member.final_side
+    assert stats.mean_final_side == final_side
     assert stats.std_final_side == 0.0
 
 
 def test_vacuum_ensemble_magnetization_unbiased():
     spec = SeedSpec(mode="vacuum-sampled", atom_number_N=1e4, rng_seed=3)
-    scenario = EnsembleScenario(kind="cpt", params=fig4_params(),
-                                pulse=fig4_pulse(), tau_span=(0.0, 40.0),
-                                sampling=401)
-    stats = run_ensemble(spec, scenario, runs=8)
-    m = np.array([r.final_populations[0] - r.final_populations[2]
-                  for r in stats.records])
+    stats = run_ensemble(spec, 8, "resonant", fig4_params(),
+                         tau_span=(0.0, 40.0), pulse=fig4_pulse(),
+                         sampling=401)
+    m = stats.final_populations[0] - stats.final_populations[2]
     # magnetization is conserved from the (tiny, random) seed value, so the
     # ensemble mean stays within a few standard errors of zero
     limit = 3.0 * (m.std(ddof=1) / np.sqrt(m.size) + 1e-15)
@@ -150,10 +145,9 @@ def test_vacuum_ensemble_magnetization_unbiased():
 
 def test_onset_detected_for_growing_side_modes():
     spec = SeedSpec(mode="fixed-classical", classical_n=1e-5)
-    scenario = EnsembleScenario(kind="cpt", params=fig4_params(),
-                                pulse=fig4_pulse(), tau_span=(0.0, 150.0))
-    stats = run_ensemble(spec, scenario, runs=1)
-    onset = stats.records[0].tau_onset
+    stats = run_ensemble(spec, 1, "resonant", fig4_params(),
+                         tau_span=(0.0, 150.0), pulse=fig4_pulse())
+    onset = stats.tau_onset[0]
     assert np.isfinite(onset)
     assert 0.0 < onset < 10.0
     assert stats.onset_misses == 0
@@ -167,93 +161,102 @@ def test_onset_missed_when_dynamics_frozen():
     coupling = effective_coupling(params)
     assert abs(coupling.c_eff) < 1e-12  # the drive cancels the collisions
     spec = SeedSpec(mode="fixed-classical", classical_n=1e-5)
-    scenario = EnsembleScenario(kind="effective", params=params,
-                                coupling=coupling, tau_span=(0.0, 50.0),
-                                sampling=501)
-    stats = run_ensemble(spec, scenario, runs=2)
+    stats = run_ensemble(spec, 2, "effective", params, tau_span=(0.0, 50.0),
+                         coupling=coupling, sampling=501)
     assert stats.onset_misses == 2
     assert np.isnan(stats.mean_tau_onset)
-    for rec in stats.records:
-        assert np.isnan(rec.tau_onset)
-        assert rec.final_side < 2.1e-5
+    assert np.all(np.isnan(stats.tau_onset))
+    assert np.all(stats.final_side < 2.1e-5)
 
 
 def short_scenario(kind):
-    """fig4 physics (cpt) or an off-resonant run from an unstable polar
-    state (effective, onset in only some members) over a short span."""
+    """run_ensemble's arguments after runs: fig4 physics (cpt) or an
+    off-resonant run from an unstable polar state (effective, onset in only
+    some members) over a short span."""
     if kind == "cpt":
-        return EnsembleScenario(kind="cpt", params=fig4_params(),
-                                pulse=fig4_pulse(), tau_span=(0.0, 10.0),
-                                sampling=101)
+        return dict(family="resonant", params=fig4_params(),
+                    pulse=fig4_pulse(), tau_span=(0.0, 10.0), sampling=101)
     params = SystemParams(c2n=-0.5, q=0.5)
-    return EnsembleScenario(kind="effective", params=params,
-                            coupling=effective_coupling(params),
-                            tau_span=(0.0, 10.0), sampling=101)
+    return dict(family="effective", params=params,
+                coupling=effective_coupling(params), tau_span=(0.0, 10.0),
+                sampling=101)
 
 
 VACUUM = SeedSpec(mode="vacuum-sampled", atom_number_N=1e4, rng_seed=11)
+PER_RUN = ("seed_plus", "seed_minus", "final_populations", "final_side",
+           "tau_onset")
 
 
-def same_records(a, b):
-    # repr is exact for floats and treats NaN onsets as equal
-    return [repr(r) for r in a] == [repr(r) for r in b]
+def same_columns(a, b, runs):
+    # the first `runs` entries of every per-run column; repr is exact for
+    # floats and treats NaN onsets as equal
+    return all(repr(getattr(a, c)[..., :runs].tolist())
+               == repr(getattr(b, c)[..., :runs].tolist()) for c in PER_RUN)
 
 
 @pytest.mark.parametrize("kind", ["cpt", "effective"])
 def test_subset_of_runs_reproduces_records(kind):
     scenario = short_scenario(kind)
-    five = run_ensemble(VACUUM, scenario, runs=5)
-    three = run_ensemble(VACUUM, scenario, runs=3)
-    assert same_records(five.records[:3], three.records)
+    five = run_ensemble(VACUUM, 5, **scenario)
+    three = run_ensemble(VACUUM, 3, **scenario)
+    assert same_columns(five, three, 3)
 
 
 def test_blocks_do_not_change_records(monkeypatch):
     scenario = short_scenario("cpt")
-    whole = run_ensemble(VACUUM, scenario, runs=5)
+    whole = run_ensemble(VACUUM, 5, **scenario)
+    integrate_batch = stochastic.integrate_batch
+    starts = []
+
+    def counted(family, initials, *args, **kwargs):
+        starts.append(len(initials))
+        return integrate_batch(family, initials, *args, **kwargs)
+
+    monkeypatch.setattr(stochastic, "integrate_batch", counted)
     monkeypatch.setattr(stochastic, "ENSEMBLE_BLOCK", 2)
-    blocked = run_ensemble(VACUUM, scenario, runs=5)  # blocks 2 + 2 + 1
-    assert same_records(blocked.records, whole.records)
-    assert [r.run for r in blocked.records] == list(range(5))
+    blocked = run_ensemble(VACUUM, 5, **scenario)  # blocks 2 + 2 + 1
+    assert starts == [2, 2, 1]
+    assert same_columns(blocked, whole, 5)
+    assert blocked.runs == 5 and blocked.final_side.shape == (5,)
 
 
 @pytest.mark.parametrize("kind", ["cpt", "effective"])
 def test_vacuum_members_match_direct_runs(kind):
     scenario = short_scenario(kind)
-    stats = run_ensemble(VACUUM, scenario, runs=4)
-    for rec in stats.records:
+    stats = run_ensemble(VACUUM, 4, **scenario)
+    span, sampling = scenario["tau_span"], scenario["sampling"]
+    for run in range(4):
         state = sample_seed(VACUUM, np.random.default_rng(
             np.random.SeedSequence(entropy=VACUUM.rng_seed,
-                                   spawn_key=(rec.run,))))
-        assert state.a_plus == rec.seed_plus
+                                   spawn_key=(run,))))
+        assert state.a_plus == stats.seed_plus[run]
         if kind == "cpt":
-            res = run_transfer(state, scenario.params, scenario.pulse,
-                               tau_span=scenario.tau_span,
-                               sampling=scenario.sampling)
+            res = run_transfer(state, scenario["params"], scenario["pulse"],
+                               tau_span=span, sampling=sampling)
             traj, finals = res.trajectory, res.final_populations
         else:
-            traj = integrate("effective", state, scenario.params,
-                             scenario.tau_span, coupling=scenario.coupling,
-                             sampling=scenario.sampling)
+            traj = integrate("effective", state, scenario["params"], span,
+                             coupling=scenario["coupling"], sampling=sampling)
             finals = tuple(traj.populations()[:, -1]) + (0.0,)
-        assert rec.final_populations == pytest.approx(finals, rel=1e-12)
+        assert tuple(stats.final_populations[:, run]) == pytest.approx(
+            finals, rel=1e-12)
         n = traj.populations()
         crossed = np.flatnonzero(n[0] + n[2] > 0.1)
         onset = traj.times[crossed[0]] if len(crossed) else math.nan
-        assert repr(rec.tau_onset) == repr(float(onset))
+        assert repr(float(stats.tau_onset[run])) == repr(float(onset))
 
 
 def test_too_small_step_names_the_run():
     # at tau ~ 1e17 ten ulp of tau (160) is far above any usable step
     pulse = make_schedule(1.0, 40.0, 1e30, theta_variant="fixed",
                           theta_fixed=0.0)
-    scenario = EnsembleScenario(kind="cpt", params=fig4_params(),
-                                pulse=pulse, tau_span=(1e17, 1e17 + 1e4),
-                                sampling=11)
+    span = (1e17, 1e17 + 1e4)
     with pytest.raises(NumericalError), np.errstate(all="ignore"):
         run_transfer(seeded_polar(1e-5), fig4_params(), pulse,
-                     tau_span=scenario.tau_span, sampling=11)
+                     tau_span=span, sampling=11)
     with pytest.raises(NumericalError, match="ensemble run 0") as err, \
             np.errstate(all="ignore"):
-        run_ensemble(VACUUM, scenario, runs=2)
+        run_ensemble(VACUUM, 2, "resonant", fig4_params(), tau_span=span,
+                     pulse=pulse, sampling=11)
     assert err.value.member == 0
     assert err.value.tau == 1e17
