@@ -94,15 +94,37 @@ def _drift(traj) -> dict:
     return out
 
 
-def _run_effective(cfg: ScenarioConfig, out: Path) -> tuple[list[str], dict]:
-    params = build_system_params(cfg)
-    coupling = build_coupling(cfg)
-    initial = build_initial_state(cfg, resonant=False)
+def _build(cfg: ScenarioConfig) -> tuple[object, dict]:
+    """What a run of cfg starts from, and the arguments it integrates with,
+    named as integrate's. Their constructors hold the range checks, so
+    `validate` builds them too and refuses what `run` would refuse before
+    integrating."""
+    if cfg.mode == "landscape":
+        g = cfg.grid
+        return (default_start_grid(g["starts_n_theta"], g["starts_n_n0"],
+                                   g["starts_n0_min"], g["starts_n0_max"],
+                                   g["m_mag"]),
+                {"grid": build_grid_spec(cfg), "cases": landscape_cases(cfg)})
     integ = cfg.integration
-    traj = integrate("effective", initial, params,
-                     (integ["tau_start"], integ["tau_end"]),
-                     coupling=coupling, config=build_integrator(cfg),
-                     sampling=integ["samples"])
+    kw = {"params": build_system_params(cfg),
+          "tau_span": (integ["tau_start"], integ["tau_end"])}
+    if cfg.pulse:  # the resonant family
+        kw["pulse"] = build_pulse(cfg)
+    else:
+        kw["coupling"] = build_coupling(cfg)
+    if cfg.mode == "pendulum":
+        start = build_pendulum_state(cfg)
+    elif cfg.mode == "ensemble":
+        start = build_seed_spec(cfg)
+    else:
+        start = build_initial_state(cfg)
+    kw.update(config=build_integrator(cfg), sampling=integ["samples"])
+    return start, kw
+
+
+def _run_effective(initial, kw: dict, out: Path) -> tuple[list[str], dict]:
+    params, coupling = kw["params"], kw["coupling"]
+    traj = integrate("effective", initial, **kw)
     pops = traj.populations()
     columns = {"tau": traj.times, "n_plus": pops[0], "n_zero": pops[1],
                "n_minus": pops[2], "theta": traj.theta(),
@@ -122,15 +144,9 @@ def _run_effective(cfg: ScenarioConfig, out: Path) -> tuple[list[str], dict]:
                                 "derived": derived}
 
 
-def _run_pendulum(cfg: ScenarioConfig, out: Path) -> tuple[list[str], dict]:
-    params = build_system_params(cfg)
-    coupling = build_coupling(cfg)
-    initial = build_pendulum_state(cfg)
-    integ = cfg.integration
-    traj = integrate("pendulum", initial, params,
-                     (integ["tau_start"], integ["tau_end"]),
-                     coupling=coupling, config=build_integrator(cfg),
-                     sampling=integ["samples"])
+def _run_pendulum(initial, kw: dict, out: Path) -> tuple[list[str], dict]:
+    params, coupling = kw["params"], kw["coupling"]
+    traj = integrate("pendulum", initial, **kw)
     columns = {"tau": traj.times, "theta": traj.values[0],
                "n_zero": traj.values[1], "energy": traj.monitors["energy"]}
     _write_csv(out / "trajectory.csv",
@@ -143,22 +159,14 @@ def _run_pendulum(cfg: ScenarioConfig, out: Path) -> tuple[list[str], dict]:
                                 "derived": derived}
 
 
-def _run_resonant(cfg: ScenarioConfig, out: Path,
+def _run_resonant(cfg: ScenarioConfig, initial, kw: dict, out: Path,
                   variant: str) -> tuple[list[str], dict]:
-    params = build_system_params(cfg)
-    pulse = build_pulse(cfg)
-    initial = build_initial_state(cfg, resonant=True)
-    integ = cfg.integration
-    span = (integ["tau_start"], integ["tau_end"])
+    pulse, span = kw["pulse"], kw["tau_span"]
     if cfg.mode == "cpt":
-        result = run_transfer(initial, params, pulse, tau_span=span,
-                              config=build_integrator(cfg),
-                              sampling=integ["samples"], variant=variant)
+        result = run_transfer(initial, **kw, variant=variant)
         traj = result.trajectory
     else:
-        traj = integrate("resonant", initial, params, span, pulse=pulse,
-                         config=build_integrator(cfg),
-                         sampling=integ["samples"], variant=variant)
+        traj = integrate("resonant", initial, **kw, variant=variant)
         result = None
     pops = traj.populations()
     _, omega_d, theta_big = pulse.drive(traj.times)
@@ -181,13 +189,10 @@ def _run_resonant(cfg: ScenarioConfig, out: Path,
     return outputs, extra
 
 
-def _run_landscape(cfg: ScenarioConfig, out: Path) -> tuple[list[str], dict]:
+def _run_landscape(cfg: ScenarioConfig, starts, kw: dict,
+                   out: Path) -> tuple[list[str], dict]:
     g = cfg.grid
-    gridspec = build_grid_spec(cfg)
-    starts = default_start_grid(g["starts_n_theta"], g["starts_n_n0"],
-                                g["starts_n0_min"], g["starts_n0_max"],
-                                g["m_mag"])
-    cases = landscape_cases(cfg)
+    gridspec, cases = kw["grid"], kw["cases"]
     mults = list(dict.fromkeys(mult for mult, _s, _lp in cases))
     single = len(mults) == 1
     outputs: list[str] = []
@@ -210,7 +215,7 @@ def _run_landscape(cfg: ScenarioConfig, out: Path) -> tuple[list[str], dict]:
                 "eps_return": g["eps_return"],
             }
             grids[setting] = energy_grid(lp, gridspec)
-            counts_echo[f"{mult:g}/{setting}"] = summary.counts
+            counts_echo[f"{format(mult, '.17g')}/{setting}"] = summary.counts
         jname = "portrait.json" if single else f"portrait_{k}.json"
         _write_json(out / jname, doc)
         outputs.append(jname)
@@ -235,20 +240,12 @@ def _run_landscape(cfg: ScenarioConfig, out: Path) -> tuple[list[str], dict]:
     return outputs, {"derived": {"counts": counts_echo}}
 
 
-def _run_ensemble(cfg: ScenarioConfig, out: Path,
+def _run_ensemble(cfg: ScenarioConfig, spec, kw: dict, out: Path,
                   variant: str) -> tuple[list[str], dict]:
-    params = build_system_params(cfg)
-    spec = build_seed_spec(cfg)
-    integ = cfg.integration
-    kind = cfg.seeds["kind"]
-    cpt = kind == "cpt"  # a kind = cpt member is a resonant transfer
-    stats = run_ensemble(
-        spec, int(cfg.seeds["runs"]), "resonant" if cpt else "effective",
-        params, (integ["tau_start"], integ["tau_end"]),
-        coupling=None if cpt else build_coupling(cfg),
-        pulse=build_pulse(cfg) if cpt else None,
-        config=build_integrator(cfg), sampling=integ["samples"],
-        variant=variant)
+    # a kind = cpt member is a resonant transfer
+    stats = run_ensemble(spec, int(cfg.seeds["runs"]),
+                         "resonant" if cfg.pulse else "effective", **kw,
+                         variant=variant)
     finals = stats.final_populations
     columns = {"run": np.arange(stats.runs),
                "seed_plus_re": stats.seed_plus.real,
@@ -259,30 +256,31 @@ def _run_ensemble(cfg: ScenarioConfig, out: Path,
                "n_minus_final": finals[2], "n_m_final": finals[3],
                "final_side": stats.final_side, "tau_onset": stats.tau_onset}
     _write_csv(out / "ensemble.csv",
-               [f"{spec.mode} ensemble, kind = {kind}, "
+               [f"{spec.mode} ensemble, kind = {cfg.seeds['kind']}, "
                 f"rng_seed = {spec.rng_seed}", _columns_line(columns),
                 "tau_onset = first sampled tau with n_plus + n_minus > 0.1 "
                 "(nan if never)"],
                columns)
     _write_json(out / "ensemble_stats.json", stats.to_dict())
     derived = {"stats": stats.to_dict()}
-    if cpt:
+    if cfg.pulse:
         derived["variant"] = variant
     return ["ensemble.csv", "ensemble_stats.json"], {"derived": derived}
 
 
-def _dispatch(cfg: ScenarioConfig, out: Path, variant: str) -> dict:
+def _dispatch(cfg: ScenarioConfig, start, kw: dict, out: Path,
+              variant: str) -> dict:
     t0 = time.perf_counter()
     if cfg.mode == "effective":
-        outputs, extra = _run_effective(cfg, out)
+        outputs, extra = _run_effective(start, kw, out)
     elif cfg.mode == "pendulum":
-        outputs, extra = _run_pendulum(cfg, out)
+        outputs, extra = _run_pendulum(start, kw, out)
     elif cfg.mode in ("resonant", "cpt"):
-        outputs, extra = _run_resonant(cfg, out, variant)
+        outputs, extra = _run_resonant(cfg, start, kw, out, variant)
     elif cfg.mode == "landscape":
-        outputs, extra = _run_landscape(cfg, out)
+        outputs, extra = _run_landscape(cfg, start, kw, out)
     else:
-        outputs, extra = _run_ensemble(cfg, out, variant)
+        outputs, extra = _run_ensemble(cfg, start, kw, out, variant)
     notes = list(_NOTES)
     if cfg.mode in ("cpt", "ensemble"):
         notes += _TRANSFER_NOTES
@@ -352,6 +350,7 @@ def _execute(args) -> int:
 
     if args.command == "validate":
         cfg = parse_config(Path(args.config).read_text())
+        _build(cfg)
         print(f"OK: mode = {cfg.mode}")
         return 0
 
@@ -363,15 +362,14 @@ def _execute(args) -> int:
         if cfg.mode != "ensemble":
             raise InvalidInputError("--seed only applies to ensemble runs")
         cfg.seeds["rng_seed"] = int(args.seed)
-    resonant = cfg.mode in ("resonant", "cpt") or (
-        cfg.mode == "ensemble" and cfg.seeds["kind"] == "cpt")
-    if args.variant != "symmetrized" and not resonant:
+    if args.variant != "symmetrized" and not cfg.pulse:
         raise InvalidInputError("--variant only applies to resonant, cpt "
                                 "and kind = cpt ensemble runs")
+    start, kw = _build(cfg)
 
     out = Path(args.out) if args.out else Path(cfg.output.get("dir", "."))
     out.mkdir(parents=True, exist_ok=True)
-    manifest = _dispatch(cfg, out, args.variant)
+    manifest = _dispatch(cfg, start, kw, out, args.variant)
     print(f"wrote {', '.join(manifest['outputs'])} and manifest.json "
           f"to {out}")
     return 0

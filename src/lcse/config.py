@@ -1,9 +1,10 @@
 """Scenario configs: strict INI schema, validation, (de)serialization.
 
 One flat `key = value` file per run. The schema is strict in both directions:
-unknown keys and sections that the selected mode does not use are rejected,
-so a typo cannot silently fall back to a default. parse_config collects
-every problem it can find and reports them all at once.
+unknown keys, and keys or sections that the selected mode does not read, are
+rejected, so a typo cannot silently fall back to a default and a key cannot
+be silently ignored. parse_config collects every problem it can find and
+reports them all at once.
 
 Builder helpers at the bottom turn a validated ScenarioConfig into the
 library objects (SystemParams, initial state, pulse, grid, seed spec).
@@ -15,7 +16,6 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .constants import RB87_C2_OVER_C0
 from .core import (CouplingSummary, SpinorAmplitudes, SystemParams,
@@ -28,7 +28,7 @@ from .stochastic import SEED_MODES, SeedSpec
 
 MODES = ("effective", "pendulum", "resonant", "landscape", "cpt", "ensemble")
 
-_REQ = object()  # sentinel: no default, may be required per mode
+_REQ = object()  # sentinel: no default
 
 # section -> key -> (type, default); type is float/int/str or a tuple of
 # allowed strings; "floats" parses a comma-separated list
@@ -100,40 +100,41 @@ _SCHEMA = {
     "output": {"dir": (str, ".")},
 }
 
-# sections each mode consumes (ensemble adds 'pulse' when seeds.kind = cpt)
-_MODE_SECTIONS = {
-    "effective": ("scenario", "params", "initial", "integration", "output"),
-    "pendulum": ("scenario", "params", "initial", "integration", "output"),
-    "resonant": ("scenario", "params", "initial", "integration", "pulse",
-                 "output"),
-    "cpt": ("scenario", "params", "initial", "integration", "pulse",
-            "output"),
-    "landscape": ("scenario", "params", "grid", "integration", "output"),
-    "ensemble": ("scenario", "params", "seeds", "integration", "output"),
+# the keys each mode reads, by section; a trailing '*' marks a required one.
+# An ensemble of kind k is the reader 'ensemble/k': [seeds], [integration]
+# and [output], plus the [params] and [pulse] keys of mode k.
+_INTEGRATION = "rel_tol abs_tol tau_start* tau_end* samples"
+_AMPLITUDES = "n_plus* n_zero* n_minus* phase_plus phase_zero phase_minus"
+_OFF_RESONANT = {"params": "c0n c2n q* omega_p* omega_d* big_delta_prime*"}
+_RESONANT = {"params": "c0n c2n small_delta* gamma*",
+             "pulse": "omega_p* omega_d0* t_zero* theta_variant theta_fixed"}
+_ENSEMBLE = {"seeds": "mode* kind classical_n atom_number rng_seed* runs*",
+             "integration": _INTEGRATION, "output": "dir"}
+_READS = {
+    "effective": {**_OFF_RESONANT, "initial": _AMPLITUDES,
+                  "integration": _INTEGRATION, "output": "dir"},
+    "pendulum": {**_OFF_RESONANT, "initial": "n_zero* theta* m_mag",
+                 "integration": _INTEGRATION, "output": "dir"},
+    "resonant": {**_RESONANT, "initial": _AMPLITUDES + " n_m phase_m",
+                 "integration": _INTEGRATION, "output": "dir"},
+    "landscape": {
+        "params": "c0n c2n q",
+        # accepted and recorded: no landscape computation integrates
+        "integration": _INTEGRATION.replace("*", ""),
+        "grid": "theta_min theta_max n0_min n0_max n_theta n_n0 "
+                "c_eff_over_c2* shifts* tau_max eps_return m_mag "
+                "starts_n_theta starts_n_n0 starts_n0_min starts_n0_max",
+        "output": "dir"},
+    "ensemble/cpt": {**_RESONANT, **_ENSEMBLE},
+    "ensemble/effective": {**_OFF_RESONANT, **_ENSEMBLE},
 }
-
-# (section, key) required per mode, beyond scenario.mode
-_MODE_REQUIRED = {
-    "effective": [("params", "omega_p"), ("params", "omega_d"),
-                  ("params", "big_delta_prime"), ("params", "q"),
-                  ("initial", "n_plus"), ("initial", "n_zero"),
-                  ("initial", "n_minus"),
-                  ("integration", "tau_start"), ("integration", "tau_end")],
-    "pendulum": [("params", "omega_p"), ("params", "omega_d"),
-                 ("params", "big_delta_prime"), ("params", "q"),
-                 ("initial", "theta"), ("initial", "n_zero"),
-                 ("integration", "tau_start"), ("integration", "tau_end")],
-    "resonant": [("params", "small_delta"), ("params", "gamma"),
-                 ("initial", "n_plus"), ("initial", "n_zero"),
-                 ("initial", "n_minus"),
-                 ("integration", "tau_start"), ("integration", "tau_end"),
-                 ("pulse", "omega_p"), ("pulse", "omega_d0"),
-                 ("pulse", "t_zero")],
-    "landscape": [("grid", "c_eff_over_c2"), ("grid", "shifts")],
-    "ensemble": [("seeds", "mode"), ("seeds", "rng_seed"), ("seeds", "runs"),
-                 ("integration", "tau_start"), ("integration", "tau_end")],
-}
-_MODE_REQUIRED["cpt"] = list(_MODE_REQUIRED["resonant"])
+_READS["cpt"] = _READS["resonant"]
+# reader -> section -> key -> required, expanded once; [scenario] mode is
+# read by every mode
+_TABLE = {reader: {sec: {k.rstrip("*"): k.endswith("*") for k in keys.split()}
+                   for sec, keys in {"scenario": "mode*", **reads}.items()}
+          for reader, reads in _READS.items()}
+_SECTIONS = tuple(sec for sec in _SCHEMA if sec != "scenario")
 
 
 @dataclass
@@ -188,74 +189,54 @@ def parse_config(text: str) -> ScenarioConfig:
     mode = cp.get("scenario", "mode", fallback=None)
     if mode is None:
         problems.append("missing required key 'mode' in [scenario]")
-    elif mode not in MODES:
-        problems.append(
-            f"[scenario] mode = {mode!r}: must be one of {'|'.join(MODES)}")
-        mode = None
-
-    allowed = set(_MODE_SECTIONS.get(mode, tuple(_SCHEMA)))
-    if mode == "ensemble" and cp.get("seeds", "kind", fallback="cpt") == "cpt":
-        allowed.add("pulse")
+    kind = cp.get("seeds", "kind", fallback="cpt")
+    reader = f"ensemble/{kind}" if mode == "ensemble" else mode
+    # None for an invalid mode or kind, which [scenario] or [seeds] reports
+    reads = _TABLE.get(reader) if mode in MODES else None
 
     sections = {}
     for sec in cp.sections():
         if sec not in _SCHEMA:
             problems.append(f"unknown section [{sec}]")
             continue
-        if sec not in allowed:
-            problems.append(f"section [{sec}] is not used by mode '{mode}'")
+        if reads is not None and sec not in reads:
+            problems.append(f"section [{sec}] is not used by mode '{reader}'")
             continue
         vals = {}
         for key, raw in cp.items(sec):
             if key not in _SCHEMA[sec]:
                 problems.append(f"unknown key '{key}' in [{sec}]")
-                continue
-            val = _convert(sec, key, raw, problems)
-            if val is not None:
+            elif reads is not None and key not in reads[sec]:
+                problems.append(
+                    f"key '{key}' in [{sec}] is not used by mode '{reader}'")
+            elif (val := _convert(sec, key, raw, problems)) is not None:
                 vals[key] = val
         sections[sec] = vals
 
-    if mode is not None:
-        required = list(_MODE_REQUIRED[mode])
-        if mode == "ensemble":
-            # an ensemble of kind k needs the drive of mode k
-            kind = sections.get("seeds", {}).get("kind", "cpt")
-            required += [(sec, key) for sec, key in _MODE_REQUIRED[kind]
-                         if sec in ("params", "pulse")]
-        for sec, key in required:
-            if key not in sections.get(sec, {}):
-                problems.append(
-                    f"missing required key '{key}' in [{sec}] "
-                    f"for mode '{mode}'")
-        for sec in allowed - {"scenario"}:
-            merged = {k: d for k, (_t, d) in _SCHEMA[sec].items()
-                      if d is not _REQ}
-            merged.update(sections.get(sec, {}))
-            sections[sec] = merged
-        sections.pop("scenario", None)
+    if reads is not None:
+        for sec, keys in reads.items():
+            for key, required in keys.items():
+                if required and key not in sections.get(sec, {}):
+                    problems.append(f"missing required key '{key}' in "
+                                    f"[{sec}] for mode '{mode}'")
+        sections = {sec: {**{k: _SCHEMA[sec][k][1] for k in keys
+                             if _SCHEMA[sec][k][1] is not _REQ},
+                          **sections.get(sec, {})}
+                    for sec, keys in reads.items() if sec != "scenario"}
 
-    _cross_validate(mode, sections, problems)
+    _cross_validate(sections, problems)
     if problems:
         raise ConfigError(problems)
 
     cfg = ScenarioConfig(mode=mode)
-    for sec in ("params", "initial", "integration", "pulse", "grid",
-                "seeds", "output"):
-        if sec in sections:
-            getattr(cfg, sec).update(sections[sec])
+    for sec in sections:
+        getattr(cfg, sec).update(sections[sec])
     return cfg
 
 
-def _cross_validate(mode: Optional[str], sections: dict, problems: list):
-    if mode is None:
-        return
+def _cross_validate(sections: dict, problems: list):
     ini = sections.get("initial", {})
-    if mode == "effective" and ini.get("n_m", 0.0) != 0.0:
-        problems.append("[initial] n_m must be 0 in mode 'effective', "
-                        "which has no molecular mode")
-    needs_norm = (mode in ("effective", "resonant", "cpt")
-                  and all(k in ini for k in ("n_plus", "n_zero", "n_minus")))
-    if needs_norm:
+    if all(k in ini for k in ("n_plus", "n_zero", "n_minus")):
         total = (ini["n_plus"] + ini["n_zero"] + ini["n_minus"]
                  + 2.0 * ini.get("n_m", 0.0))
         if abs(total - 1.0) > 1e-9:
@@ -268,8 +249,11 @@ def _cross_validate(mode: Optional[str], sections: dict, problems: list):
     if integ.get("samples", 2) < 2:
         problems.append("[integration] samples must be >= 2")
     pulse = sections.get("pulse", {})
-    if pulse.get("theta_variant") == "fixed" and pulse.get("theta_fixed") is None:
+    fixed = pulse.get("theta_variant", "coherence") == "fixed"
+    if fixed and pulse.get("theta_fixed") is None:
         problems.append("[pulse] theta_variant 'fixed' needs theta_fixed")
+    if not fixed and pulse.get("theta_fixed") is not None:
+        problems.append("[pulse] theta_fixed needs theta_variant 'fixed'")
     seeds = sections.get("seeds", {})
     if seeds.get("runs", 1) < 1:
         problems.append("[seeds] runs must be >= 1")
@@ -288,8 +272,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     cp["scenario"] = {"mode": cfg.mode}
-    for sec in ("params", "initial", "integration", "pulse", "grid",
-                "seeds", "output"):
+    for sec in _SECTIONS:
         data = getattr(cfg, sec)
         if data:
             cp[sec] = {k: _fmt(v) for k, v in data.items() if v is not None}
@@ -301,8 +284,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """JSON-friendly echo of the config (tuples become lists)."""
     out = {"mode": cfg.mode}
-    for sec in ("params", "initial", "integration", "pulse", "grid",
-                "seeds", "output"):
+    for sec in _SECTIONS:
         data = getattr(cfg, sec)
         if data:
             out[sec] = {k: (list(v) if isinstance(v, tuple) else v)
@@ -314,28 +296,27 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 # builders: validated config -> library objects
 
 def build_system_params(cfg: ScenarioConfig) -> SystemParams:
-    p = cfg.params
-    return SystemParams(c2n=p["c2n"], q=p["q"],
-                        omega_p=p["omega_p"], omega_d=p["omega_d"],
-                        big_delta_prime=p["big_delta_prime"],
-                        small_delta=p["small_delta"], gamma=p["gamma"])
+    # keys the mode does not read keep SystemParams' defaults, which the
+    # schema's equal; c0n is the unit and only recorded
+    return SystemParams(**{k: v for k, v in cfg.params.items() if k != "c0n"})
 
 
 def build_coupling(cfg: ScenarioConfig) -> CouplingSummary:
     return effective_coupling(build_system_params(cfg))
 
 
-def build_initial_state(cfg: ScenarioConfig,
-                        resonant: bool) -> SpinorAmplitudes:
+def build_initial_state(cfg: ScenarioConfig) -> SpinorAmplitudes:
+    """The start amplitudes, with a molecular mode exactly when the mode
+    reads [initial] n_m."""
     ini = cfg.initial
-    n_m = ini["n_m"]  # 0 unless resonant: parse_config refuses it
+    n_m = ini.get("n_m", 0.0)
     total = ini["n_plus"] + ini["n_zero"] + ini["n_minus"] + 2.0 * n_m
     scale = 1.0 / total  # exact renormalization of the allowed 1e-9 slack
     return SpinorAmplitudes.from_populations(
         ini["n_plus"] * scale, ini["n_zero"] * scale, ini["n_minus"] * scale,
-        n_m=n_m * scale, resonant=resonant,
+        n_m=n_m * scale, resonant="n_m" in ini,
         phase_plus=ini["phase_plus"], phase_zero=ini["phase_zero"],
-        phase_minus=ini["phase_minus"], phase_m=ini["phase_m"])
+        phase_minus=ini["phase_minus"], phase_m=ini.get("phase_m", 0.0))
 
 
 def build_pendulum_state(cfg: ScenarioConfig) -> PendulumState:
@@ -355,7 +336,7 @@ def build_pulse(cfg: ScenarioConfig) -> PulseSchedule:
                          small_delta=cfg.params["small_delta"],
                          c2n=cfg.params["c2n"],
                          theta_variant=pl["theta_variant"],
-                         theta_fixed=pl.get("theta_fixed"))
+                         theta_fixed=pl["theta_fixed"])
 
 
 def build_seed_spec(cfg: ScenarioConfig) -> SeedSpec:

@@ -49,8 +49,8 @@ class PulseSchedule:
     The dump is omega_d0 sech(tau / t_zero). theta_variant 'coherence' or
     'stationary' locks Theta to the instantaneous collision-shifted
     resonance (resonance_detuning at the current Rabi ratio); 'fixed' holds
-    it at theta_fixed. The pump must be > 0 so the ratio
-    r = Omega'_d / Omega'_p is always defined. drive(tau) is the one reader
+    it at theta_fixed, which only 'fixed' takes. The pump must be > 0 so
+    the ratio r = Omega'_d / Omega'_p is always defined. drive(tau) is the one reader
     of these fields.
     """
 
@@ -72,10 +72,13 @@ class PulseSchedule:
             raise InvalidInputError("t0 must be > 0")
         if self.omega_d0 < 0.0:
             raise InvalidInputError("omega_d0 must be >= 0")
-        if self.theta_fixed is not None:
-            object.__setattr__(self, "theta_fixed", float(self.theta_fixed))
-        elif self.theta_variant == "fixed":
+        fixed = self.theta_variant == "fixed"
+        if fixed and self.theta_fixed is None:
             raise InvalidInputError("theta_variant 'fixed' needs theta_fixed")
+        if not fixed and self.theta_fixed is not None:
+            raise InvalidInputError("theta_fixed needs theta_variant 'fixed'")
+        if fixed:
+            object.__setattr__(self, "theta_fixed", float(self.theta_fixed))
 
     def drive(self, tau):
         """(pump, dump, detuning) at tau: three floats for a float tau, three

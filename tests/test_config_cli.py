@@ -2,8 +2,11 @@
 
 Verifies:
   - serialize/parse round trips reproduce the config exactly, for the
-    presets and for configs drawn over the whole schema
-  - the validator reports every problem at once with exit code 2
+    presets and for configs drawn over the key table of every mode
+  - the validator reports every problem at once with exit code 2, and
+    rejects every key the mode does not read (config._TABLE)
+  - validate builds the library objects run builds, so it refuses what
+    run refuses before integrating
   - built-in presets load, list, and run end to end
   - CLI outputs: CSV columns, manifest fields, and rerun byte-identity
   - exit codes 2 (bad input) and 3 (domain violation)
@@ -18,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcse import ConfigError, InvalidInputError, cli, config
+from lcse import ConfigError, InvalidInputError, ValidityWarning, cli, config
 from lcse.config import build_grid_spec, landscape_cases
 from lcse.config import config_to_dict, parse_config, serialize_config
 from lcse.landscape import energy_grid
@@ -86,29 +89,24 @@ def schema_value(sec, key):
 
 @st.composite
 def scenario_texts(draw):
-    """INI text for any mode, every key of its sections drawn or left to
-    its default, with the values parse_config cross-checks kept valid."""
-    mode = draw(st.sampled_from(config.MODES))
-    kind = draw(st.sampled_from(("cpt", "effective")))
-    sections = [s for s in config._MODE_SECTIONS[mode] if s != "scenario"]
-    if mode == "ensemble" and kind == "cpt":
-        sections.append("pulse")
-    required = set(config._MODE_REQUIRED[mode])
+    """INI text for any mode (an ensemble of either kind), every key the
+    mode reads drawn or left to its default, with the values parse_config
+    cross-checks kept valid."""
+    reader = draw(st.sampled_from(sorted(config._TABLE)))
+    mode, _, kind = reader.partition("/")
     values = {}
-    for sec in sections:
+    for sec, keys in config._TABLE[reader].items():
+        if sec == "scenario":
+            continue
         values[sec] = {}
-        for key, (_typ, default) in config._SCHEMA[sec].items():
-            keep = (default is config._REQ or (sec, key) in required
-                    or (mode == "ensemble" and sec == "params")
-                    or draw(st.booleans()))
-            if keep:
+        for key, required in keys.items():
+            if (required or config._SCHEMA[sec][key][1] is config._REQ
+                    or draw(st.booleans())):
                 values[sec][key] = draw(schema_value(sec, key))
-    if mode == "ensemble":
+    if kind:
         values["seeds"]["kind"] = kind
-    if mode in ("effective", "resonant", "cpt"):
-        ini = values["initial"]
-        if mode == "effective" and "n_m" in ini:
-            ini["n_m"] = 0.0  # no molecular mode to hold it
+    ini = values.get("initial", {})
+    if "n_plus" in ini:
         ini["n_zero"] = 1.0 - ini["n_plus"] - ini["n_minus"] - 2.0 * ini.get(
             "n_m", 0.0)
     integ = values["integration"]
@@ -116,6 +114,8 @@ def scenario_texts(draw):
     pulse = values.get("pulse", {})
     if pulse.get("theta_variant") == "fixed":
         pulse.setdefault("theta_fixed", draw(finite))
+    else:
+        pulse.pop("theta_fixed", None)
     lines = [f"[scenario]\nmode = {mode}\n"]
     for sec, vals in values.items():
         lines.append(f"[{sec}]")
@@ -186,11 +186,11 @@ def test_parse_rejects_molecules_in_effective_mode():
     # and the rest rescaled, so this start ran as 0.0625 / 0.875 / 0.0625
     text = preset_text("fig2-collision").replace("n_zero = 0.9",
                                                  "n_zero = 0.7\nn_m = 0.1")
-    with pytest.raises(ConfigError, match="n_m must be 0") as err:
+    with pytest.raises(ConfigError, match="n_m") as err:
         parse_config(text)
     assert err.value.problems == [
-        "[initial] n_m must be 0 in mode 'effective', which has no "
-        "molecular mode"]
+        "key 'n_m' in [initial] is not used by mode 'effective'",
+        "[initial] populations sum to 0.8, not 1 (tol 1e-9)"]
 
 
 def test_cli_molecules_in_effective_mode_exit_2(tmp_path):
@@ -200,7 +200,8 @@ def test_cli_molecules_in_effective_mode_exit_2(tmp_path):
     out = tmp_path / "o"
     proc = run_cli("run", "--config", str(path), "--out", str(out))
     assert proc.returncode == 2
-    assert "n_m must be 0" in proc.stderr
+    assert ("key 'n_m' in [initial] is not used by mode 'effective'"
+            in proc.stderr)
     assert not (out / "trajectory.csv").exists()
 
 
@@ -216,6 +217,15 @@ def test_parse_rejects_fixed_lock_without_value():
         "omega_p = 1", "omega_p = 1\ntheta_variant = fixed")
     with pytest.raises(ConfigError, match="theta_fixed"):
         parse_config(text)
+
+
+def test_parse_rejects_theta_fixed_without_fixed_lock():
+    text = preset_text("fig4-cpt").replace(
+        "omega_p = 1", "omega_p = 1\ntheta_fixed = 5")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == [
+        "[pulse] theta_fixed needs theta_variant 'fixed'"]
 
 
 def test_parse_rejects_bad_enum():
@@ -562,3 +572,172 @@ def test_cli_energy_grid_rows_and_masked_cells(tmp_path, capsys):
     assert lines[3:] == expected
     assert lines[-3:] == [f"{format(th, '.17g')},1,0,1"
                           for th in eg.theta.tolist()]
+
+
+PENDULUM = """
+[scenario]
+mode = pendulum
+
+[params]
+q = 0.01
+omega_p = 0
+omega_d = 0
+big_delta_prime = 1
+
+[initial]
+theta = 0.5
+n_zero = 0.5
+
+[integration]
+tau_start = 0
+tau_end = 10
+samples = 101
+"""
+
+# one config that parses for each reader of the key table
+VALID_TEXTS = {
+    "effective": preset_text("fig2-collision"),
+    "pendulum": PENDULUM,
+    "resonant": preset_text("fig4-cpt").replace("mode = cpt",
+                                                "mode = resonant"),
+    "cpt": preset_text("fig4-cpt"),
+    "landscape": preset_text("fig3-portraits"),
+    "ensemble/cpt": preset_text("fig4-ensemble"),
+    "ensemble/effective": SHORT_ENSEMBLE.format(kind="effective",
+                                                params=EFFECTIVE_DRIVE),
+}
+
+
+def with_key(text, sec, key, raw):
+    """text with `key = raw` added to [sec], appending [sec] if absent."""
+    if f"[{sec}]\n" in text:
+        return text.replace(f"[{sec}]\n", f"[{sec}]\n{key} = {raw}\n", 1)
+    return text + f"\n[{sec}]\n{key} = {raw}\n"
+
+
+@pytest.mark.parametrize("reader", sorted(config._TABLE))
+def test_parse_rejects_each_key_the_mode_does_not_read(reader):
+    # a key outside the mode's table entry is one problem naming the key
+    # (or, outside the sections the mode reads, its section) and the mode
+    text = VALID_TEXTS[reader]
+    parse_config(text)
+    reads = config._TABLE[reader]
+    for sec, keys in config._SCHEMA.items():
+        for key, (typ, _default) in keys.items():
+            if key in reads.get(sec, {}):
+                continue
+            raw = typ[0] if isinstance(typ, tuple) else "3"
+            with pytest.raises(ConfigError) as err:
+                parse_config(with_key(text, sec, key, raw))
+            expected = (f"key '{key}' in [{sec}] is not used by mode "
+                        f"'{reader}'" if sec in reads else
+                        f"section [{sec}] is not used by mode '{reader}'")
+            assert err.value.problems == [expected], (sec, key)
+
+
+def test_invalid_seed_kind_exits_2(tmp_path, capsys):
+    text = preset_text("fig4-ensemble").replace("kind = cpt",
+                                                "kind = classical")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == [
+        "[seeds] kind = 'classical': must be one of cpt|effective"]
+    path = tmp_path / "kind.ini"
+    path.write_text(text)
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert "[seeds] kind" in capsys.readouterr().err
+
+
+def edited(preset, old, new):
+    text = preset_text(preset)
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+# configs that parse but fail a library range check before integration,
+# and keys a mode does not read; each cause is named on stderr
+REFUSED = [
+    pytest.param(edited("fig2-collision", "tau_start",
+                        "rel_tol = 0\ntau_start"),
+                 ["tolerances must lie in (0, 1e-2]"], id="rel_tol"),
+    pytest.param(edited("fig4-cpt", "t_zero = 20", "t_zero = 0"),
+                 ["t0 must be > 0"], id="t_zero"),
+    pytest.param(edited("fig3-portraits", "shifts", "m_mag = 2\nshifts"),
+                 ["(1-n0)^2 - m^2 must be >= 0"], id="grid-m_mag"),
+    pytest.param(edited("fig3-portraits", "shifts",
+                        "starts_n0_max = 1.5\nshifts"),
+                 ["n_zero must lie in [0, 1]"], id="starts_n0_max"),
+    pytest.param(edited("fig4-ensemble", "atom_number = 1e4",
+                        "atom_number = 5"),
+                 ["atom_number_N must be >= 10"], id="atom_number"),
+    pytest.param(edited("fig4-ensemble", "runs", "classical_n = 0.5\nruns"),
+                 ["classical_n must lie in [0, 0.1]"], id="classical_n"),
+    pytest.param(edited("fig2-collision", "big_delta_prime = 1\n",
+                        "big_delta_prime = 0\n"),
+                 ["big_delta_prime = 0: adiabatic elimination is singular"],
+                 id="big_delta_prime"),
+    pytest.param(edited("fig4-cpt", "t_zero = 20",
+                        "t_zero = 20\ntheta_fixed = 5"),
+                 ["[pulse] theta_fixed needs theta_variant 'fixed'"],
+                 id="theta_fixed"),
+    pytest.param(edited("fig4-cpt", "gamma = 1",
+                        "gamma = 1\nomega_p = 7\nq = 3"),
+                 ["key 'omega_p' in [params] is not used by mode 'cpt'",
+                  "key 'q' in [params] is not used by mode 'cpt'"],
+                 id="cpt-params"),
+    pytest.param(edited("fig2-collision", "n_minus = 0.05",
+                        "n_minus = 0.05\ntheta = 2.5\nm_mag = 0.4"),
+                 ["key 'theta' in [initial] is not used by mode 'effective'",
+                  "key 'm_mag' in [initial] is not used by mode 'effective'"],
+                 id="effective-initial"),
+    pytest.param(PENDULUM.replace("n_zero = 0.5",
+                                  "n_zero = 0.5\nn_plus = 0.9\nn_m = 0.3"),
+                 ["key 'n_plus' in [initial] is not used by mode 'pendulum'",
+                  "key 'n_m' in [initial] is not used by mode 'pendulum'"],
+                 id="pendulum-initial"),
+]
+
+
+@pytest.mark.parametrize("text, causes", REFUSED)
+def test_cli_validate_refuses_what_run_refuses(tmp_path, capsys, text,
+                                               causes):
+    path = tmp_path / "refused.ini"
+    path.write_text(text)
+    out = tmp_path / "o"
+    for args in (["validate"], ["run", "--out", str(out)]):
+        assert cli.main([*args, "--config", str(path)]) == 2, args
+        err = capsys.readouterr().err
+        assert all(cause in err for cause in causes), (args, err)
+    assert not out.exists()  # refused before the output directory is made
+
+
+def test_cli_validity_warning_once_per_call(tmp_path):
+    # |big_delta_prime| below 10 max(omega_p, omega_d) warns when the
+    # coupling is built, which validate and run each do once
+    path = tmp_path / "near.ini"
+    path.write_text(edited("fig2-collision", "big_delta_prime = 1\n",
+                           "big_delta_prime = 0.5\n").replace(
+                               "omega_d = 0\n", "omega_d = 0.1\n"))
+    for args in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+        with pytest.warns(ValidityWarning) as record:
+            assert cli.main([*args, "--config", str(path)]) == 0
+        assert len([w for w in record
+                    if w.category is ValidityWarning]) == 1, args
+
+
+def test_cli_landscape_counts_keep_close_couplings_apart(tmp_path):
+    # two couplings equal to 6 digits keep one counts entry each
+    mults = (0.5, 0.50000001)
+    path = tmp_path / "close.ini"
+    path.write_text("[scenario]\nmode = landscape\n\n[grid]\n"
+                    f"c_eff_over_c2 = {mults[0]!r}, {mults[1]!r}\n"
+                    "shifts = off\nn_theta = 3\nn_n0 = 3\n"
+                    "starts_n_theta = 2\nstarts_n_n0 = 2\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    counts = json.loads((out / "manifest.json").read_text())["derived"][
+        "counts"]
+    assert counts == {
+        f"{format(m, '.17g')}/off": json.loads(
+            (out / f"portrait_{k}.json").read_text())["shifts_off"]["counts"]
+        for k, m in enumerate(mults, start=1)}

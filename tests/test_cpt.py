@@ -3,7 +3,8 @@
 Verifies:
   - trapped-state populations and the 2 n_s + n0s = 1 identity
   - detuning-lock limits for both lock variants
-  - sech pulse shape and schedule construction
+  - sech pulse shape and schedule construction, theta_fixed only with
+    the fixed lock
   - stationarity residuals at the dark state for both locks
   - a dark-prepared state rides a frozen pulse with static populations
   - transfer efficiency decreases with loss rate, peak molecular fraction
@@ -169,6 +170,14 @@ def test_pulse_schedule_is_plain_data():
         with pytest.raises(InvalidInputError):
             make_schedule(**{"omega_p": 1.0, "omega_d0": 40.0,
                              "t_zero": 20.0, **bad})
+
+
+@pytest.mark.parametrize("variant", ["coherence", "stationary"])
+def test_pulse_schedule_refuses_unread_theta_fixed(variant):
+    # only the fixed lock reads theta_fixed; a locked schedule would not
+    with pytest.raises(InvalidInputError, match="theta_fixed needs"):
+        make_schedule(1.0, 40.0, 20.0, theta_variant=variant,
+                      theta_fixed=5.0)
 
 
 @pytest.mark.parametrize("r", [1e-3, 1.0, 40.0, 1e3])

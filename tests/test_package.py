@@ -4,6 +4,7 @@ shows a reader to run.
 Verifies:
   - every name in lcse.__all__ resolves, and none is listed twice
   - the README's python example runs as written in a fresh interpreter
+  - the README's table of the keys each mode reads is config's table
 """
 
 import re
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 import lcse
+from lcse import config
 
 from cli_run import child_env
 
@@ -31,3 +33,17 @@ def test_exports_resolve_and_readme_example_runs():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 0.9  # the example's "n0 dips below 0.9"
+
+
+def test_readme_key_table_matches_config():
+    # rows "| `mode` | `[section]` | key, **required key**, ... |"
+    rows = re.findall(r"^\| `([\w/]+)` \| `\[(\w+)\]` \| (.*) \|$",
+                      README.read_text(), re.M)
+    documented = {}
+    for reader, sec, keys in rows:
+        assert sec not in documented.setdefault(reader, {}), (reader, sec)
+        documented[reader][sec] = {
+            k.strip("*"): k.startswith("**") for k in keys.split(", ")}
+    assert documented == {
+        reader: {sec: keys for sec, keys in reads.items() if sec != "scenario"}
+        for reader, reads in config._TABLE.items()}
