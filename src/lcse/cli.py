@@ -282,7 +282,7 @@ def _dispatch(cfg: ScenarioConfig, start, kw: dict, out: Path,
     else:
         outputs, extra = _run_ensemble(cfg, start, kw, out, variant)
     notes = list(_NOTES)
-    if cfg.mode in ("cpt", "ensemble"):
+    if cfg.mode in ("cpt", "ensemble") and cfg.pulse:  # transfer runs
         notes += _TRANSFER_NOTES
     manifest = {
         "config": config_to_dict(cfg),

@@ -21,7 +21,7 @@ from .constants import RB87_C2_OVER_C0
 from .core import (CouplingSummary, SpinorAmplitudes, SystemParams,
                    effective_coupling, ladder_lightshifts)
 from .cpt import THETA_VARIANTS, PulseSchedule, make_schedule
-from .dynamics import IntegratorConfig, PendulumState
+from .dynamics import IntegratorConfig, PendulumState, require_interior
 from .errors import ConfigError
 from .landscape import GridSpec, LandscapeParams
 from .stochastic import SEED_MODES, SeedSpec
@@ -320,8 +320,12 @@ def build_initial_state(cfg: ScenarioConfig) -> SpinorAmplitudes:
 
 
 def build_pendulum_state(cfg: ScenarioConfig) -> PendulumState:
+    """The pendulum start; a start on the domain boundary is refused here,
+    so `validate` refuses it as `run` does."""
     ini = cfg.initial
-    return PendulumState(ini["theta"], ini["n_zero"], ini["m_mag"])
+    state = PendulumState(ini["theta"], ini["n_zero"], ini["m_mag"])
+    require_interior(state)
+    return state
 
 
 def build_integrator(cfg: ScenarioConfig) -> IntegratorConfig:

@@ -50,8 +50,8 @@ class PulseSchedule:
     'stationary' locks Theta to the instantaneous collision-shifted
     resonance (resonance_detuning at the current Rabi ratio); 'fixed' holds
     it at theta_fixed, which only 'fixed' takes. The pump must be > 0 so
-    the ratio r = Omega'_d / Omega'_p is always defined. drive(tau) is the one reader
-    of these fields.
+    the ratio r = Omega'_d / Omega'_p is always defined. rabi(tau) and
+    drive(tau) are the readers of these fields.
     """
 
     omega_p: float
@@ -80,21 +80,28 @@ class PulseSchedule:
         if fixed:
             object.__setattr__(self, "theta_fixed", float(self.theta_fixed))
 
-    def drive(self, tau):
-        """(pump, dump, detuning) at tau: three floats for a float tau, three
-        read-only arrays of tau's shape for an array tau (the pump and a
-        fixed detuning broadcast from one value)."""
+    def rabi(self, tau):
+        """(pump, dump) at tau: two floats for a float tau, two arrays of
+        tau's shape for an array tau."""
         omega_d = _over_cosh(self.omega_d0, tau, self.t_zero)
-        theta = self.theta_fixed
+        if isinstance(tau, (float, int)):
+            return self.omega_p, omega_d
+        return np.full(np.shape(omega_d), self.omega_p), omega_d
+
+    def drive(self, tau):
+        """(pump, dump, detuning) at tau: rabi(tau) and the detuning, three
+        floats for a float tau, three arrays of tau's shape for an array
+        tau."""
+        omega_p, omega_d = self.rabi(tau)
         if self.theta_variant != "fixed":
-            theta = _locked_detuning(*_dark_split(self.omega_p, omega_d),
+            theta = _locked_detuning(*_dark_split(omega_p, omega_d),
                                      self.small_delta, self.c2n,
                                      self.theta_variant)
-        if isinstance(tau, (float, int)):
-            return self.omega_p, omega_d, theta
-        shape = np.shape(omega_d)
-        return (np.broadcast_to(self.omega_p, shape), omega_d,
-                np.broadcast_to(theta, shape))
+        elif isinstance(tau, (float, int)):
+            theta = self.theta_fixed
+        else:
+            theta = np.full(np.shape(omega_d), self.theta_fixed)
+        return omega_p, omega_d, theta
 
     @property
     def meta(self) -> dict:
@@ -217,7 +224,7 @@ def run_transfer(initial: SpinorAmplitudes, params: SystemParams,
                      config=config, sampling=sampling, variant=variant)
     n = traj.populations()            # rows: n+, n0, n-, n_m
     atoms = n[0] + n[1] + n[2]
-    n_s, n0_s = cpt_populations(*pulse.drive(traj.times)[:2])
+    n_s, n0_s = cpt_populations(*pulse.rabi(traj.times))
     dev_inst = float(np.max(np.abs(n[:3] - np.stack([n_s, n0_s, n_s]))))
     final_ref = np.array([[n_s[-1]], [n0_s[-1]], [n_s[-1]]])
     dev_final = float(np.max(np.abs(n[:3] - final_ref)))
@@ -299,11 +306,11 @@ def adiabaticity_diagnostic(pulse: PulseSchedule,
         tau_grid = np.linspace(-100.0, 150.0, 20001)
     ts = np.asarray(tau_grid, dtype=float)
     h = 1e-6
-    np1, n01 = cpt_populations(*pulse.drive(ts + h)[:2])
-    np0, n00 = cpt_populations(*pulse.drive(ts - h)[:2])
+    np1, n01 = cpt_populations(*pulse.rabi(ts + h))
+    np0, n00 = cpt_populations(*pulse.rabi(ts - h))
     dn = np.sqrt(2.0 * ((np1 - np0) / (2 * h)) ** 2
                  + ((n01 - n00) / (2 * h)) ** 2)
-    ratio = dn / np.hypot(*pulse.drive(ts)[:2])
+    ratio = dn / np.hypot(*pulse.rabi(ts))
     i = int(np.argmax(ratio))  # the first maximum
     best = float(ratio[i])
     return AdiabaticityReport(best, float(ts[i]), best < 1.0)

@@ -51,6 +51,14 @@ class PendulumState:
             raise InvalidInputError("(1-n0)^2 - m^2 must be >= 0")
 
 
+def require_interior(state: PendulumState) -> None:
+    """Start gate of the pendulum flow: dtheta/dtau is singular on the
+    edge (1-n0)^2 = m^2, which PendulumState itself admits (landscape
+    starts may sit there)."""
+    if (1.0 - state.n_zero) ** 2 - state.m_mag ** 2 <= 0.0:
+        raise DomainError("pendulum initial state on the domain boundary")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Tolerances for the embedded adaptive 5(4) pair."""
@@ -230,45 +238,59 @@ def rhs_resonant(state: SpinorAmplitudes, params: SystemParams, pulse,
     exact N (gamma = 0) and m conservation. Decay gamma enters only the
     molecular equation.
     """
-    symmetrized = _symmetrized(variant)
+    rows, coeffs = _resonant_operands(params, pulse, variant)
     if state.a_m is None:
         raise InvalidInputError("resonant family needs the molecular amplitude")
     y = np.array([state.a_plus, state.a_zero, state.a_minus, state.a_m],
                  dtype=complex)
-    d = _res_body(y, *pulse.drive(tau), params.c2n, params.small_delta,
-                  params.gamma, symmetrized)
+    d = _res_body(y, *rows(tau), *coeffs)
     return complex(d[0]), complex(d[1]), complex(d[2]), complex(d[3])
 
 
-def _res_body(y, op, od, th, c2, delta, gamma, symmetrized):
-    # one state (4,) runs on Python complex with a float drive, R states
-    # stacked as columns (4, R) on numpy rows with an (R,) drive; shared
-    # terms are computed once, in the order the equations group them
-    fp, f0, fm, fmol = y.tolist() if y.ndim == 1 else y
-    try:
-        np_ = fp.real ** 2 + fp.imag ** 2
-        n0 = f0.real ** 2 + f0.imag ** 2
-        nm = fm.real ** 2 + fm.imag ** 2
-    except OverflowError:
-        # Python floats raise past 1.3e154, numpy gives inf: step rejected
-        np_ = n0 = nm = math.inf
-    cp, c0, cm = fp.conjugate(), f0.conjugate(), fm.conjugate()
-    detune = 1j * (th + delta)
-    collide = 1j * c2 * f0 * f0
-    dump = 1j * od * fmol
-    dfp = (-1j * (c2 * (np_ + n0 - nm)) * fp
-           - collide * cm
-           + dump * cm
-           - detune * fp)
-    df0 = (-1j * (c2 * (np_ + nm)) * f0
-           - 2j * c2 * fp * fm * c0
-           - 2j * op * fmol * c0)
-    dfm = (-1j * (c2 * (nm + n0 - np_)) * fm
-           + dump * cp)
+def _resonant_operands(params: SystemParams, pulse, variant: str):
+    """(rows, coeffs) of _res_body: rows(tau) is (-i Omega_p, -i Omega_d,
+    -i (Theta + delta)) from pulse.drive(tau), coeffs (-i c2,
+    -(i delta + gamma), symmetrized)."""
+    symmetrized = _symmetrized(variant)
+    delta = params.small_delta
+
+    def rows(tau):
+        op, od, th = pulse.drive(tau)
+        return -1j * op, -1j * od, -1j * (th + delta)
+    return rows, (-1j * params.c2n, -(1j * delta + params.gamma), symmetrized)
+
+
+def _res_body(y, pump, dump, detune, c2, loss, symmetrized):
+    # d(phi+, phi0, phi-, phi_m)/dtau with every operand already times -i
+    # (see _resonant_operands), so no term is rotated on its own; |f|^2 is
+    # f conj(f), so a batch whose operands are all complex runs only
+    # complex-complex numpy loops. One state (4,) runs on Python complex;
+    # R states stacked as columns (4, R) take their conjugates and
+    # populations in one numpy operation each and run on (R,) rows
+    if y.ndim == 1:
+        fp, f0, fm, fmol = y.tolist()
+        cp, c0, cm = fp.conjugate(), f0.conjugate(), fm.conjugate()
+        cnp, cn0, cnm = c2 * (fp * cp), c2 * (f0 * c0), c2 * (fm * cm)
+    else:
+        cy = y.conj()
+        cn = c2 * (y * cy)
+        fp, f0, fm, fmol = y[0], y[1], y[2], y[3]
+        cp, c0, cm = cy[0], cy[1], cy[2]
+        cnp, cn0, cnm = cn[0], cn[1], cn[2]
+    pair = fp * fm
+    f00 = f0 * f0
+    dmol = dump * fmol
+    exchange = c2 * f00 - dmol
+    source = c2 * pair + pump * fmol
+    # c2 (n0 +- (n+ - n-)) and the detuning, on phi+ and phi-
+    base, imbalance = cn0 + detune, cnp - cnm
+    dfp = (base + imbalance) * fp + exchange * cm
+    df0 = (cnp + cnm) * f0 + (source + source) * c0
     if symmetrized:
-        dfm = dfm - collide * cp - detune * fm
-    dfmol = (1j * od * fp * fm - 1j * op * f0 * f0
-             - (1j * delta + gamma) * fmol)
+        dfm = (base - imbalance) * fm + exchange * cp
+    else:
+        dfm = (cn0 - imbalance) * fm - dmol * cp
+    dfmol = pump * f00 - dump * pair + loss * fmol
     return np.array([dfp, df0, dfm, dfmol])
 
 
@@ -284,39 +306,38 @@ def _sample_grid(tau_span, sampling) -> np.ndarray:
     return np.asarray(sampling, dtype=float)
 
 
-def _no_drive(tau) -> tuple:
+def _no_rows(tau) -> tuple:
     """The effective family's drive: folded into its coefficients."""
     return ()
 
 
 def _amplitude_system(family: str, initial: SpinorAmplitudes,
                       params: SystemParams, coupling, pulse, variant: str):
-    """(y0, body, drive, coeffs) of an amplitude family: the derivative at
-    tau is body(y, *drive(tau), *coeffs) for a state of shape (n,) or
-    (n, R)."""
+    """(y0, body, rows, coeffs) of an amplitude family: the derivative at
+    tau is body(y, *rows(tau), *coeffs) for a state of shape (n,) or
+    (n, R), where rows(tau) are the drive operands at tau."""
     if family == "effective":
         if coupling is None:
             raise InvalidInputError("effective family needs a CouplingSummary")
         require_normalized(initial)
         y0 = np.array([initial.a_plus, initial.a_zero, initial.a_minus],
                       dtype=complex)
-        return y0, _rhs_eff, _no_drive, (
+        return y0, _rhs_eff, _no_rows, (
             coupling.c_eff, params.c2n, params.q, coupling.lightshift_delta,
             coupling.lightshift_p)
     if pulse is None:
         raise InvalidInputError("resonant family needs a pulse schedule")
-    symmetrized = _symmetrized(variant)
+    rows, coeffs = _resonant_operands(params, pulse, variant)
     require_normalized(initial)
     y0 = np.array([initial.a_plus, initial.a_zero, initial.a_minus,
                    initial.a_m if initial.a_m is not None else 0.0],
                   dtype=complex)
-    return y0, _res_body, pulse.drive, (params.c2n, params.small_delta,
-                                        params.gamma, symmetrized)
+    return y0, _res_body, rows, coeffs
 
 
-def _derivative(tau, y, body, drive, coeffs):
+def _derivative(tau, y, body, rows, coeffs):
     """An amplitude family's RHS in solve_ivp's form."""
-    return body(y, *drive(tau), *coeffs)
+    return body(y, *rows(tau), *coeffs)
 
 
 def integrate(family: str,
@@ -345,8 +366,7 @@ def integrate(family: str,
     if family == "pendulum":
         if coupling is None:
             raise InvalidInputError("pendulum family needs a CouplingSummary")
-        if (1.0 - initial.n_zero) ** 2 - initial.m_mag ** 2 <= 0.0:
-            raise DomainError("pendulum initial state on the domain boundary")
+        require_interior(initial)
         y0 = np.array([initial.theta, initial.n_zero])
         fun = _rhs_pend
         args = (coupling.c_eff, params.c2n, params.q, initial.m_mag,
@@ -354,9 +374,9 @@ def integrate(family: str,
         boundary = _pendulum_boundary_event(initial.m_mag)
         events = [boundary] + list(events or [])
     else:
-        y0, body, drive, coeffs = _amplitude_system(
+        y0, body, rows, coeffs = _amplitude_system(
             family, initial, params, coupling, pulse, variant)
-        fun, args = _derivative, (body, drive, coeffs)
+        fun, args = _derivative, (body, rows, coeffs)
 
     sol = solve_ivp(fun, tau_span, y0, method="RK45", args=args,
                     rtol=cfg.rel_tol, atol=cfg.abs_tol,
@@ -423,9 +443,9 @@ def integrate_batch(family: str,
     cfg = config or IntegratorConfig()
     columns = [_amplitude_system(family, st, params, coupling, pulse, variant)
                for st in initials]
-    _, body, drive, coeffs = columns[0]
+    _, body, rows, coeffs = columns[0]
     y0 = np.stack([c[0] for c in columns], axis=1)
-    values = _dopri_batch(body, drive, coeffs, t0, t_bound, y0, t_eval,
+    values = _dopri_batch(body, rows, coeffs, t0, t_bound, y0, t_eval,
                           cfg.rel_tol, cfg.abs_tol)
     return BatchTrajectory(t_eval, values)
 
@@ -438,20 +458,31 @@ _ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
+# the weights of the stage sums, the error estimate and the dense output as
+# complex columns, so that every product in the loop multiplies two complex
+# arrays: numpy's mixed float-complex loops cost about 1.5 times as much
+_A_COLUMNS = [_A[s, :s, None, None] + 0j for s in range(_STAGES)]
+_B_COLUMN, _E_COLUMN = _B[:, None, None] + 0j, _E[:, None, None] + 0j
+_P_COLUMNS = _P[:, None, None, :] + 0j
+
+
 def _rms(x: np.ndarray) -> np.ndarray:
     """Column RMS norm of a complex (n, R) array (scipy's norm per column);
-    rows are summed one by one so a column never depends on the others."""
-    re, im = x.real, x.imag
-    sq_re, sq_im = re[0] * re[0], im[0] * im[0]
-    for i in range(1, len(x)):
-        sq_re = sq_re + re[i] * re[i]
-        sq_im = sq_im + im[i] * im[i]
-    return np.sqrt(sq_re + sq_im) / len(x) ** 0.5
+    the squares are summed down axis 0, row after row, so a column never
+    depends on the others."""
+    return np.sqrt(np.add.reduce((x * x.conj()).real, axis=0)) / len(x) ** 0.5
 
 
-def _combine(K: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[j] K[j], summed in stage order."""
-    return (K[:len(coeffs)] * coeffs[:, None, None]).sum(axis=0)
+def _combine(K: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] K[j], summed in stage order."""
+    return np.add.reduce(K[:len(weights)] * weights, axis=0)
+
+
+def _complex_operands(coeffs: tuple) -> tuple:
+    """coeffs with each number as a 0-d complex array (flags stay as they
+    are), the form the batch loop hands its kernel."""
+    return tuple(c if isinstance(c, bool) else np.asarray(c, dtype=complex)
+                 for c in coeffs)
 
 
 def _initial_step(fun, t, y, f, t_bound, rtol, atol) -> np.ndarray:
@@ -472,16 +503,28 @@ def _initial_step(fun, t, y, f, t_bound, rtol, atol) -> np.ndarray:
     return np.minimum(np.minimum(100 * h0, h1), interval)
 
 
-def _dopri_batch(body, drive, coeffs, t0: float, t_bound: float, y0, t_eval,
+# below this error the step factor is _MAX_FACTOR whatever the error, as
+# scipy's is at error 0 (0.9 * 1e-300 ** -0.2 = 9e59)
+_TINY_ERROR = 1e-300
+# accepted steps with samples are held and their samples written this many
+# passes at a time: a dense-output evaluation is mostly fixed numpy call
+# cost, so one for 8 passes' samples costs a fraction of 8 (more passes add
+# to the peak memory and save little)
+_HELD_PASSES = 8
+
+
+def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
                  rtol: float, atol: float) -> np.ndarray:
     """Step every column of y0 from t0 to t_bound; return the states
     sampled on t_eval, shape (n, R, len(t_eval)).
 
-    The derivative at tau is body(y, *drive(tau), *coeffs). The drive is
-    evaluated once per step attempt, on the (5, R) stage times t + c_s h,
-    s = 1..5, and read by stage row; the last, t + h (c_5 = 1), also serves
-    the end-of-step evaluation that the next step reuses. The first
-    derivative and the initial-step probe evaluate it on their own.
+    The derivative at tau is body(y, *rows(tau), *coeffs). The drive rows
+    are evaluated once per step attempt, on the (5, R) stage times
+    t + c_s h, s = 1..5, and read by stage; the last, t + h (c_5 = 1), also
+    serves the end-of-step evaluation that the next step reuses. The first
+    derivative and the initial-step probe evaluate them on their own. The
+    coefficients are handed over as 0-d complex arrays, so every operand
+    the kernel sees is complex128.
 
     One loop pass is one step attempt of every unfinished column. Per
     column the rules are scipy's RK45._step_impl: a new step starts at no
@@ -490,11 +533,14 @@ def _dopri_batch(body, drive, coeffs, t0: float, t_bound: float, y0, t_eval,
     the step grows by min(10, 0.9 err^-1/5) (10 at zero error, at most 1
     after a rejection in the same step) and shrinks by max(0.2,
     0.9 err^-1/5). Samples inside an accepted step come from its quartic
-    dense output, as solve_ivp's t_eval does. Finished columns leave the
-    working arrays; nothing per step is kept.
+    dense output, as solve_ivp's t_eval does; the accepted steps that hold
+    samples are kept until _HELD_PASSES of them are written together.
+    Finished columns leave the working arrays.
     """
+    coeffs = _complex_operands(coeffs)
+
     def fun(t, y):
-        return body(y, *drive(t), *coeffs)
+        return body(y, *rows(t), *coeffs)
 
     n, width = y0.shape
     out = np.empty((n, width, len(t_eval)), dtype=y0.dtype)
@@ -505,78 +551,92 @@ def _dopri_batch(body, drive, coeffs, t0: float, t_bound: float, y0, t_eval,
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     rejected = np.zeros(width, dtype=bool)
     nxt = np.zeros(width, dtype=int)   # next t_eval index per column
-    K = np.empty((_STAGES + 1,) + y.shape, dtype=y.dtype)
+    hK = np.empty((_STAGES + 1,) + y.shape, dtype=y.dtype)  # h K_s
+    held = []                          # accepted steps not yet sampled
     while len(cols):
-        min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = np.where(rejected | (h_abs >= min_step), h_abs, min_step)
-        too_small = h_abs < min_step
-        if too_small.any():
-            j = int(np.argmax(too_small))
-            raise NumericalError(
-                f"integration failed for member {cols[j]}: required step "
-                f"size is less than spacing between numbers at tau = "
-                f"{t[j]!r}", tau=float(t[j]), member=int(cols[j]))
-        t_new = t + h_abs
-        t_new = np.where(t_new - t_bound > 0, t_bound, t_new)
-        h = t_new - t
-        h_abs = np.abs(h)
+        # nextafter(t, inf) > t: no abs needed
+        min_step = 10.0 * (np.nextafter(t, np.inf) - t)
+        if np.count_nonzero(h_abs >= min_step) < len(h_abs):
+            # fmax: a NaN step is replaced, as scipy's max() does
+            h_abs = np.where(rejected, h_abs, np.fmax(h_abs, min_step))
+            too_small = h_abs < min_step
+            if np.count_nonzero(too_small):
+                j = int(np.argmax(too_small))
+                raise NumericalError(
+                    f"integration failed for member {cols[j]}: required "
+                    f"step size is less than spacing between numbers at "
+                    f"tau = {t[j]!r}", tau=float(t[j]), member=int(cols[j]))
+        t_new = np.minimum(t + h_abs, t_bound)
+        h = t_new - t                  # > 0: the run is forward
+        hc = h.astype(complex)
 
-        drives = drive(t + _C[1:, None] * h)
-        K[0] = f
+        stage_rows = rows(t + _C[1:, None] * h)
+        np.multiply(f, hc, out=hK[0])
         for s in range(1, _STAGES):
-            dy = _combine(K, _A[s, :s]) * h
-            K[s] = body(y + dy, *(d[s - 1] for d in drives), *coeffs)
-        y_new = y + h * _combine(K, _B)
-        f_new = body(y_new, *(d[-1] for d in drives), *coeffs)
-        K[-1] = f_new
+            y_stage = y + _combine(hK, _A_COLUMNS[s])
+            np.multiply(body(y_stage, *[r[s - 1] for r in stage_rows],
+                             *coeffs), hc, out=hK[s])
+        y_new = y + _combine(hK, _B_COLUMN)
+        f_new = body(y_new, *[r[-1] for r in stage_rows], *coeffs)
+        np.multiply(f_new, hc, out=hK[-1])
 
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        err = _rms(_combine(K, _E) * h / scale)
+        err = _rms(_combine(hK, _E_COLUMN) / scale)
         ok = err < 1.0
-        # fmax: a NaN error shrinks the step as scipy's max() does
-        pow_err = _SAFETY * np.where(err == 0.0, 1.0, err) ** _ERROR_EXPONENT
-        grow = np.where(err == 0.0, _MAX_FACTOR,
-                        np.minimum(_MAX_FACTOR, pow_err))
-        grow = np.where(rejected, np.minimum(1.0, grow), grow)
-        h_abs = h_abs * np.where(ok, grow, np.fmax(_MIN_FACTOR, pow_err))
+        # clip(0.9 err^-1/5, 0.2, limit) is scipy's factor on both sides
+        # of err = 1; a NaN error shrinks the step by _MIN_FACTOR
+        pow_err = _SAFETY * np.maximum(err, _TINY_ERROR) ** _ERROR_EXPONENT
+        limit = np.where(rejected, 1.0, _MAX_FACTOR)
+        h_abs = h * np.fmax(_MIN_FACTOR, np.minimum(limit, pow_err))
         rejected = ~ok
-        if not ok.any():
+        accepted = np.count_nonzero(ok)
+        if not accepted:
             continue
 
-        acc = np.flatnonzero(ok)
-        last = np.searchsorted(t_eval, t_new[acc], side="right")
-        count = last - nxt[acc]
-        if count.any():
-            _sample_steps(out, K, acc, count, nxt, cols, t, h, y, t_eval)
-        nxt[acc] = last
-        t = np.where(ok, t_new, t)
-        y = np.where(ok, y_new, y)
-        f = np.where(ok, f_new, f)
+        last = np.searchsorted(t_eval, t_new, side="right")
+        if accepted < len(ok):         # the rejected columns stay put
+            last = np.where(ok, last, nxt)
+            t_new = np.where(ok, t_new, t)
+            y_new = np.where(ok, y_new, y)
+            f_new = np.where(ok, f_new, f)
+        count = last - nxt
+        if np.count_nonzero(count):
+            held.append((hK.copy(), count, nxt, cols, t, y, h))
+            if len(held) == _HELD_PASSES:
+                _sample_steps(out, held, t_eval)
+                held = []
+        nxt, t, y, f = last, t_new, y_new, f_new
 
-        running = ~(ok & (t_new >= t_bound))
-        if not running.all():
+        done = t >= t_bound
+        if np.count_nonzero(done):
+            running = ~done
             cols, t, h_abs = cols[running], t[running], h_abs[running]
             rejected, nxt = rejected[running], nxt[running]
             y, f = y[:, running], f[:, running]
-            K = np.empty((_STAGES + 1,) + y.shape, dtype=y.dtype)
+            hK = np.empty((_STAGES + 1,) + y.shape, dtype=y.dtype)
+    if held:
+        _sample_steps(out, held, t_eval)
     return out
 
 
-def _sample_steps(out, K, acc, count, nxt, cols, t_old, h, y_old, t_eval):
-    """Write the t_eval samples of the accepted steps `acc` (count[i] of
-    them from nxt[acc[i]] on) from each step's dense output, evaluated as
-    scipy's RkDenseOutput: y_old + h (Q . [x, x^2, x^3, x^4]), Q = K^T P."""
-    step = np.repeat(acc, count)                         # working column
-    first = np.repeat(nxt[acc] - np.cumsum(count) + count, count)
-    sample = first + np.arange(len(step))                # t_eval index
-    Kc = K[:, :, step]
-    x = (t_eval[sample] - t_old[step]) / h[step]
-    p = x
-    poly = _combine(Kc, _P[:, 0]) * p
-    for k in range(1, _P.shape[1]):
-        p = p * x
-        poly = poly + _combine(Kc, _P[:, k]) * p
-    out[:, cols[step], sample] = h[step] * poly + y_old[:, step]
+def _sample_steps(out, held, t_eval):
+    """Write the t_eval samples of held accepted steps from each step's
+    dense output, scipy's RkDenseOutput y_old + h (Q . [x, x^2, x^3, x^4]),
+    Q = K^T P: the four columns of h Q come from one sum over the stages
+    and the polynomial is evaluated in Horner form. Each held pass is
+    (h K, count, nxt, cols, t_old, y_old, h) over its working columns;
+    column i has count[i] samples from t_eval index nxt[i] on."""
+    hK, count, nxt, cols, t_old, y_old, h = (
+        np.concatenate(part, axis=-1) for part in zip(*held))
+    step = np.repeat(np.arange(len(count)), count)       # held column
+    sample = np.arange(len(step)) + np.repeat(nxt - np.cumsum(count) + count,
+                                              count)     # t_eval index
+    hQ = _combine(hK[:, :, step, None], _P_COLUMNS)      # (n, samples, 4)
+    x = ((t_eval[sample] - t_old[step]) / h[step]).astype(complex)
+    poly = hQ[..., 3]
+    for k in (2, 1, 0):
+        poly = poly * x + hQ[..., k]
+    out[:, cols[step], sample] = poly * x + y_old[:, step]
 
 
 def _pendulum_boundary_event(m_mag):

@@ -391,6 +391,8 @@ def test_cli_ensemble_records_variant(tmp_path):
         assert proc.returncode == 0, proc.stderr
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["derived"]["variant"] == variant
+        assert any(note.startswith("transfer bounds")
+                   for note in manifest["notes"])
         variants[variant] = (out / "ensemble.csv").read_text()
     assert variants["literal"] != variants["symmetrized"]
 
@@ -408,6 +410,9 @@ def test_cli_effective_ensemble_refuses_variant(tmp_path):
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((out / "manifest.json").read_text())
     assert "variant" not in manifest["derived"]
+    # off-resonant members transfer nothing: no transfer bounds are noted
+    assert not any(note.startswith("transfer bounds")
+                   for note in manifest["notes"])
 
 
 def test_cli_rerun_byte_identical(tmp_path):
@@ -709,6 +714,27 @@ def test_cli_validate_refuses_what_run_refuses(tmp_path, capsys, text,
         err = capsys.readouterr().err
         assert all(cause in err for cause in causes), (args, err)
     assert not out.exists()  # refused before the output directory is made
+
+
+@pytest.mark.parametrize("initial, code", [
+    pytest.param("theta = 0\nn_zero = 1.0", 3, id="n_zero-edge"),
+    pytest.param("theta = 0.5\nn_zero = 0.5\nm_mag = 0.5", 3,
+                 id="m_mag-edge"),
+    pytest.param("theta = 0.5\nn_zero = 0.5", 0, id="interior"),
+])
+def test_cli_validate_and_run_agree_on_pendulum_starts(tmp_path, capsys,
+                                                       initial, code):
+    # a start on the (1-n0)^2 = m^2 edge is a domain error (exit 3) for
+    # both commands, found before the output directory is made
+    path = tmp_path / "pendulum.ini"
+    path.write_text(PENDULUM.replace("theta = 0.5\nn_zero = 0.5", initial))
+    out = tmp_path / "o"
+    for args in (["validate"], ["run", "--out", str(out)]):
+        assert cli.main([*args, "--config", str(path)]) == code, args
+        err = capsys.readouterr().err
+        assert ("pendulum initial state on the domain boundary" in err) == (
+            code == 3), (args, err)
+    assert out.exists() == (code == 0)
 
 
 def test_cli_validity_warning_once_per_call(tmp_path):

@@ -88,10 +88,11 @@ def edge_and_interior_starts(rng, count):
 
 
 def test_effective_kernel_one_state_against_batch_column():
-    # one state runs on Python complex and a batch on numpy rows; numpy's
+    # one state runs on Python complex and a batch on numpy rows with the
+    # 0-d complex coefficients the batch loop hands its kernel; numpy's
     # array loops may fuse a multiply-add (FMA) where Python rounds twice,
     # so the two agree to rounding, not bit for bit: the largest difference
-    # found over 4e4 random states was 0.83 eps sum|coefficients|
+    # found over 4e4 random states was 1.0 eps sum|coefficients|
     rng = np.random.default_rng(11)
     eps = np.finfo(float).eps
     for theta, n0, m in edge_and_interior_starts(rng, 2000):
@@ -101,27 +102,34 @@ def test_effective_kernel_one_state_against_batch_column():
         y = np.array([st.a_plus, st.a_zero, st.a_minus])
         coeffs = rng.uniform(-1.0, 1.0, 5) * 10.0 ** rng.uniform(-3, 0, 5)
         one = dynamics._rhs_eff(y, *coeffs.tolist())
-        column = dynamics._rhs_eff(y[:, None], *coeffs)[:, 0]
+        column = dynamics._rhs_eff(
+            y[:, None], *dynamics._complex_operands(tuple(coeffs)))[:, 0]
         assert one.shape == (3,)
         assert np.abs(one - column).max() <= 2.0 * eps * np.abs(coeffs).sum()
 
 
 def test_resonant_kernel_one_state_against_batch_column():
-    # as for the effective kernel: Python complex against numpy rows with
-    # (R,) drive arrays; the largest difference found over 4e4 random
-    # states was 0.62 eps sum|coefficients|
+    # as for the effective kernel: Python complex against numpy rows, with
+    # the operands the batch loop hands the kernel (complex drive rows from
+    # the system description, 0-d complex coefficients); the largest
+    # difference found over 4e4 random states was 0.95 eps sum|coefficients|
     rng = np.random.default_rng(13)
     eps = np.finfo(float).eps
     for k in range(2000):
         y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         y /= np.sqrt(np.sum(np.abs(y) ** 2 * [1.0, 1.0, 1.0, 2.0]))
         coeffs = rng.uniform(-1.0, 1.0, 6) * 10.0 ** rng.uniform(-3, 2, 6)
-        coeffs[5] = abs(coeffs[5])   # the decay rate
+        coeffs[[0, 1, 5]] = abs(coeffs[[0, 1, 5]])   # the Rabi pair, decay
         op, od, th, c2, delta, gamma = coeffs.tolist()
-        symmetrized = bool(k % 2)
-        one = dynamics._res_body(y, op, od, th, c2, delta, gamma, symmetrized)
-        column = dynamics._res_body(y[:, None], *coeffs[:3, None], c2, delta,
-                                    gamma, symmetrized)[:, 0]
+        # t_zero = inf holds the dump at omega_d0 for every tau
+        pulse = PulseSchedule(op, od, np.inf, theta_variant="fixed",
+                              theta_fixed=th)
+        params = SystemParams(c2n=c2, small_delta=delta, gamma=gamma)
+        rows, fixed = dynamics._resonant_operands(
+            params, pulse, "symmetrized" if k % 2 else "literal")
+        one = dynamics._res_body(y, *rows(0.0), *fixed)
+        column = dynamics._res_body(y[:, None], *rows(np.zeros(1)),
+                                    *dynamics._complex_operands(fixed))[:, 0]
         assert one.shape == (4,)
         assert np.abs(one - column).max() <= 2.0 * eps * np.abs(coeffs).sum()
 
@@ -328,30 +336,31 @@ def spread_starts(count, resonant):
 # each detuning lock (the fixed one is a float that broadcasts) and both
 # equation variants
 BATCH_CASES = [
-    pytest.param("effective", None, "symmetrized", id="effective"),
-    pytest.param("resonant", FIG4, "symmetrized", id="resonant"),
+    pytest.param("effective", None, "symmetrized", 3, id="effective"),
+    pytest.param("resonant", FIG4, "symmetrized", 3, id="resonant"),
     pytest.param("resonant", make_schedule(1.0, 40.0, 20.0, small_delta=3.0,
                                            c2n=-0.0046,
                                            theta_variant="stationary"),
-                 "symmetrized", id="resonant-stationary"),
+                 "symmetrized", 3, id="resonant-stationary"),
     pytest.param("resonant", make_schedule(1.0, 40.0, 20.0, small_delta=3.0,
                                            theta_variant="fixed",
                                            theta_fixed=-2.9),
-                 "symmetrized", id="resonant-fixed"),
-    pytest.param("resonant", FIG4, "literal", id="resonant-literal"),
+                 "symmetrized", 3, id="resonant-fixed"),
+    pytest.param("resonant", FIG4, "literal", 3, id="resonant-literal"),
+    pytest.param("resonant", FIG4, "symmetrized", 1, id="resonant-one-start"),
 ]
 
 
-@pytest.mark.parametrize("family, pulse, variant", BATCH_CASES)
-def test_batch_columns_match_single_runs(family, pulse, variant):
+@pytest.mark.parametrize("family, pulse, variant, width", BATCH_CASES)
+def test_batch_columns_match_single_runs(family, pulse, variant, width):
     resonant = family == "resonant"
     params = SystemParams(small_delta=3.0, gamma=1.0) if resonant else LADDER
     kwargs = (dict(pulse=pulse, variant=variant) if resonant
               else dict(coupling=ladder_coupling()))
-    starts = spread_starts(3, resonant)
+    starts = spread_starts(width, resonant)
     batch = integrate_batch(family, starts, params, (0.0, 30.0),
                             sampling=301, **kwargs)
-    assert batch.values.shape == (4 if resonant else 3, 3, 301)
+    assert batch.values.shape == (4 if resonant else 3, width, 301)
     for j, st in enumerate(starts):
         single = integrate(family, st, params, (0.0, 30.0), sampling=301,
                            **kwargs)
@@ -393,6 +402,36 @@ def test_batch_evaluates_drive_once_per_step_attempt(monkeypatch):
     passes, extra = divmod(calls["rhs"] - setup, 6)
     assert extra == 0 and passes > 10
     assert calls["drive"] <= passes + setup
+
+
+@pytest.mark.parametrize("family", ["effective", "resonant"])
+def test_batch_hands_its_kernel_complex_operands(monkeypatch, family):
+    # numpy's mixed float-complex loops cost about 1.5 times the complex
+    # ones, so every array operand of the kernel is complex128: the state,
+    # the drive rows and the coefficients (0-d); only flags stay as they are
+    name = "_res_body" if family == "resonant" else "_rhs_eff"
+    body = getattr(dynamics, name)
+    seen = []
+
+    def checked_body(*args):
+        seen.append(args)
+        return body(*args)
+
+    monkeypatch.setattr(dynamics, name, checked_body)
+    resonant = family == "resonant"
+    integrate_batch(family, spread_starts(3, resonant),
+                    SystemParams(small_delta=3.0, gamma=1.0) if resonant
+                    else LADDER, (0.0, 5.0), sampling=11,
+                    **(dict(pulse=FIG4) if resonant
+                       else dict(coupling=ladder_coupling())))
+    assert len(seen) > 20
+    for args in seen:
+        for arg in args:
+            if not isinstance(arg, bool):
+                assert isinstance(arg, np.ndarray), type(arg)
+                assert arg.dtype == np.complex128, arg.dtype
+        assert [a.ndim for a in args[1:] if not isinstance(a, bool)] == (
+            [1, 1, 1, 0, 0] if resonant else [0] * 5)
 
 
 def test_batch_step_rules_are_scipys():
