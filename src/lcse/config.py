@@ -215,8 +215,9 @@ def parse_config(text: str) -> ScenarioConfig:
 
     if reads is not None:
         for sec, keys in reads.items():
+            # a key that is present with a bad value is reported as such
             for key, required in keys.items():
-                if required and key not in sections.get(sec, {}):
+                if required and not cp.has_option(sec, key):
                     problems.append(f"missing required key '{key}' in "
                                     f"[{sec}] for mode '{mode}'")
         sections = {sec: {**{k: _SCHEMA[sec][k][1] for k in keys

@@ -15,11 +15,11 @@ library reports.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
 
 from .core import CouplingSummary, SpinorAmplitudes, SystemParams, require_normalized
 from .errors import DomainError, InvalidInputError, NumericalError
@@ -87,7 +87,6 @@ class Trajectory:
     values: np.ndarray
     monitors: dict = field(default_factory=dict)
     m_mag: float = 0.0
-    solver: Optional[object] = field(default=None, repr=False)
 
     def populations(self) -> np.ndarray:
         """|amplitude|^2 rows for amplitude families; (n0 only) is values[1]
@@ -166,16 +165,16 @@ def rhs_effective(state: SpinorAmplitudes, params: SystemParams,
     Conserves N and m exactly at the continuous level: the exchange term
     C a0^2 conj(a_-+) moves population pairwise between (0,0) and (+,-).
     """
-    y = np.array([state.a_plus, state.a_zero, state.a_minus], dtype=complex)
-    d = _rhs_eff(y, coupling.c_eff, params.c2n, params.q,
-                 coupling.lightshift_delta, coupling.lightshift_p)
-    return complex(d[0]), complex(d[1]), complex(d[2])
+    y = [complex(a) for a in (state.a_plus, state.a_zero, state.a_minus)]
+    return tuple(_rhs_eff(y, coupling.c_eff, params.c2n, params.q,
+                          coupling.lightshift_delta, coupling.lightshift_p))
 
 
 def _rhs_eff(y, c_eff, c2, q, ls_delta, ls_p):
-    # one state runs on Python complex, which costs a fraction of numpy
-    # scalar arithmetic; a (3, R) batch runs on its rows
-    ap, a0, am = y.tolist() if y.ndim == 1 else y
+    # one state as a list of Python complex costs a fraction of numpy
+    # scalar arithmetic and gives a list; an array, one state (3,) or a
+    # batch (3, R), runs on its rows and gives an array
+    ap, a0, am = y
     np_ = ap.real ** 2 + ap.imag ** 2
     n0 = a0.real ** 2 + a0.imag ** 2
     nm = am.real ** 2 + am.imag ** 2
@@ -185,7 +184,8 @@ def _rhs_eff(y, c_eff, c2, q, ls_delta, ls_p):
                  + 2.0 * c_eff * a0.conjugate() * ap * am)
     dam = -1j * ((q + c2 * (nm + n0 - np_) - ls_delta * np_) * am
                  + c_eff * a0 * a0 * ap.conjugate())
-    return np.array([dap, da0, dam])
+    d = [dap, da0, dam]
+    return np.array(d) if isinstance(y, np.ndarray) else d
 
 
 def rhs_pendulum(state: PendulumState, params: SystemParams,
@@ -197,16 +197,16 @@ def rhs_pendulum(state: PendulumState, params: SystemParams,
     s2 = (1.0 - state.n_zero) ** 2 - state.m_mag ** 2
     if s2 <= 0.0:
         raise DomainError("pendulum state on the (1-n0)^2 = m^2 boundary")
-    d = _rhs_pend(0.0, np.array([state.theta, state.n_zero]),
-                  coupling.c_eff, params.c2n, params.q, state.m_mag,
-                  coupling.lightshift_delta, coupling.lightshift_p)
-    return float(d[0]), float(d[1])
+    return tuple(_rhs_pend(0.0, [float(state.theta), float(state.n_zero)],
+                           coupling.c_eff, params.c2n, params.q, state.m_mag,
+                           coupling.lightshift_delta, coupling.lightshift_p))
 
 
 def _rhs_pend(tau, y, c_eff, c2, q, m_mag, ls_delta, ls_p):
-    # on Python floats: dtheta is 2 energy_gradient_n0, inlined with its
-    # guard dS/dn0 = 0 at S = 0
-    theta, n0 = y.tolist()
+    # on Python floats, also for an array y (as solve_ivp hands it); returns
+    # a list. dtheta is 2 energy_gradient_n0, inlined with its guard
+    # dS/dn0 = 0 at S = 0
+    theta, n0 = y.tolist() if isinstance(y, np.ndarray) else y
     s = math.sqrt(max((1.0 - n0) ** 2 - m_mag ** 2, 0.0))
     ds = -(1.0 - n0) / s if s > 0.0 else 0.0
     dn0 = 2.0 * c_eff * n0 * s * math.sin(theta)
@@ -214,7 +214,7 @@ def _rhs_pend(tau, y, c_eff, c2, q, m_mag, ls_delta, ls_p):
                  + c2 * (1.0 - 2.0 * n0)
                  + 0.5 * ls_delta * (1.0 - n0)
                  - 2.0 * ls_p * n0)
-    return np.array([dth, dn0])
+    return [dth, dn0]
 
 
 def _symmetrized(variant: str) -> bool:
@@ -241,10 +241,9 @@ def rhs_resonant(state: SpinorAmplitudes, params: SystemParams, pulse,
     rows, coeffs = _resonant_operands(params, pulse, variant)
     if state.a_m is None:
         raise InvalidInputError("resonant family needs the molecular amplitude")
-    y = np.array([state.a_plus, state.a_zero, state.a_minus, state.a_m],
-                 dtype=complex)
-    d = _res_body(y, *rows(tau), *coeffs)
-    return complex(d[0]), complex(d[1]), complex(d[2]), complex(d[3])
+    y = [complex(a) for a in (state.a_plus, state.a_zero, state.a_minus,
+                              state.a_m)]
+    return tuple(_res_body(y, *rows(tau), *coeffs))
 
 
 def _resonant_operands(params: SystemParams, pulse, variant: str):
@@ -264,11 +263,13 @@ def _res_body(y, pump, dump, detune, c2, loss, symmetrized):
     # d(phi+, phi0, phi-, phi_m)/dtau with every operand already times -i
     # (see _resonant_operands), so no term is rotated on its own; |f|^2 is
     # f conj(f), so a batch whose operands are all complex runs only
-    # complex-complex numpy loops. One state (4,) runs on Python complex;
-    # R states stacked as columns (4, R) take their conjugates and
-    # populations in one numpy operation each and run on (R,) rows
-    if y.ndim == 1:
-        fp, f0, fm, fmol = y.tolist()
+    # complex-complex numpy loops. One state as a list runs on Python
+    # complex and gives a list; an array, one state (4,) or R states stacked
+    # as columns (4, R), takes its conjugates and populations in one numpy
+    # operation each, runs on its rows and gives an array
+    array = isinstance(y, np.ndarray)
+    if not array:
+        fp, f0, fm, fmol = y
         cp, c0, cm = fp.conjugate(), f0.conjugate(), fm.conjugate()
         cnp, cn0, cnm = c2 * (fp * cp), c2 * (f0 * c0), c2 * (fm * cm)
     else:
@@ -291,7 +292,8 @@ def _res_body(y, pump, dump, detune, c2, loss, symmetrized):
     else:
         dfm = (cn0 - imbalance) * fm - dmol * cp
     dfmol = pump * f00 - dump * pair + loss * fmol
-    return np.array([dfp, df0, dfm, dfmol])
+    d = [dfp, df0, dfm, dfmol]
+    return np.array(d) if array else d
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +303,20 @@ _FAMILIES = ("effective", "pendulum", "resonant")
 
 
 def _sample_grid(tau_span, sampling) -> np.ndarray:
+    """The sample times: a point count gives a uniform grid over tau_span;
+    an explicit grid must run monotonically from tau_span[0] toward
+    tau_span[1] and stay within the span."""
     if isinstance(sampling, int):
         return np.linspace(tau_span[0], tau_span[1], sampling)
-    return np.asarray(sampling, dtype=float)
+    t_eval = np.array(sampling, dtype=float)
+    # sample times signed by the direction of the run: increasing, in span
+    direction = 1.0 if tau_span[1] > tau_span[0] else -1.0
+    stops = direction * t_eval
+    if (np.any(np.diff(stops) <= 0.0) or stops[0] < direction * tau_span[0]
+            or stops[-1] > direction * tau_span[1]):
+        raise InvalidInputError("sampling must run monotonically from "
+                                "tau_span[0] toward tau_span[1], within it")
+    return t_eval
 
 
 def _no_rows(tau) -> tuple:
@@ -335,9 +348,38 @@ def _amplitude_system(family: str, initial: SpinorAmplitudes,
     return y0, _res_body, rows, coeffs
 
 
-def _derivative(tau, y, body, rows, coeffs):
-    """An amplitude family's RHS in solve_ivp's form."""
-    return body(y, *rows(tau), *coeffs)
+# Dormand & Prince's RK45 pair (J. Comput. Appl. Math. 6, 19 (1980)) with
+# Shampine's quartic dense output (Math. Comp. 46, 135 (1986)), the doubles
+# scipy's RK45 holds: stage nodes C; stage weights A, row s holding the s
+# weights of stage s; solution weights B; error weights E over the six
+# stages and the end-of-step derivative; dense-output matrix P, whose row s
+# weighs stage s into the coefficients of x, x^2, x^3, x^4
+_C = (0.0, 1/5, 3/10, 4/5, 8/9, 1.0)
+_A = ((),
+      (1/5,),
+      (3/40, 9/40),
+      (44/45, -56/15, 32/9),
+      (19372/6561, -25360/2187, 64448/6561, -212/729),
+      (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656))
+_B = (35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84)
+_E = (-71/57600, 0.0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
+_P = ((1.0, -8048581381/2820520608, 8663915743/2820520608,
+       -12715105075/11282082432),
+      (0.0, 0.0, 0.0, 0.0),
+      (0.0, 131558114200/32700410799, -68118460800/10900136933,
+       87487479700/32700410799),
+      (0.0, -1754552775/470086768, 14199869525/1410260304,
+       -10690763975/1880347072),
+      (0.0, 127303824393/49829197408, -318862633887/49829197408,
+       701980252875/199316789632),
+      (0.0, -282668133/205662961, 2019193451/616988883,
+       -1453857185/822651844),
+      (0.0, 40617522/29380423, -110615467/29380423, 69997945/29380423))
+_STAGES = len(_C)
+# the step factor is 0.9 err^(-1/5), 1/5 = 1 / (error estimator order + 1),
+# within [0.2, 10]
+_ERROR_EXPONENT = -0.2
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 def integrate(family: str,
@@ -348,52 +390,197 @@ def integrate(family: str,
               pulse=None,
               config: Optional[IntegratorConfig] = None,
               sampling: Union[int, Sequence[float]] = 1001,
-              variant: str = "symmetrized",
-              events: Optional[list] = None,
-              dense_output: bool = False) -> Trajectory:
+              variant: str = "symmetrized") -> Trajectory:
     """Integrate one RHS family over tau_span and sample it.
 
-    sampling is either a point count (uniform grid over the span) or an
-    explicit tau grid. Monitors (total N, magnetization, energy where
-    defined) are attached to the returned Trajectory. Step-size underflow or
-    solver failure raises NumericalError carrying the failure time.
+    tau_span may run backward. sampling is either a point count (uniform
+    grid over the span) or an explicit tau grid that runs monotonically
+    from tau_span[0] toward tau_span[1] and stays within the span. Monitors
+    (total N, magnetization, energy where defined) are attached to the
+    returned Trajectory. A step that falls below ten ulp of tau raises
+    NumericalError carrying that tau; a pendulum orbit that reaches the
+    (1-n0)^2 = m^2 edge raises DomainError.
     """
     if family not in _FAMILIES:
         raise InvalidInputError(f"unknown family {family!r}")
     cfg = config or IntegratorConfig()
-    t_eval = _sample_grid(tau_span, sampling)
-
+    t0, t_bound = float(tau_span[0]), float(tau_span[1])
+    if t_bound == t0:
+        raise InvalidInputError("tau_span must have nonzero length")
+    t_eval = _sample_grid((t0, t_bound), sampling)
     if family == "pendulum":
         if coupling is None:
             raise InvalidInputError("pendulum family needs a CouplingSummary")
         require_interior(initial)
-        y0 = np.array([initial.theta, initial.n_zero])
-        fun = _rhs_pend
+        y0 = [float(initial.theta), float(initial.n_zero)]
         args = (coupling.c_eff, params.c2n, params.q, initial.m_mag,
                 coupling.lightshift_delta, coupling.lightshift_p)
-        boundary = _pendulum_boundary_event(initial.m_mag)
-        events = [boundary] + list(events or [])
+        m2 = initial.m_mag ** 2
+
+        def fun(tau, y):
+            return _rhs_pend(tau, y, *args)
+
+        def edge(y):
+            return (1.0 - y[1]) ** 2 - m2 - 1e-12
     else:
         y0, body, rows, coeffs = _amplitude_system(
             family, initial, params, coupling, pulse, variant)
-        fun, args = _derivative, (body, rows, coeffs)
+        y0, edge = y0.tolist(), None
 
-    sol = solve_ivp(fun, tau_span, y0, method="RK45", args=args,
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    t_eval=t_eval, events=events, dense_output=dense_output)
-    if sol.status == -1:
-        raise NumericalError(f"integration failed: {sol.message}",
-                             tau=float(sol.t[-1]) if len(sol.t) else tau_span[0])
-    if family == "pendulum" and sol.t_events and len(sol.t_events[0]):
-        raise DomainError(
-            f"pendulum trajectory hit the (1-n0)^2 = m^2 boundary at "
-            f"tau = {sol.t_events[0][0]:g}")
+        def fun(tau, y):
+            return body(y, *rows(tau), *coeffs)
 
+    values = _dopri(fun, t0, t_bound, y0, t_eval, cfg.rel_tol, cfg.abs_tol,
+                    edge)
     m0 = initial.m_mag if family == "pendulum" else 0.0
-    traj = Trajectory(family=family, times=sol.t, values=sol.y,
-                      m_mag=m0, solver=sol)
+    traj = Trajectory(family=family, times=t_eval,
+                      values=values.real if family == "pendulum" else values,
+                      m_mag=m0)
     _attach_monitors(traj, params, coupling)
     return traj
+
+
+def _rms_one(x: list) -> float:
+    """RMS norm of a list of Python numbers (scipy's norm)."""
+    squares = [(z * z.conjugate()).real for z in x]
+    return math.sqrt(sum(squares)) / len(x) ** 0.5
+
+
+def _select_initial_step(fun, t0, y0, f0, t_bound, direction, rtol,
+                         atol) -> float:
+    """scipy's select_initial_step (Hairer, Norsett & Wanner, Sec. II.4) for
+    one state in either direction, with no maximum step; _initial_step is
+    the batch's."""
+    interval = abs(t_bound - t0)
+    scale = [atol + abs(yi) * rtol for yi in y0]
+    d0 = _rms_one([yi / s for yi, s in zip(y0, scale)])
+    d1 = _rms_one([fi / s for fi, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0 * direction,
+             [yi + h0 * direction * fi for yi, fi in zip(y0, f0)])
+    d2 = _rms_one([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    return min(100 * h0, h1, interval)
+
+
+def _dopri(fun, t0: float, t_bound: float, y0: list, t_eval: np.ndarray,
+           rtol: float, atol: float, edge=None) -> np.ndarray:
+    """Step one state from t0 to t_bound (either direction); return it
+    sampled on t_eval, shape (n, len(t_eval)), complex.
+
+    The state is a list of Python numbers and fun(tau, y) returns one, so
+    a step makes no numpy call. The step rules are _dopri_batch's (scipy's
+    RK45._step_impl); a step below ten ulp of tau raises NumericalError.
+    The accepted steps that hold samples are kept, and the samples come
+    from their quartic dense output at the end.
+
+    edge(y), if given, is a boundary function: an accepted step that takes
+    it from >= 0 to <= 0 raises DomainError at the crossing, located by
+    bisection on that step's dense output (solve_ivp's terminal event of
+    direction -1).
+    """
+    (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
+     (a50, a51, a52, a53, a54)) = _A
+    b0, _, b2, b3, b4, b5 = _B
+    e0, _, e2, e3, e4, e5, e6 = _E
+    _, c1, c2, c3, c4, _ = _C
+    direction = 1.0 if t_bound > t0 else -1.0
+    stops = (direction * t_eval).tolist()   # increasing
+    t, y = t0, y0
+    f = fun(t, y)
+    h_abs = _select_initial_step(fun, t, y, f, t_bound, direction, rtol,
+                                 atol)
+    g = edge(y) if edge else None
+    nxt = 0                                 # next sample index
+    held = []                               # accepted steps with samples
+    while direction * (t - t_bound) < 0.0:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        if not h_abs >= min_step:           # a NaN step is replaced too
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NumericalError(
+                    f"integration failed: required step size is less than "
+                    f"spacing between numbers at tau = {t!r}", tau=t)
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0.0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            k2 = fun(t + c1 * h, [yi + a10 * p1 * h
+                                  for yi, p1 in zip(y, f)])
+            k3 = fun(t + c2 * h, [yi + (a20 * p1 + a21 * p2) * h
+                                  for yi, p1, p2 in zip(y, f, k2)])
+            k4 = fun(t + c3 * h, [yi + (a30 * p1 + a31 * p2 + a32 * p3) * h
+                                  for yi, p1, p2, p3 in zip(y, f, k2, k3)])
+            k5 = fun(t + c4 * h, [
+                yi + (a40 * p1 + a41 * p2 + a42 * p3 + a43 * p4) * h
+                for yi, p1, p2, p3, p4 in zip(y, f, k2, k3, k4)])
+            k6 = fun(t + h, [
+                yi + (a50 * p1 + a51 * p2 + a52 * p3 + a53 * p4
+                      + a54 * p5) * h
+                for yi, p1, p2, p3, p4, p5 in zip(y, f, k2, k3, k4, k5)])
+            y_new = [yi + h * (b0 * p1 + b2 * p3 + b3 * p4 + b4 * p5
+                               + b5 * p6)
+                     for yi, p1, p3, p4, p5, p6 in zip(y, f, k3, k4, k5, k6)]
+            f_new = fun(t + h, y_new)
+            err = _rms_one([
+                (e0 * p1 + e2 * p3 + e3 * p4 + e4 * p5 + e5 * p6
+                 + e6 * p7) * h / (atol + max(abs(yi), abs(yn)) * rtol)
+                for yi, yn, p1, p3, p4, p5, p6, p7
+                in zip(y, y_new, f, k3, k4, k5, k6, f_new)])
+            if err < 1.0:
+                factor = (_MAX_FACTOR if err == 0.0 else
+                          min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            # a NaN error shrinks the step by _MIN_FACTOR
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+            rejected = True
+        stages = (f, k2, k3, k4, k5, k6, f_new)
+        if edge:
+            g_new = edge(y_new)
+            if g >= 0.0 and g_new <= 0.0:
+                raise DomainError(
+                    f"pendulum trajectory hit the (1-n0)^2 = m^2 boundary at "
+                    f"tau = {_crossing(edge, t, h, y, stages):g}")
+            g = g_new
+        last = bisect_right(stops, direction * t_new, nxt)
+        if last > nxt:
+            held.append((t, h, y, stages, nxt, last - nxt))
+            nxt = last
+        t, y, f = t_new, y_new, f_new
+    out = np.empty((len(y0), 1, len(t_eval)), dtype=complex)
+    if held:
+        t_old, h, y_old, stages, first, count = (
+            np.array(part) for part in zip(*held))
+        _sample_steps(out, [(stages.astype(complex).transpose(1, 2, 0) * h,
+                             count, first, np.zeros(len(h), dtype=int),
+                             t_old, y_old.T, h)], t_eval)
+    return out[:, 0]
+
+
+def _crossing(edge, t, h, y, stages) -> float:
+    """The tau in the step (t, t + h] where edge() on its dense output comes
+    down to zero, by bisection on the step fraction."""
+    q = [[sum([k[i] * p[j] for k, p in zip(stages, _P)]) for j in range(4)]
+         for i in range(len(y))]
+
+    def edge_at(x):
+        return edge([yi + h * x * (q0 + x * (q1 + x * (q2 + x * q3)))
+                     for yi, (q0, q1, q2, q3) in zip(y, q)])
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if edge_at(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return t + hi * h
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +623,7 @@ def integrate_batch(family: str,
     if not t_bound > t0:
         raise InvalidInputError("batched integration needs tau_span[1] > "
                                 "tau_span[0]")
-    t_eval = _sample_grid(tau_span, sampling)
-    if (np.any(np.diff(t_eval) <= 0.0) or t_eval[0] < t0
-            or t_eval[-1] > t_bound):
-        raise InvalidInputError("sampling must increase within tau_span")
+    t_eval = _sample_grid((t0, t_bound), sampling)
     cfg = config or IntegratorConfig()
     columns = [_amplitude_system(family, st, params, coupling, pulse, variant)
                for st in initials]
@@ -450,20 +634,15 @@ def integrate_batch(family: str,
     return BatchTrajectory(t_eval, values)
 
 
-# scipy's RK45 (Dormand & Prince, J. Comput. Appl. Math. 6, 19 (1980)):
-# tableau, dense-output matrix and step-size factors
-_A, _B, _C, _E, _P = RK45.A, RK45.B, RK45.C, RK45.E, RK45.P
-_STAGES = RK45.n_stages
-_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-
-
-# the weights of the stage sums, the error estimate and the dense output as
-# complex columns, so that every product in the loop multiplies two complex
-# arrays: numpy's mixed float-complex loops cost about 1.5 times as much
-_A_COLUMNS = [_A[s, :s, None, None] + 0j for s in range(_STAGES)]
-_B_COLUMN, _E_COLUMN = _B[:, None, None] + 0j, _E[:, None, None] + 0j
-_P_COLUMNS = _P[:, None, None, :] + 0j
+# the tableau's weights of the stage sums, the error estimate and the dense
+# output as complex columns, so that every product in the loop multiplies
+# two complex arrays: numpy's mixed float-complex loops cost about 1.5 times
+# as much
+_A_COLUMNS = [np.array(row, dtype=complex)[:, None, None] for row in _A]
+_B_COLUMN = np.array(_B, dtype=complex)[:, None, None]
+_E_COLUMN = np.array(_E, dtype=complex)[:, None, None]
+_P_COLUMNS = np.array(_P, dtype=complex)[:, None, None, :]
+_C_COLUMN = np.array(_C[1:])[:, None]   # the nodes of stages 2 to 6
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
@@ -570,7 +749,7 @@ def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
         h = t_new - t                  # > 0: the run is forward
         hc = h.astype(complex)
 
-        stage_rows = rows(t + _C[1:, None] * h)
+        stage_rows = rows(t + _C_COLUMN * h)
         np.multiply(f, hc, out=hK[0])
         for s in range(1, _STAGES):
             y_stage = y + _combine(hK, _A_COLUMNS[s])
@@ -623,28 +802,27 @@ def _sample_steps(out, held, t_eval):
     """Write the t_eval samples of held accepted steps from each step's
     dense output, scipy's RkDenseOutput y_old + h (Q . [x, x^2, x^3, x^4]),
     Q = K^T P: the four columns of h Q come from one sum over the stages
-    and the polynomial is evaluated in Horner form. Each held pass is
-    (h K, count, nxt, cols, t_old, y_old, h) over its working columns;
-    column i has count[i] samples from t_eval index nxt[i] on."""
+    and the polynomial is evaluated in Horner form. Each held entry is
+    (h K, count, nxt, cols, t_old, y_old, h) over its steps, one per
+    column: a batch pass over its working columns, or the accepted steps of
+    one run; column i has count[i] samples from t_eval index nxt[i] on and
+    writes row cols[i] of out. h Q is summed once per column with samples,
+    not once per sample."""
     hK, count, nxt, cols, t_old, y_old, h = (
         np.concatenate(part, axis=-1) for part in zip(*held))
-    step = np.repeat(np.arange(len(count)), count)       # held column
+    used = np.flatnonzero(count)                         # columns with samples
+    count, nxt = count[used], nxt[used]
+    within = np.repeat(np.arange(len(used)), count)      # per sample
+    step = used[within]                                  # held column
     sample = np.arange(len(step)) + np.repeat(nxt - np.cumsum(count) + count,
                                               count)     # t_eval index
-    hQ = _combine(hK[:, :, step, None], _P_COLUMNS)      # (n, samples, 4)
+    hQ = _combine(hK[:, :, used, None],
+                  _P_COLUMNS)[:, within]                 # (n, samples, 4)
     x = ((t_eval[sample] - t_old[step]) / h[step]).astype(complex)
     poly = hQ[..., 3]
     for k in (2, 1, 0):
         poly = poly * x + hQ[..., k]
     out[:, cols[step], sample] = poly * x + y_old[:, step]
-
-
-def _pendulum_boundary_event(m_mag):
-    def boundary(tau, y, *a):
-        return (1.0 - y[1]) ** 2 - m_mag ** 2 - 1e-12
-    boundary.terminal = True
-    boundary.direction = -1
-    return boundary
 
 
 def _attach_monitors(traj: Trajectory, params: SystemParams,

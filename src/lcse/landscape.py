@@ -16,10 +16,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.optimize import brentq
 
-from .dynamics import (PendulumState, energy_functional, energy_gradient_n0,
-                       outside_domain)
+from .dynamics import PendulumState, energy_functional, outside_domain
 from .errors import DomainError, InvalidInputError
 
 
@@ -110,43 +108,64 @@ def energy_grid(lp: LandscapeParams, grid: GridSpec) -> EnergyGrid:
     return EnergyGrid(th, n0, vals, mask)
 
 
-# dE/dn0 is sampled on this many points of each axis to bracket its roots
-_FIXED_POINT_SCAN = 4001
+def _base_energy(lp: LandscapeParams) -> list:
+    """base(n) = q (1-n) + c2 n (1-n) + (Delta/4) n (2-n) - p n^2, the
+    energy at C = 0, as coefficients of 1, n, n^2: with C n S cos(theta)
+    it is the whole functional, so fixed points and orbit verdicts both
+    read it."""
+    return [lp.q, -lp.q + lp.c2n + 0.5 * lp.lightshift_delta,
+            -(lp.c2n + 0.25 * lp.lightshift_delta + lp.lightshift_p)]
 
 
 def find_fixed_points(lp: LandscapeParams,
                       include_boundary: bool = True) -> list[FixedPoint]:
     """Roots of dE/dn0 on the theta in {0, pi} lines, plus domain endpoints.
 
-    dE/dtheta vanishes identically on those lines, so interior fixed points
-    are 1-D bracketing roots there. Stability comes from the sign pattern of
-    the Hessian: center when d2E/dn0^2 and d2E/dtheta^2 agree in sign, saddle
-    otherwise.
+    dE/dtheta vanishes identically on those lines. With s = cos(theta) =
+    +-1, S = sqrt((1-n)^2 - m^2) and L = base', dE/dn0 = L + s C T / S,
+    T = S^2 - n(1-n), so a root solves L S + s C T = 0. For m = 0
+    (S = 1-n, T = (1-n)(1-2n)) that is linear: L = -s C (1-2n). For m != 0,
+    1 - n = (v + m^2/v)/2 and S = (v - m^2/v)/2 with v > |m| cover the
+    domain's hyperbola (1-n)^2 - S^2 = m^2, and 4 v^2 (L S + s C T) is a
+    quartic in v: each line's roots, with no squaring and so no roots of
+    the other line to filter out. Stability comes from the signs of the
+    analytic second derivatives: center when d2E/dn0^2 and d2E/dtheta^2
+    agree, saddle otherwise.
     """
     n0_max = 1.0 - abs(lp.m_mag)
+    m2 = lp.m_mag * lp.m_mag
+    base = _base_energy(lp)
+    l0, l1 = base[1], 2.0 * base[2]             # L(n) = l0 + l1 n
     out: list[FixedPoint] = []
-    args = (lp.m_mag, lp.c_eff, lp.c2n, lp.q, lp.lightshift_delta, lp.lightshift_p)
-    for th in (0.0, math.pi):
-        def grad(x, _th=th):
-            return float(energy_gradient_n0(_th, x, *args))
-        xs = np.linspace(1e-9, n0_max - 1e-9, _FIXED_POINT_SCAN)
-        vals = energy_gradient_n0(th, xs, *args)
-        sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        for i in sign_change:
-            root = brentq(grad, xs[i], xs[i + 1], xtol=1e-13)
-            h = 1e-6
-            d2n = (grad(root + h) - grad(root - h)) / (2.0 * h)
-            s = math.sqrt(max((1.0 - root) ** 2 - lp.m_mag ** 2, 0.0))
-            d2t = -lp.c_eff * root * s * math.cos(th)
+    for s, th in ((1.0, 0.0), (-1.0, math.pi)):
+        sc = s * lp.c_eff
+        if m2 == 0.0:
+            roots = [-(l0 + sc) / (l1 - 2.0 * sc)] if l1 != 2.0 * sc else []
+        else:
+            k = l0 + l1
+            quartic = [m2 * m2 * (l1 + 2.0 * sc), -2.0 * m2 * (k + sc), 0.0,
+                       2.0 * (k - sc), 2.0 * sc - l1]
+            roots = [1.0 - 0.5 * (v.real + m2 / v.real)
+                     for v in P.polyroots(quartic).tolist()
+                     if v.imag == 0.0 and v.real > abs(lp.m_mag)]
+        for n in sorted(roots):
+            # a root whose S^2 rounds to 0 is the edge's fixed point
+            if not (0.0 < n < n0_max and (1.0 - n) ** 2 > m2):
+                continue
+            sq = math.sqrt((1.0 - n) ** 2 - m2)
+            # S' = -(1-n)/S, S'' = -m^2/S^3
+            d2n = sc * (-2.0 * (1.0 - n) / sq - n * m2 / sq ** 3) + l1
+            d2t = -sc * n * sq
             stab = Stability.CENTER if d2n * d2t > 0 else Stability.SADDLE
-            out.append(FixedPoint(th, float(root),
-                                  float(energy(th, root, lp)), stab))
+            out.append(FixedPoint(th, n, float(energy(th, n, lp)), stab))
     if include_boundary:
         # E is theta-independent at both endpoints (the C term carries n0*S);
         # energy_functional clamps the (1-n0)^2 - m^2 that 1 - |m| rounds
         # below zero
         for n0 in (0.0, n0_max):
-            e_edge = float(energy_functional(0.0, n0, *args))
+            e_edge = float(energy_functional(
+                0.0, n0, lp.m_mag, lp.c_eff, lp.c2n, lp.q,
+                lp.lightshift_delta, lp.lightshift_p))
             out.append(FixedPoint(0.0, n0, e_edge, Stability.BOUNDARY_EXTREMUM))
     return out
 
@@ -184,8 +203,8 @@ def classify_trajectory(lp: LandscapeParams,
         return Verdict.BOUNDARY
     # E0 - base(n) and Q(n), lowest power first; polyroots drops a zero
     # leading coefficient, which C^2 = (c2 + Delta/4 + p)^2 makes exactly
-    r = [e0 - lp.q, lp.q - lp.c2n - 0.5 * lp.lightshift_delta,
-         lp.c2n + 0.25 * lp.lightshift_delta + lp.lightshift_p]
+    base = _base_energy(lp)
+    r = [e0 - base[0], -base[1], -base[2]]
     cc = lp.c_eff * lp.c_eff
     quartic = [-r[0] * r[0], -2.0 * r[0] * r[1],
                cc * (1.0 - m2) - r[1] * r[1] - 2.0 * r[0] * r[2],

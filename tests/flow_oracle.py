@@ -1,18 +1,22 @@
 """Pendulum-flow orbit classifier: the reference the level-set verdicts of
 lcse.landscape.classify_trajectory are tested against.
 
-It integrates the flow instead of reading the orbit off its energy, so it
-shares no code with the classifier under test beyond the pendulum RHS.
+It integrates the flow with scipy's solve_ivp (its wind and boundary events
+and its dense output) instead of reading the orbit off its energy, so it
+shares no code with the classifier under test beyond the pendulum RHS,
+lcse.dynamics._rhs_pend.
 """
 
 import math
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from lcse import (CouplingSummary, DomainError, IntegratorConfig,
-                  InvalidInputError, LandscapeParams, PendulumState,
-                  SystemParams, Verdict, integrate)
+                  InvalidInputError, LandscapeParams, NumericalError,
+                  PendulumState, SystemParams, Verdict)
+from lcse.dynamics import _rhs_pend, require_interior
 
 
 def pendulum_system(lp: LandscapeParams) -> tuple[SystemParams,
@@ -63,8 +67,16 @@ def classify_by_flow(lp: LandscapeParams, initial: PendulumState,
     """
     if initial.m_mag != lp.m_mag:
         raise InvalidInputError("initial.m_mag must match lp.m_mag")
-    theta0, n00 = initial.theta, initial.n_zero
+    theta0, n00, m_mag = initial.theta, initial.n_zero, initial.m_mag
     params, coupling = pendulum_system(lp)
+    cfg = config or IntegratorConfig()
+    try:
+        require_interior(initial)
+    except DomainError:
+        return Verdict.BOUNDARY
+
+    def boundary(tau, y, *a):
+        return (1.0 - y[1]) ** 2 - m_mag ** 2 - 1e-12
 
     def wind_up(tau, y, *a):
         return (y[0] - theta0) - 2.0 * math.pi
@@ -72,15 +84,19 @@ def classify_by_flow(lp: LandscapeParams, initial: PendulumState,
     def wind_down(tau, y, *a):
         return (y[0] - theta0) + 2.0 * math.pi
 
-    wind_up.terminal = True
-    wind_down.terminal = True
-    try:
-        traj = integrate("pendulum", initial, params, (0.0, tau_max),
-                         coupling=coupling, config=config, sampling=2,
-                         events=[wind_up, wind_down], dense_output=True)
-    except DomainError:
+    boundary.direction = -1
+    for event in (boundary, wind_up, wind_down):
+        event.terminal = True
+    sol = solve_ivp(_rhs_pend, (0.0, tau_max), [theta0, n00], method="RK45",
+                    args=(coupling.c_eff, params.c2n, params.q, m_mag,
+                          coupling.lightshift_delta, coupling.lightshift_p),
+                    rtol=cfg.rel_tol, atol=cfg.abs_tol, t_eval=[0.0, tau_max],
+                    events=[boundary, wind_up, wind_down], dense_output=True)
+    if sol.status == -1:
+        raise NumericalError(f"integration failed: {sol.message}",
+                             tau=float(sol.t[-1]) if len(sol.t) else 0.0)
+    if len(sol.t_events[0]):
         return Verdict.BOUNDARY
-    sol = traj.solver
     if len(sol.t_events[1]) or len(sol.t_events[2]):
         return Verdict.OPEN
 

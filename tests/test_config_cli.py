@@ -261,6 +261,18 @@ def test_parse_lists_nonfinite_with_other_problems():
     assert "q = 'nan'" in joined and "n_zero = 'oops'" in joined
 
 
+@pytest.mark.parametrize("key, raw, problem", [
+    ("q = 0.01", "q = nan", "[params] q = 'nan': not a finite number"),
+    ("n_zero = 0.9", "n_zero = oops",
+     "[initial] n_zero = 'oops': not a valid number")])
+def test_parse_reports_a_bad_required_value_once(key, raw, problem):
+    # a required key that is present with a bad value is not also missing
+    text = preset_text("fig2-collision").replace(key, raw)
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.problems == [problem]
+
+
 @pytest.mark.parametrize("preset", ["fig2-collision", "fig3-portraits"])
 def test_cli_nonfinite_input_fails_fast(tmp_path, preset):
     # a nan used to pass validation and then hang the integrator

@@ -9,23 +9,29 @@ Verifies:
     component differs from the dark manifold, and differ on generic states
   - halving tolerances reproduces the tight-tolerance answer
   - time-reversed integration returns to the initial state
-  - boundary and configuration errors
+  - boundary and configuration errors; a pendulum orbit's boundary
+    crossing is where solve_ivp's event puts it
+  - the one-state RK45 follows solve_ivp's RK45 (both directions, every
+    family), and a too-small step raises NumericalError with its tau
   - batched integration: each column matches its single run (every
     detuning lock, both variants), columns do not depend on each other,
-    scipy's step rules, one drive evaluation per step attempt, a too-small
-    step names the member
+    scipy's step rules and tableau (bit for bit), one drive evaluation per
+    step attempt, a too-small step names the member
   - the RHS kernels: one state against a batch column, the pendulum flow
     against the energy gradient, next to the S = 0 edge
   - effective-family symmetries: a global phase changes no observable, and
     swapping a+ and a- swaps n+ and n-
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from lcse import (DomainError, IntegratorConfig, InvalidInputError,
-                  NumericalError, PendulumState, SpinorAmplitudes,
+from lcse import (CouplingSummary, DomainError, IntegratorConfig,
+                  InvalidInputError, NumericalError, PendulumState,
+                  SpinorAmplitudes,
                   SystemParams, crossvalidate_amplitude_vs_pendulum,
                   drive_ladder, effective_coupling, energy_from_amplitudes,
                   integrate, integrate_batch, rhs_effective, rhs_pendulum,
@@ -88,11 +94,12 @@ def edge_and_interior_starts(rng, count):
 
 
 def test_effective_kernel_one_state_against_batch_column():
-    # one state runs on Python complex and a batch on numpy rows with the
-    # 0-d complex coefficients the batch loop hands its kernel; numpy's
-    # array loops may fuse a multiply-add (FMA) where Python rounds twice,
-    # so the two agree to rounding, not bit for bit: the largest difference
-    # found over 4e4 random states was 1.0 eps sum|coefficients|
+    # one state as a list runs on Python complex (the single-run path of
+    # integrate) and a batch on numpy rows with the 0-d complex
+    # coefficients the batch loop hands its kernel; numpy's array loops may
+    # fuse a multiply-add (FMA) where Python rounds twice, so the two agree
+    # to rounding, not bit for bit: the largest difference found over 6e4
+    # random states was about 1 eps sum|coefficients|
     rng = np.random.default_rng(11)
     eps = np.finfo(float).eps
     for theta, n0, m in edge_and_interior_starts(rng, 2000):
@@ -101,18 +108,20 @@ def test_effective_kernel_one_state_against_batch_column():
             phase_plus=theta + rng.uniform(-1.0, 1.0), phase_zero=0.3)
         y = np.array([st.a_plus, st.a_zero, st.a_minus])
         coeffs = rng.uniform(-1.0, 1.0, 5) * 10.0 ** rng.uniform(-3, 0, 5)
-        one = dynamics._rhs_eff(y, *coeffs.tolist())
+        one = dynamics._rhs_eff(y.tolist(), *coeffs.tolist())
         column = dynamics._rhs_eff(
             y[:, None], *dynamics._complex_operands(tuple(coeffs)))[:, 0]
-        assert one.shape == (3,)
+        assert isinstance(one, list) and len(one) == 3
+        one = np.array(one)
         assert np.abs(one - column).max() <= 2.0 * eps * np.abs(coeffs).sum()
 
 
 def test_resonant_kernel_one_state_against_batch_column():
-    # as for the effective kernel: Python complex against numpy rows, with
-    # the operands the batch loop hands the kernel (complex drive rows from
-    # the system description, 0-d complex coefficients); the largest
-    # difference found over 4e4 random states was 0.95 eps sum|coefficients|
+    # as for the effective kernel: a list on Python complex against numpy
+    # rows, with the operands the batch loop hands the kernel (complex drive
+    # rows from the system description, 0-d complex coefficients); the
+    # largest difference found over 6e4 random states was 1.03 eps
+    # sum|coefficients|
     rng = np.random.default_rng(13)
     eps = np.finfo(float).eps
     for k in range(2000):
@@ -127,10 +136,11 @@ def test_resonant_kernel_one_state_against_batch_column():
         params = SystemParams(c2n=c2, small_delta=delta, gamma=gamma)
         rows, fixed = dynamics._resonant_operands(
             params, pulse, "symmetrized" if k % 2 else "literal")
-        one = dynamics._res_body(y, *rows(0.0), *fixed)
+        one = dynamics._res_body(y.tolist(), *rows(0.0), *fixed)
         column = dynamics._res_body(y[:, None], *rows(np.zeros(1)),
                                     *dynamics._complex_operands(fixed))[:, 0]
-        assert one.shape == (4,)
+        assert isinstance(one, list) and len(one) == 4
+        one = np.array(one)
         assert np.abs(one - column).max() <= 2.0 * eps * np.abs(coeffs).sum()
 
 
@@ -278,6 +288,98 @@ def test_pendulum_boundary_raises_domain_error():
     with pytest.raises(DomainError):
         rhs_pendulum(PendulumState(0.0, 0.5, 0.5), LADDER,
                      ladder_coupling())
+
+
+# starts at m = 0 within 3e-6 of n0 = 1 whose orbits come within 1e-6 of
+# it, where the boundary function (1-n0)^2 - m^2 - 1e-12 turns negative:
+# (n0, theta, c2n, q, c_eff)
+EDGE_RUNS = [
+    (0.9999987595561141, 1.979321245645874, 0.015765221087324324,
+     0.018279890786035022, 0.03200757501705351),
+    (0.9999973246365328, -2.0092023719157126, -0.008389840032296939,
+     -0.043676653143422284, -0.04742194697021258),
+    (0.9999996174136704, 2.0144312846873786, 0.04407266251629953,
+     0.014915534081078596, 0.04643899206268444),
+]
+
+
+@pytest.mark.parametrize("n0, theta, c2n, q, c_eff", EDGE_RUNS)
+def test_pendulum_boundary_crossing_is_solve_ivps_event(n0, theta, c2n, q,
+                                                        c_eff):
+    # the crossing is located on the crossing step's dense output, where
+    # solve_ivp's terminal event of direction -1 puts it
+    from scipy.integrate import solve_ivp
+
+    def boundary(tau, y, *args):
+        return (1.0 - y[1]) ** 2 - 1e-12
+
+    boundary.terminal, boundary.direction = True, -1
+    sol = solve_ivp(dynamics._rhs_pend, (0.0, 200.0), [theta, n0],
+                    args=(c_eff, c2n, q, 0.0, 0.0, 0.0), rtol=1e-10,
+                    atol=1e-12, events=[boundary])
+    (tau,) = sol.t_events[0]
+    assert 0.0 < tau < 200.0
+    with pytest.raises(DomainError, match=re.escape(f"at tau = {tau:g}")):
+        integrate("pendulum", PendulumState(theta, n0),
+                  SystemParams(c2n=c2n, q=q), (0.0, 200.0),
+                  coupling=CouplingSummary(0.0, c_eff, 0.0, 0.0),
+                  sampling=11)
+
+
+@pytest.mark.parametrize("span", [(0.0, 40.0), (40.0, 0.0)])
+@pytest.mark.parametrize("family", ["effective", "pendulum", "resonant"])
+def test_integrate_takes_solve_ivps_steps(family, span):
+    # lcse's own RK45 runs scipy's rules on Python numbers: its samples
+    # match solve_ivp's RK45 on the same derivative to rounding
+    from scipy.integrate import solve_ivp
+    t_eval = np.linspace(*span, 201)
+    if family == "pendulum":
+        start = PendulumState(0.3, 0.6, 0.1)
+        coupling = ladder_coupling()
+        y0 = [start.theta, start.n_zero]
+        kw = dict(coupling=coupling)
+
+        def fun(tau, y):
+            return dynamics._rhs_pend(
+                tau, y, coupling.c_eff, LADDER.c2n, LADDER.q, start.m_mag,
+                coupling.lightshift_delta, coupling.lightshift_p)
+        params = LADDER
+    else:
+        resonant = family == "resonant"
+        start = spread_starts(1, resonant)[0]
+        # the calm drive with no decay, which a backward run would amplify
+        params = SystemParams() if resonant else LADDER
+        kw = dict(pulse=CALM) if resonant else dict(coupling=ladder_coupling())
+        y0, body, rows, coeffs = dynamics._amplitude_system(
+            family, start, params, kw.get("coupling"), kw.get("pulse"),
+            "symmetrized")
+
+        def fun(tau, y):
+            return body(y, *rows(tau), *coeffs)
+    ref = solve_ivp(fun, span, y0, rtol=1e-10, atol=1e-12, t_eval=t_eval)
+    ours = integrate(family, start, params, span, sampling=201, **kw)
+    assert np.array_equal(ours.times, ref.t)
+    assert ours.values.dtype == ref.y.dtype
+    assert np.abs(ours.values - ref.y).max() < 1e-12
+
+
+def test_integrate_too_small_step_raises_with_tau():
+    # at tau ~ 1e17 ten ulp of tau (160) is far above any usable step
+    pulse = make_schedule(1.0, 40.0, 1e30, theta_variant="fixed",
+                          theta_fixed=0.0)
+    with pytest.raises(NumericalError) as err, np.errstate(all="ignore"):
+        integrate("resonant", spread_starts(1, True)[0], SystemParams(),
+                  (1e17, 1e17 + 1e4), pulse=pulse, sampling=11)
+    assert err.value.tau == 1e17
+
+
+def test_integrate_rejects_bad_sampling():
+    st = SpinorAmplitudes.from_populations(0.05, 0.9, 0.05)
+    for span, sampling in (((0.0, 1.0), [0.0, 2.0]), ((0.0, 1.0), [0.5, 0.2]),
+                           ((1.0, 0.0), [0.0, 1.0]), ((1.0, 1.0), 11)):
+        with pytest.raises(InvalidInputError):
+            integrate("effective", st, LADDER, span,
+                      coupling=ladder_coupling(), sampling=sampling)
 
 
 def test_pendulum_magnetization_window_validated():
@@ -435,11 +537,23 @@ def test_batch_hands_its_kernel_complex_operands(monkeypatch, family):
 
 
 def test_batch_step_rules_are_scipys():
+    # lcse holds scipy's RK45 tableau as literal constants: the same doubles
+    # bit for bit (A as its lower triangle), and the same step factors
     from scipy.integrate._ivp import rk
+    RK45 = rk.RK45
     assert (dynamics._SAFETY, dynamics._MIN_FACTOR, dynamics._MAX_FACTOR) == (
         rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
-    assert dynamics._A is rk.RK45.A and dynamics._E is rk.RK45.E
-    assert dynamics._ERROR_EXPONENT == -0.2
+    assert dynamics._ERROR_EXPONENT == -1.0 / (RK45.error_estimator_order + 1)
+    assert dynamics._STAGES == RK45.n_stages
+    a = np.zeros(RK45.A.shape)
+    for s, row in enumerate(dynamics._A):
+        a[s, :s] = row
+    for ours, theirs in ((a, RK45.A), (dynamics._B, RK45.B),
+                         (dynamics._C, RK45.C), (dynamics._E, RK45.E),
+                         (dynamics._P, RK45.P)):
+        ours, theirs = np.array(ours, dtype=float), np.asarray(theirs)
+        assert theirs.dtype == np.float64 and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
 
 
 def test_batch_too_small_step_names_member():

@@ -4,7 +4,8 @@ Verifies:
   - closed-form energy values, parity, and coupling-sign symmetry
   - the domain gate (1 - n0)^2 >= m^2
   - grid evaluation with masked infeasible cells
-  - bracketing fixed-point search against frozen center/saddle locations
+  - closed-form fixed points against frozen center/saddle locations, the
+    flow's gradient and Jacobian, and a root at a round n0
   - orbit verdicts: winding, boundary starts, saddle starts, landscapes
     whose orbit polynomial has degree 3, and the frozen 10x10 grid counts
     for the four standard couplings with drive shifts on and off
@@ -140,15 +141,58 @@ def test_fixed_point_symmetry_under_coupling_flip():
     assert n0_pos == pytest.approx(n0_neg, abs=1e-10)
 
 
-def test_fixed_points_kill_the_gradient():
+def _flow_jacobian_det(lp, theta, n0, h=1e-6):
+    """det of d(dtheta, dn0)/d(theta, n0) by central differences of the
+    pendulum flow: positive at a center, negative at a saddle."""
     from lcse.dynamics import rhs_pendulum
-    lp = ladder_params(-C2)
     params, coupling = pendulum_system(lp)
-    for p in find_fixed_points(lp, include_boundary=False):
-        dth, dn0 = rhs_pendulum(PendulumState(p.theta, p.n_zero), params,
-                                coupling)
-        assert abs(dth) < 1e-8
-        assert abs(dn0) < 1e-8
+
+    def flow(th, n):
+        return np.array(rhs_pendulum(PendulumState(th, n, lp.m_mag), params,
+                                     coupling))
+    d_theta = (flow(theta + h, n0) - flow(theta - h, n0)) / (2.0 * h)
+    d_n0 = (flow(theta, n0 + h) - flow(theta, n0 - h)) / (2.0 * h)
+    return d_theta[0] * d_n0[1] - d_theta[1] * d_n0[0]
+
+
+def test_fixed_points_kill_the_gradient():
+    # m = 0 (the linear branch) and m != 0 (the quartic in v), with and
+    # without drive shifts, both signs of C; each interior point zeroes the
+    # flow, and its label agrees with the flow's Jacobian there
+    from lcse.dynamics import rhs_pendulum
+    landscapes = [ladder_params(-C2)]
+    for m in (0.05, 0.3):
+        for c_eff in (-C2, C2, -3.0 * C2, 3.0 * C2):
+            for delta, p in ((0.0, 0.0), (0.004, -0.002)):
+                for q in (0.0, 0.002):
+                    landscapes.append(LandscapeParams(
+                        c_eff=c_eff, c2n=C2, q=q, m_mag=m,
+                        lightshift_delta=delta, lightshift_p=p))
+    labels = []
+    for lp in landscapes:
+        params, coupling = pendulum_system(lp)
+        for p in find_fixed_points(lp, include_boundary=False):
+            dth, dn0 = rhs_pendulum(PendulumState(p.theta, p.n_zero, lp.m_mag),
+                                    params, coupling)
+            assert abs(dth) < 1e-12
+            assert abs(dn0) < 1e-12
+            det = _flow_jacobian_det(lp, p.theta, p.n_zero)
+            assert abs(det) > 1e-9
+            assert (det > 0.0) == (p.stability is Stability.CENTER)
+            labels.append((lp.m_mag > 0.0, p.stability))
+    assert {(True, Stability.CENTER), (True, Stability.SADDLE),
+            (False, Stability.CENTER), (False, Stability.SADDLE)} <= set(labels)
+
+
+def test_fixed_points_on_the_linear_branch_at_a_round_n0():
+    # m = 0 with C alone: E = C n0 (1 - n0) cos(theta), extrema at n0 = 1/2
+    # on both lines (a bracketing scan whose grid held 0.5 missed them)
+    lp = LandscapeParams(c_eff=-0.05, c2n=0.0, q=0.0)
+    pts = find_fixed_points(lp, include_boundary=False)
+    assert [(p.theta, p.n_zero, p.stability) for p in pts] == [
+        (0.0, 0.5, Stability.CENTER), (math.pi, 0.5, Stability.CENTER)]
+    assert [p.energy for p in pts] == pytest.approx([-0.0125, 0.0125],
+                                                    rel=1e-15)
 
 
 def test_classify_zero_coupling_is_open():
