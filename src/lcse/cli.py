@@ -47,7 +47,25 @@ _TRANSFER_NOTES = [
 ]
 
 
-_CSV_BLOCK_ROWS = 4096
+_CSV_BLOCK_ROWS = 1024
+
+
+def _format_block(block: np.ndarray) -> str:
+    """The rows of block with each value as "%.17g". When fewer than half
+    of its cells hold distinct float64 bit patterns (an energy grid: one
+    theta axis, few n0 values, E even in theta), each distinct pattern is
+    formatted once and the rows are joined from those strings; -0.0 and
+    0.0, and NaNs of different payload, stay apart as patterns."""
+    bits = block.view(np.int64).ravel()
+    srt = np.sort(bits)
+    if 2 * (1 + np.count_nonzero(srt[1:] != srt[:-1])) >= bits.size:
+        row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+        return row * len(block) % tuple(block.ravel().tolist())
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = "%.17g," * distinct.size % tuple(distinct.view(float).tolist())
+    strs = np.array(text.split(",")[:-1], dtype=object)
+    row = ",".join(["%s"] * block.shape[1]) + "\n"
+    return row * len(block) % tuple(strs[inverse].tolist())
 
 
 def _write_csv(path: Path, comments: list[str], columns: dict) -> None:
@@ -55,14 +73,12 @@ def _write_csv(path: Path, comments: list[str], columns: dict) -> None:
     each value as format(float(x), ".17g"), formatted a block at a time."""
     table = np.column_stack([np.asarray(c, dtype=float)
                              for c in columns.values()])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
         for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_format_block(table[start:start + _CSV_BLOCK_ROWS]))
 
 
 def _columns_line(columns: dict) -> str:
@@ -342,6 +358,20 @@ def main(argv=None) -> int:
         return 4
 
 
+def _read_config(path: str) -> ScenarioConfig:
+    """Parse the UTF-8 INI file at path; a file that cannot be read or
+    decoded is invalid input, not a traceback."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read config file {path!r}: "
+                                f"{exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"config file {path!r} is not UTF-8 text: "
+                                f"{exc.reason} at byte {exc.start}") from None
+    return parse_config(text)
+
+
 def _execute(args) -> int:
     if args.command == "presets":
         for name in preset_names():
@@ -349,7 +379,7 @@ def _execute(args) -> int:
         return 0
 
     if args.command == "validate":
-        cfg = parse_config(Path(args.config).read_text())
+        cfg = _read_config(args.config)
         _build(cfg)
         print(f"OK: mode = {cfg.mode}")
         return 0
@@ -357,7 +387,7 @@ def _execute(args) -> int:
     if args.preset:
         cfg = load_preset(args.preset)
     else:
-        cfg = parse_config(Path(args.config).read_text())
+        cfg = _read_config(args.config)
     if args.seed is not None:
         if cfg.mode != "ensemble":
             raise InvalidInputError("--seed only applies to ensemble runs")
@@ -368,7 +398,11 @@ def _execute(args) -> int:
     start, kw = _build(cfg)
 
     out = Path(args.out) if args.out else Path(cfg.output.get("dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError("cannot create output directory "
+                                f"{str(out)!r}: {exc.strerror}") from None
     manifest = _dispatch(cfg, start, kw, out, args.variant)
     print(f"wrote {', '.join(manifest['outputs'])} and manifest.json "
           f"to {out}")

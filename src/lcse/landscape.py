@@ -193,25 +193,74 @@ def classify_trajectory(lp: LandscapeParams,
     or Q > 0 on both sides of a start root (a saddle). Boundary: the start
     or an end is on the S = 0 edge. C = 0 leaves theta precessing: Open.
     """
-    if initial.m_mag != lp.m_mag:
+    return _classify(lp, [initial])[0]
+
+
+def _quartic_roots(quartics: np.ndarray) -> list[np.ndarray]:
+    """P.polyroots of each row of coefficients (lowest power first), bit for
+    bit, from one stacked eigvals per trimmed length: trailing zero
+    coefficients are dropped as as_series drops them, each matrix is
+    polycompanion's, and a linear row is solved as polyroots solves it."""
+    k, width = quartics.shape
+    length = np.where(quartics != 0.0, np.arange(1, width + 1), 1).max(axis=1)
+    roots = [np.array([])] * k
+    for deg in range(1, width):
+        rows = np.flatnonzero(length == deg + 1)
+        if rows.size == 0:
+            continue
+        c = quartics[rows, :deg + 1]
+        if deg == 1:
+            found = -c[:, :1] / c[:, 1:]
+        else:
+            mats = np.zeros((rows.size, deg, deg))
+            mats[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+            mats[:, :, -1] -= c[:, :-1] / c[:, -1:]
+            found = np.linalg.eigvals(mats)
+            found.sort(axis=-1)
+        for i, z in zip(rows.tolist(), found):
+            roots[i] = z
+    return roots
+
+
+def _classify(lp: LandscapeParams,
+              starts: Sequence[PendulumState]) -> list[Verdict]:
+    """classify_trajectory of each start, with all their quartics solved in
+    one _quartic_roots call."""
+    if any(st.m_mag != lp.m_mag for st in starts):
         raise InvalidInputError("initial.m_mag must match lp.m_mag")
-    e0 = float(energy(initial.theta, initial.n_zero, lp))
+    n = np.array([st.n_zero for st in starts], dtype=float)
+    e0 = energy(np.array([st.theta for st in starts], dtype=float), n, lp)
     if lp.c_eff == 0.0:
-        return Verdict.OPEN
-    n, m2 = initial.n_zero, lp.m_mag * lp.m_mag
-    if (1.0 - n) ** 2 - m2 <= 0.0:
-        return Verdict.BOUNDARY
+        return [Verdict.OPEN] * len(starts)
+    m2 = lp.m_mag * lp.m_mag
+    inside = np.flatnonzero((1.0 - n) ** 2 - m2 > 0.0)
     # E0 - base(n) and Q(n), lowest power first; polyroots drops a zero
     # leading coefficient, which C^2 = (c2 + Delta/4 + p)^2 makes exactly
     base = _base_energy(lp)
-    r = [e0 - base[0], -base[1], -base[2]]
+    r0, r1, r2 = e0[inside] - base[0], -base[1], -base[2]
     cc = lp.c_eff * lp.c_eff
-    quartic = [-r[0] * r[0], -2.0 * r[0] * r[1],
-               cc * (1.0 - m2) - r[1] * r[1] - 2.0 * r[0] * r[2],
-               -2.0 * cc - 2.0 * r[1] * r[2], cc - r[2] * r[2]]
+    quartics = np.empty((inside.size, 5))
+    quartics[:, 0] = -r0 * r0
+    quartics[:, 1] = -2.0 * r0 * r1
+    quartics[:, 2] = cc * (1.0 - m2) - r1 * r1 - 2.0 * r0 * r2
+    quartics[:, 3] = -2.0 * cc - 2.0 * r1 * r2
+    quartics[:, 4] = cc - r2 * r2
+    verdicts = [Verdict.BOUNDARY] * len(starts)
+    for i, a, quartic, roots in zip(inside.tolist(), r0.tolist(), quartics,
+                                    _quartic_roots(quartics)):
+        verdicts[i] = _verdict(lp, starts[i].n_zero, [a, r1, r2], quartic,
+                               roots)
+    return verdicts
+
+
+def _verdict(lp: LandscapeParams, n: float, r: list, quartic: np.ndarray,
+             zs: np.ndarray) -> Verdict:
+    """The verdict of classify_trajectory for a start at n0 = n inside the
+    domain, from E0 - base(n) as r, Q(n) as quartic and Q's roots zs."""
+    m2 = lp.m_mag * lp.m_mag
     hi = 1.0 - abs(lp.m_mag) + _ROOT_TOL
     roots: list[list] = []  # [n0, multiplicity], ascending
-    for x in sorted(z.real for z in P.polyroots(quartic).tolist()
+    for x in sorted(z.real for z in zs.tolist()
                     if abs(z.imag) <= _ROOT_TOL and -_ROOT_TOL <= z.real <= hi):
         if roots and x - roots[-1][0] <= _ROOT_TOL:
             roots[-1][1] += 1
@@ -285,8 +334,7 @@ def contour_portrait(lp: LandscapeParams, grid: GridSpec,
         starts = default_start_grid(m_mag=lp.m_mag)
     counts = {v.value: 0 for v in Verdict}
     verdicts = []
-    for st in starts:
-        v = classify_trajectory(lp, st)
+    for st, v in zip(starts, _classify(lp, starts)):
         counts[v.value] += 1
         verdicts.append((st.theta, st.n_zero, v))
     return PortraitSummary(

@@ -8,8 +8,10 @@ Verifies:
   - validate builds the library objects run builds, so it refuses what
     run refuses before integrating
   - built-in presets load, list, and run end to end
-  - CLI outputs: CSV columns, manifest fields, and rerun byte-identity
-  - exit codes 2 (bad input) and 3 (domain violation)
+  - CLI outputs: CSV columns, manifest fields, and rerun byte-identity;
+    CSV cells equal format(x, ".17g") on both formatting paths
+  - exit codes 2 (bad input, an unreadable config, an --out that is a
+    file) and 3 (domain violation)
   - one parser serves consecutive main() calls in a process
 """
 
@@ -308,6 +310,32 @@ def test_cli_validate_bad_config_exits_2(tmp_path):
     assert "n_zero" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_unreadable_config_exits_2(tmp_path, command):
+    # a missing file, a directory, and bytes that are not UTF-8
+    bad = tmp_path / "latin1.ini"
+    bad.write_bytes(preset_text("fig2-frozen").encode() + b"# caf\xe9\n")
+    for path, problem in ((tmp_path / "missing.ini", "No such file"),
+                          (tmp_path, "Is a directory"),
+                          (bad, "not UTF-8")):
+        proc = run_cli(command, "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert problem in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
+
+def test_cli_out_naming_a_file_exits_2(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for out in (taken, taken / "sub"):
+        proc = run_cli("run", "--preset", "fig2-frozen", "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "cannot create output directory" in proc.stderr
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_cli_run_frozen_preset(tmp_path):
     out = tmp_path / "frozen"
     proc = run_cli("run", "--preset", "fig2-frozen", "--out", str(out))
@@ -538,6 +566,50 @@ def test_write_csv_matches_format_17g(tmp_path):
                          for k, v in zip(runs, x.tolist())] + [""]
     assert lines[3:9] == ["0,nan", "1,inf", "2,-inf", "3,-0",
                           "4,4.9406564584124654e-324", "5,0.10000000000000001"]
+
+
+def _distinct_share(block: np.ndarray) -> float:
+    return np.unique(block.view(np.int64)).size / block.size
+
+
+def test_write_csv_factored_blocks_match_format_17g(tmp_path):
+    # blocks 0 and 2 repeat a few values (each distinct value is formatted
+    # once), block 1 is mostly distinct (one "%.17g" pass over its cells)
+    nan_payload = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+    special = [0.0, -0.0, math.nan, -math.nan, nan_payload, math.inf,
+               -math.inf, 5e-324, -5e-324, 0.1, 1.0]
+    rows = cli._CSV_BLOCK_ROWS
+    n = 2 * rows + 64
+    x = np.resize(np.array(special), n)
+    x[rows:2 * rows] = np.random.default_rng(5).standard_normal(rows)
+    mask = np.arange(n) % 3 == 0
+    runs = np.arange(n)
+    table = np.column_stack([runs, mask, x]).astype(float)
+    shares = [_distinct_share(table[s:s + rows])
+              for s in range(0, n, rows)]
+    assert shares[0] < 0.5 and shares[1] >= 0.5 and shares[2] < 0.5
+    # the mask and x of the tail block repeat values of block 0
+    assert np.isin(table[2 * rows:, 1:].view(np.int64),
+                   table[:rows, 1:].view(np.int64)).all()
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ["a table"], {"run": runs, "mask": mask, "x": x})
+    lines = path.read_text().split("\n")
+    assert lines[:2] == ["# a table", "run,mask,x"]
+    assert lines[2:] == [f"{format(float(k), '.17g')},"
+                         f"{format(float(b), '.17g')},{format(v, '.17g')}"
+                         for k, b, v in zip(runs.tolist(), mask.tolist(),
+                                            x.tolist())] + [""]
+    assert lines[2:13] == ["0,1,0", "1,0,-0", "2,0,nan", "3,1,nan",
+                           "4,0,nan", "5,0,inf", "6,1,-inf",
+                           "7,0,4.9406564584124654e-324",
+                           "8,0,-4.9406564584124654e-324",
+                           "9,1,0.10000000000000001", "10,0,1"]
+
+
+def test_write_csv_zero_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    cli._write_csv(path, ["nothing"], {"a": [], "b": np.array([], bool)})
+    assert path.read_text() == "# nothing\na,b\n"
 
 
 def test_write_json_matches_streamed_dump(tmp_path):

@@ -9,6 +9,8 @@ Verifies:
   - orbit verdicts: winding, boundary starts, saddle starts, landscapes
     whose orbit polynomial has degree 3, and the frozen 10x10 grid counts
     for the four standard couplings with drive shifts on and off
+  - the portrait's stacked root solve: each row equals polyroots bit for
+    bit, and its verdicts equal the per-start ones
   - level-set verdicts against the flow classifier (tests/flow_oracle.py)
     on every fig3 start and on random landscapes
   - energy conservation along a classified closed orbit
@@ -19,15 +21,19 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as P
 
 from lcse import (DomainError, GridSpec, InvalidInputError, LandscapeParams,
                   PendulumState, Stability, Verdict, classify_trajectory,
                   contour_portrait, default_start_grid, energy, energy_grid,
                   find_fixed_points, ladder_lightshifts, RB87_C2_OVER_C0)
 
+from lcse.landscape import _base_energy, _quartic_roots
+
 from flow_oracle import classify_by_flow, pendulum_system
 
 C2 = RB87_C2_OVER_C0
+coefficient = st.floats(-1.0, 1.0)
 
 
 def ladder_params(c_eff, q=0.01, m_mag=0.0, shifts=True):
@@ -367,6 +373,73 @@ def test_classify_when_quartic_drops_degree(mult, shifts):
         assert classify_trajectory(lp, start) is Verdict.OPEN
 
 
+def orbit_quartic(lp, start):
+    """Q(n) of the start's level set, lowest power first, untrimmed."""
+    base = _base_energy(lp)
+    r = [energy(start.theta, start.n_zero, lp) - base[0], -base[1], -base[2]]
+    m2 = lp.m_mag * lp.m_mag
+    found = P.polysub(P.polymul([0.0, 0.0, lp.c_eff ** 2],
+                                [1.0 - m2, -2.0, 1.0]), P.polymul(r, r))
+    return np.pad(found, (0, 5 - len(found)))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_stacked_roots_equal_polyroots():
+    # fig3 with C^2 = (c2 + Delta/4 + p)^2: every quartic has degree 3
+    lp = ladder_params(C2)
+    dropped = [orbit_quartic(lp, st) for st in default_start_grid()]
+    assert all(q[4] == 0.0 and q[3] != 0.0 for q in dropped)
+    rng = np.random.default_rng(11)
+    mixed = rng.standard_normal((40, 5))
+    for i, length in enumerate([5, 4, 3, 2, 1, 0, 3, 2] * 5):
+        mixed[i, length:] = 0.0  # trimmed lengths 5 .. 1, and all zero
+    cases = [orbit_quartic(ladder_params(-0.5 * C2), st)
+             for st in default_start_grid()]
+    for batch in (np.array(dropped), mixed, np.array(cases),
+                  np.vstack([cases, dropped, mixed])):
+        roots = _quartic_roots(batch)
+        assert len(roots) == len(batch)
+        for q, z in zip(batch, roots):
+            assert same_bits(z, P.polyroots(q)), q
+    assert _quartic_roots(np.zeros((0, 5))) == []
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(m_mag=st.floats(-0.5, 0.5), c_eff=st.floats(-1.0, 1.0),
+       c2n=coefficient, q=coefficient, ls_delta=coefficient, ls_p=coefficient,
+       points=st.lists(st.tuples(st.floats(-math.pi, math.pi),
+                                 st.floats(0.0, 1.0)), max_size=12))
+def test_portrait_verdicts_equal_per_start_verdicts(
+        m_mag, c_eff, c2n, q, ls_delta, ls_p, points):
+    lp = LandscapeParams(c_eff=c_eff, c2n=c2n, q=q, m_mag=m_mag,
+                         lightshift_delta=ls_delta, lightshift_p=ls_p)
+    n0_max = 1.0 - abs(m_mag)
+    starts = [PendulumState(t, f * n0_max, m_mag) for t, f in points]
+    starts += [PendulumState(0.0, 0.0, m_mag),
+               PendulumState(math.pi, n0_max, m_mag)]
+    summary = contour_portrait(lp, GridSpec(), starts)
+    assert [v for _t, _n, v in summary.verdicts] == [
+        classify_trajectory(lp, st) for st in starts]
+
+
+def test_portrait_of_no_starts():
+    summary = contour_portrait(ladder_params(-C2), GridSpec(), starts=[])
+    assert summary.verdicts == []
+    assert summary.counts == {v.value: 0 for v in Verdict}
+
+
+def test_portrait_refuses_a_start_of_other_magnetization():
+    lp = ladder_params(-C2, m_mag=0.2)
+    starts = default_start_grid(3, 3, n0_hi=0.7, m_mag=0.2)
+    starts.insert(4, PendulumState(0.0, 0.5, 0.1))
+    with pytest.raises(InvalidInputError, match="m_mag"):
+        contour_portrait(lp, GridSpec(), starts)
+
+
 def test_flow_finds_return_between_samples():
     # period 1329 < tau_max; the nearest 0.02-tau sample is 1.02e-4 from the
     # start, outside eps_return = 1e-4, so an unrefined scan said
@@ -381,8 +454,6 @@ def test_flow_finds_return_between_samples():
         assert classify_by_flow(lp, start, tau_max=2500.0) is Verdict.CLOSED
         assert classify_trajectory(lp, start) is Verdict.CLOSED
 
-
-coefficient = st.floats(-1.0, 1.0)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
