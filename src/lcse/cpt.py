@@ -28,20 +28,6 @@ THETA_VARIANTS = ("coherence", "stationary", "fixed")
 _SECH_CUTOFF = 710.0
 
 
-def _over_cosh(amplitude: float, tau, t0: float):
-    """amplitude / cosh(tau / t0), exactly 0 past |tau / t0| = 710.
-
-    A float tau goes through math.cosh and gives a float; an array goes
-    through numpy's cosh, which may round one ulp away from it.
-    """
-    if isinstance(tau, (float, int)):
-        x = tau / t0
-        return 0.0 if abs(x) > _SECH_CUTOFF else amplitude / math.cosh(x)
-    x = np.abs(np.asarray(tau, dtype=float) / t0)
-    return np.where(x > _SECH_CUTOFF, 0.0,
-                    amplitude / np.cosh(np.minimum(x, _SECH_CUTOFF)))
-
-
 @dataclass(frozen=True)
 class PulseSchedule:
     """Constant pump, sech dump and a two-photon detuning, as plain data.
@@ -82,10 +68,19 @@ class PulseSchedule:
 
     def rabi(self, tau):
         """(pump, dump) at tau: two floats for a float tau, two arrays of
-        tau's shape for an array tau."""
-        omega_d = _over_cosh(self.omega_d0, tau, self.t_zero)
+        tau's shape for an array tau.
+
+        The dump is exactly 0 past |tau / t_zero| = 710. A float tau goes
+        through math.cosh, an array through numpy's cosh, which may round
+        one ulp away from it.
+        """
         if isinstance(tau, (float, int)):
-            return self.omega_p, omega_d
+            x = tau / self.t_zero
+            return self.omega_p, (0.0 if abs(x) > _SECH_CUTOFF
+                                  else self.omega_d0 / math.cosh(x))
+        x = np.abs(np.asarray(tau, dtype=float) / self.t_zero)
+        omega_d = np.where(x > _SECH_CUTOFF, 0.0, self.omega_d0
+                           / np.cosh(np.minimum(x, _SECH_CUTOFF)))
         return np.full(np.shape(omega_d), self.omega_p), omega_d
 
     def drive(self, tau):
@@ -157,8 +152,12 @@ def resonance_detuning(omega_p, omega_d, small_delta: float, c2n: float,
 
 
 def _locked_detuning(n_s, n0_s, small_delta, c2n, variant):
+    # floats from a float tau stay Python floats: numpy's sqrt of a float
+    # costs six times math's and hands back a numpy scalar, which slows
+    # every later operation of the single-run RHS
+    root = math.sqrt if isinstance(n_s, float) else np.sqrt
     if variant == "coherence":
-        shift = 4.0 * n_s + 2.0 * np.sqrt(n_s * n0_s) - 4.0 * n0_s
+        shift = 4.0 * n_s + 2.0 * root(n_s * n0_s) - 4.0 * n0_s
     elif variant == "stationary":
         shift = 4.0 * n_s - 2.0 * n0_s
     else:

@@ -467,6 +467,13 @@ def _select_initial_step(fun, t0, y0, f0, t_bound, direction, rtol,
     return min(100 * h0, h1, interval)
 
 
+# accepted steps with samples are held and their samples written this many
+# steps at a time, so what a run holds is bounded whatever its length (a
+# fig4 transfer: about 0.8 MB of heap at 64, 11 MB holding every step);
+# fewer steps per write would add the fixed numpy cost of more writes
+_HELD_STEPS = 64
+
+
 def _dopri(fun, t0: float, t_bound: float, y0: list, t_eval: np.ndarray,
            rtol: float, atol: float, edge=None) -> np.ndarray:
     """Step one state from t0 to t_bound (either direction); return it
@@ -475,8 +482,8 @@ def _dopri(fun, t0: float, t_bound: float, y0: list, t_eval: np.ndarray,
     The state is a list of Python numbers and fun(tau, y) returns one, so
     a step makes no numpy call. The step rules are _dopri_batch's (scipy's
     RK45._step_impl); a step below ten ulp of tau raises NumericalError.
-    The accepted steps that hold samples are kept, and the samples come
-    from their quartic dense output at the end.
+    The accepted steps that hold samples are kept until _HELD_STEPS of them
+    are written together from their quartic dense output.
 
     edge(y), if given, is a boundary function: an accepted step that takes
     it from >= 0 to <= 0 raises DomainError at the crossing, located by
@@ -497,6 +504,18 @@ def _dopri(fun, t0: float, t_bound: float, y0: list, t_eval: np.ndarray,
     g = edge(y) if edge else None
     nxt = 0                                 # next sample index
     held = []                               # accepted steps with samples
+    out = np.empty((len(y0), len(t_eval)), dtype=complex)
+
+    def write(cols, sample, states):
+        out[:, sample] = states
+
+    def flush():
+        t_old, h, y_old, stages, first, count = (
+            np.array(part) for part in zip(*held))
+        _sample_steps(write, [(stages.astype(complex).transpose(1, 2, 0) * h,
+                               count, first, np.zeros(len(h), dtype=int),
+                               t_old, y_old.T, h)], t_eval)
+        held.clear()
     while direction * (t - t_bound) < 0.0:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         if not h_abs >= min_step:           # a NaN step is replaced too
@@ -554,15 +573,12 @@ def _dopri(fun, t0: float, t_bound: float, y0: list, t_eval: np.ndarray,
         if last > nxt:
             held.append((t, h, y, stages, nxt, last - nxt))
             nxt = last
+            if len(held) == _HELD_STEPS:
+                flush()
         t, y, f = t_new, y_new, f_new
-    out = np.empty((len(y0), 1, len(t_eval)), dtype=complex)
     if held:
-        t_old, h, y_old, stages, first, count = (
-            np.array(part) for part in zip(*held))
-        _sample_steps(out, [(stages.astype(complex).transpose(1, 2, 0) * h,
-                             count, first, np.zeros(len(h), dtype=int),
-                             t_old, y_old.T, h)], t_eval)
-    return out[:, 0]
+        flush()
+    return out
 
 
 def _crossing(edge, t, h, y, stages) -> float:
@@ -613,6 +629,50 @@ def integrate_batch(family: str,
     increasing. A step that falls below ten ulp of tau raises NumericalError
     naming the start (`member`, its index) and the tau where it failed.
     """
+    batch = prepare_batch(family, initials, params, tau_span, coupling,
+                          pulse, config, sampling, variant)
+    values = np.empty(batch.y0.shape + batch.t_eval.shape, dtype=complex)
+
+    def write(cols, sample, states):
+        values[:, cols, sample] = states
+    batch.run(write)
+    return BatchTrajectory(batch.t_eval, values)
+
+
+class Batch(NamedTuple):
+    """A checked batch of starts, ready to step: _dopri_batch's arguments
+    but the writer (see prepare_batch)."""
+
+    body: object
+    rows: object
+    coeffs: tuple
+    t0: float
+    t_bound: float
+    y0: np.ndarray           # (components, starts)
+    t_eval: np.ndarray       # (samples,)
+    rtol: float
+    atol: float
+
+    def run(self, write) -> None:
+        """Step every start from t0 to t_bound, handing each group of
+        samples to write(cols, sample, states) as it is made: states[:, i]
+        is start cols[i] at t_eval[sample[i]]. Each (start, sample) pair is
+        written once."""
+        _dopri_batch(*self, write)
+
+
+def prepare_batch(family: str,
+                  initials: Sequence[SpinorAmplitudes],
+                  params: SystemParams,
+                  tau_span: tuple[float, float],
+                  coupling: Optional[CouplingSummary] = None,
+                  pulse=None,
+                  config: Optional[IntegratorConfig] = None,
+                  sampling: Union[int, Sequence[float]] = 1001,
+                  variant: str = "symmetrized") -> Batch:
+    """Check integrate_batch's arguments and build the Batch it runs, so a
+    caller that reduces the samples as they come (run_ensemble) need not
+    keep them all."""
     if family not in ("effective", "resonant"):
         raise InvalidInputError(
             f"batched integration takes 'effective' or 'resonant', "
@@ -629,9 +689,8 @@ def integrate_batch(family: str,
                for st in initials]
     _, body, rows, coeffs = columns[0]
     y0 = np.stack([c[0] for c in columns], axis=1)
-    values = _dopri_batch(body, rows, coeffs, t0, t_bound, y0, t_eval,
-                          cfg.rel_tol, cfg.abs_tol)
-    return BatchTrajectory(t_eval, values)
+    return Batch(body, rows, coeffs, t0, t_bound, y0, t_eval, cfg.rel_tol,
+                 cfg.abs_tol)
 
 
 # the tableau's weights of the stage sums, the error estimate and the dense
@@ -693,9 +752,9 @@ _HELD_PASSES = 8
 
 
 def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
-                 rtol: float, atol: float) -> np.ndarray:
-    """Step every column of y0 from t0 to t_bound; return the states
-    sampled on t_eval, shape (n, R, len(t_eval)).
+                 rtol: float, atol: float, write) -> None:
+    """Step every column of y0 from t0 to t_bound and hand its samples on
+    t_eval to write(cols, sample, states), as _sample_steps makes them.
 
     The derivative at tau is body(y, *rows(tau), *coeffs). The drive rows
     are evaluated once per step attempt, on the (5, R) stage times
@@ -721,8 +780,7 @@ def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
     def fun(t, y):
         return body(y, *rows(t), *coeffs)
 
-    n, width = y0.shape
-    out = np.empty((n, width, len(t_eval)), dtype=y0.dtype)
+    width = y0.shape[1]
     cols = np.arange(width)            # batch index of each working column
     t = np.full(width, t0)
     y = y0
@@ -782,7 +840,7 @@ def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
         if np.count_nonzero(count):
             held.append((hK.copy(), count, nxt, cols, t, y, h))
             if len(held) == _HELD_PASSES:
-                _sample_steps(out, held, t_eval)
+                _sample_steps(write, held, t_eval)
                 held = []
         nxt, t, y, f = last, t_new, y_new, f_new
 
@@ -794,20 +852,21 @@ def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
             y, f = y[:, running], f[:, running]
             hK = np.empty((_STAGES + 1,) + y.shape, dtype=y.dtype)
     if held:
-        _sample_steps(out, held, t_eval)
-    return out
+        _sample_steps(write, held, t_eval)
 
 
-def _sample_steps(out, held, t_eval):
-    """Write the t_eval samples of held accepted steps from each step's
+def _sample_steps(write, held, t_eval):
+    """Hand the t_eval samples of held accepted steps, from each step's
     dense output, scipy's RkDenseOutput y_old + h (Q . [x, x^2, x^3, x^4]),
     Q = K^T P: the four columns of h Q come from one sum over the stages
     and the polynomial is evaluated in Horner form. Each held entry is
     (h K, count, nxt, cols, t_old, y_old, h) over its steps, one per
     column: a batch pass over its working columns, or the accepted steps of
-    one run; column i has count[i] samples from t_eval index nxt[i] on and
-    writes row cols[i] of out. h Q is summed once per column with samples,
-    not once per sample."""
+    one run; column i has count[i] samples from t_eval index nxt[i] on, of
+    start cols[i]. They go to write(cols, sample, states) in one call, one
+    column of states per sample. h Q is summed once per column with
+    samples, not once per sample, and each sample is evaluated on its own,
+    so how the steps are grouped into calls changes no bit."""
     hK, count, nxt, cols, t_old, y_old, h = (
         np.concatenate(part, axis=-1) for part in zip(*held))
     used = np.flatnonzero(count)                         # columns with samples
@@ -822,7 +881,7 @@ def _sample_steps(out, held, t_eval):
     poly = hQ[..., 3]
     for k in (2, 1, 0):
         poly = poly * x + hQ[..., k]
-    out[:, cols[step], sample] = poly * x + y_old[:, step]
+    write(cols[step], sample, poly * x + y_old[:, step])
 
 
 def _attach_monitors(traj: Trajectory, params: SystemParams,

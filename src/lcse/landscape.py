@@ -246,14 +246,24 @@ def _classify(lp: LandscapeParams,
     quartics[:, 3] = -2.0 * cc - 2.0 * r1 * r2
     quartics[:, 4] = cc - r2 * r2
     verdicts = [Verdict.BOUNDARY] * len(starts)
-    for i, a, quartic, roots in zip(inside.tolist(), r0.tolist(), quartics,
+    for i, a, quartic, roots in zip(inside.tolist(), r0.tolist(),
+                                    quartics.tolist(),
                                     _quartic_roots(quartics)):
         verdicts[i] = _verdict(lp, starts[i].n_zero, [a, r1, r2], quartic,
                                roots)
     return verdicts
 
 
-def _verdict(lp: LandscapeParams, n: float, r: list, quartic: np.ndarray,
+def _horner(x: float, coeffs: list) -> float:
+    """The polynomial with coeffs (lowest power first) at x, in the order
+    of P.polyval's Horner loop, on Python floats."""
+    value = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        value = c + value * x
+    return value
+
+
+def _verdict(lp: LandscapeParams, n: float, r: list, quartic: list,
              zs: np.ndarray) -> Verdict:
     """The verdict of classify_trajectory for a start at n0 = n inside the
     domain, from E0 - base(n) as r, Q(n) as quartic and Q's roots zs."""
@@ -271,9 +281,9 @@ def _verdict(lp: LandscapeParams, n: float, r: list, quartic: np.ndarray,
     if len(below) + len(above) < len(roots):
         # start is a root; Q <= 0 at both edges: Q < 0 on a side without roots
         at = roots[len(below)]
-        up = bool(above) and P.polyval((at[0] + above[0][0]) / 2, quartic) > 0
-        down = bool(below) and P.polyval((at[0] + below[-1][0]) / 2,
-                                         quartic) > 0
+        up = bool(above) and _horner((at[0] + above[0][0]) / 2, quartic) > 0
+        down = bool(below) and _horner((at[0] + below[-1][0]) / 2,
+                                       quartic) > 0
         if up and down:
             return Verdict.INDETERMINATE
         if not (up or down):
@@ -287,7 +297,7 @@ def _verdict(lp: LandscapeParams, n: float, r: list, quartic: np.ndarray,
         return Verdict.INDETERMINATE
     if (1.0 - ends[1][0]) ** 2 - m2 <= _ROOT_TOL ** 2:
         return Verdict.BOUNDARY
-    on_zero = [P.polyval(x, r) * lp.c_eff > 0.0 for x, _k in ends]
+    on_zero = [_horner(x, r) * lp.c_eff > 0.0 for x, _k in ends]
     return Verdict.OPEN if on_zero[0] != on_zero[1] else Verdict.CLOSED
 
 

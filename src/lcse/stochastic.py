@@ -18,14 +18,15 @@ import numpy as np
 
 from .core import SpinorAmplitudes, SystemParams, CouplingSummary
 from .cpt import PulseSchedule
-from .dynamics import IntegratorConfig, integrate_batch
+from .dynamics import IntegratorConfig, prepare_batch
 from .errors import InvalidInputError, NumericalError
 
 SEED_MODES = ("fixed-classical", "vacuum-sampled")
 ONSET_THRESHOLD = 0.1
-# members integrated together in one batch; memory grows with this times
-# the sample count, not with the number of runs
-ENSEMBLE_BLOCK = 64
+# members integrated together in one batch; the batch keeps only each
+# member's onset index and final populations, so memory grows with this,
+# not with the sample count or the number of runs
+ENSEMBLE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -121,17 +122,17 @@ def run_ensemble(spec: SeedSpec, runs: int, family: str,
     system, needs coupling). Run k draws from a generator spawned off
     (rng_seed, k), so the ensemble is deterministic and order-independent.
     Members are integrated ENSEMBLE_BLOCK at a time, each with its own step
-    control, and each block is reduced to the per-run columns before the
-    next starts. So a member's numbers do not depend on which others share
-    its block: any subset of runs, executed in any grouping, reproduces the
-    same columns bit for bit, and each run matches a direct single run
-    (run_transfer or integrate) to rounding.
+    control, and their samples are reduced to the per-run columns as the
+    batch makes them: no member's samples are kept. So a member's numbers
+    do not depend on which others share its block: any subset of runs,
+    executed in any grouping, reproduces the same columns bit for bit, and
+    each run matches a direct single run (run_transfer or integrate) to
+    rounding.
     """
     if runs < 1:
         raise InvalidInputError("runs must be >= 1")
     seeds = np.empty((2, runs), dtype=complex)
     finals = np.zeros((4, runs))
-    side = np.empty(runs)
     onset = np.empty(runs)
     for first in range(0, runs, ENSEMBLE_BLOCK):
         block = slice(first, min(first + ENSEMBLE_BLOCK, runs))
@@ -139,24 +140,31 @@ def run_ensemble(spec: SeedSpec, runs: int, family: str,
                       np.random.SeedSequence(entropy=spec.rng_seed,
                                              spawn_key=(k,))))
                   for k in range(block.start, block.stop)]
+        batch = prepare_batch(family, states, params, tau_span,
+                              coupling=coupling, pulse=pulse, config=config,
+                              sampling=sampling, variant=variant)
+        final = len(batch.t_eval) - 1
+        # per member the first sample index with n+ + n- above the
+        # threshold; final + 1 while it has none
+        crossing = np.full(len(states), final + 1)
+
+        def write(cols, sample, values):
+            sides = np.abs(values[0]) ** 2 + np.abs(values[2]) ** 2
+            crossed = sides > ONSET_THRESHOLD
+            np.minimum.at(crossing, cols[crossed], sample[crossed])
+            last = sample == final
+            finals[:len(values), first + cols[last]] = (
+                np.abs(values[:, last]) ** 2)
         try:
-            batch = integrate_batch(family, states, params, tau_span,
-                                    coupling=coupling, pulse=pulse,
-                                    config=config, sampling=sampling,
-                                    variant=variant)
+            batch.run(write)
         except NumericalError as exc:
             run = first + exc.member
             raise NumericalError(f"ensemble run {run}: {exc}", tau=exc.tau,
                                  member=run) from exc
         seeds[:, block] = [[s.a_plus for s in states],
                            [s.a_minus for s in states]]
-        values = batch.values                       # (modes, members, samples)
-        finals[:len(values), block] = np.abs(values[:, :, -1]) ** 2
-        sides = np.abs(values[0]) ** 2 + np.abs(values[2]) ** 2
-        side[block] = sides[:, -1]
-        crossed = sides > ONSET_THRESHOLD
-        onset[block] = np.where(crossed.any(axis=1),
-                                batch.times[crossed.argmax(axis=1)], math.nan)
+        onset[block] = np.append(batch.t_eval, math.nan)[crossing]
+    side = finals[0] + finals[2]
     hit = onset[np.isfinite(onset)]
     return EnsembleStats(
         runs=runs,

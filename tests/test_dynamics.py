@@ -17,6 +17,7 @@ Verifies:
     detuning lock, both variants), columns do not depend on each other,
     scipy's step rules and tableau (bit for bit), one drive evaluation per
     step attempt, a too-small step names the member
+  - how many held steps or passes are written at a time changes no bit
   - the RHS kernels: one state against a batch column, the pendulum flow
     against the energy gradient, next to the S = 0 edge
   - effective-family symmetries: a global phase changes no observable, and
@@ -586,6 +587,53 @@ def test_batch_rejects_bad_input():
     with pytest.raises(InvalidInputError, match="sampling"):
         integrate_batch("resonant", starts, params, (0.0, 1.0), pulse=CALM,
                         sampling=[0.0, 2.0])
+
+
+def streamed_runs():
+    """What the flush bounds could touch: one run of each family, each
+    flushing several times at the default bound (the pendulum one
+    backward), the message of a pendulum run that flushes before it hits
+    the edge, and a batch."""
+    fast = SystemParams(c2n=-0.5, q=0.5)
+    resonant = SystemParams(small_delta=3.0, gamma=1.0)
+    out = {
+        "effective": integrate("effective", spread_starts(1, False)[0], fast,
+                               (0.0, 40.0), coupling=effective_coupling(fast),
+                               sampling=401),
+        "pendulum": integrate("pendulum", PendulumState(0.3, 0.6, 0.1), fast,
+                              (40.0, 0.0), coupling=effective_coupling(fast),
+                              sampling=401),
+        "resonant": integrate("resonant", spread_starts(1, True)[0],
+                              resonant, (0.0, 30.0), pulse=FIG4,
+                              sampling=301),
+    }
+    out = {key: traj.values for key, traj in out.items()}
+    n0, theta, c2n, q, c_eff = EDGE_RUNS[2]
+    with pytest.raises(DomainError) as err:
+        integrate("pendulum", PendulumState(theta, n0),
+                  SystemParams(c2n=c2n, q=q), (0.0, 200.0),
+                  coupling=CouplingSummary(0.0, c_eff, 0.0, 0.0),
+                  sampling=2001)
+    out["edge"] = str(err.value)
+    out["batch"] = integrate_batch("resonant", spread_starts(3, True),
+                                   resonant, (0.0, 30.0), pulse=FIG4,
+                                   sampling=301).values
+    return out
+
+
+@pytest.mark.parametrize("held", [1, 10 ** 9])
+def test_flush_bounds_change_no_bit(monkeypatch, held):
+    # samples are written a bounded number of held steps (one run) or
+    # passes (a batch) at a time; each sample is evaluated on its own, so
+    # writing every step by itself or all of them at the end gives the
+    # same bits and the same edge crossing
+    default = streamed_runs()
+    monkeypatch.setattr(dynamics, "_HELD_STEPS", held)
+    monkeypatch.setattr(dynamics, "_HELD_PASSES", held)
+    changed = streamed_runs()
+    assert changed["edge"] == default["edge"]
+    for key in ("effective", "pendulum", "resonant", "batch"):
+        assert np.array_equal(changed[key], default[key]), key
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,12 @@ Verifies:
   - any subset of runs, in any blocking, reproduces the same per-run
     columns bit for bit, each run matching its direct single run; blocks
     hold at most ENSEMBLE_BLOCK members; a too-small step names the run
+  - an ensemble keeps only its per-run columns, not its members' samples:
+    its heap peak stays below the size of their amplitudes
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,19 +208,52 @@ def test_subset_of_runs_reproduces_records(kind):
 def test_blocks_do_not_change_records(monkeypatch):
     scenario = short_scenario("cpt")
     whole = run_ensemble(VACUUM, 5, **scenario)
-    integrate_batch = stochastic.integrate_batch
+    prepare_batch = stochastic.prepare_batch
     starts = []
 
     def counted(family, initials, *args, **kwargs):
         starts.append(len(initials))
-        return integrate_batch(family, initials, *args, **kwargs)
+        return prepare_batch(family, initials, *args, **kwargs)
 
-    monkeypatch.setattr(stochastic, "integrate_batch", counted)
+    monkeypatch.setattr(stochastic, "prepare_batch", counted)
     monkeypatch.setattr(stochastic, "ENSEMBLE_BLOCK", 2)
     blocked = run_ensemble(VACUUM, 5, **scenario)  # blocks 2 + 2 + 1
     assert starts == [2, 2, 1]
     assert same_columns(blocked, whole, 5)
     assert blocked.runs == 5 and blocked.final_side.shape == (5,)
+
+
+def test_full_blocks_do_not_change_records(monkeypatch):
+    # more runs than one default block: blocks 256 + 1 against 2 at a time
+    scenario = short_scenario("effective")
+    runs = stochastic.ENSEMBLE_BLOCK + 1
+    assert stochastic.ENSEMBLE_BLOCK == 256
+    whole = run_ensemble(VACUUM, runs, **scenario)
+    monkeypatch.setattr(stochastic, "ENSEMBLE_BLOCK", 2)
+    pairs = run_ensemble(VACUUM, runs, **scenario)
+    assert same_columns(pairs, whole, runs)
+    assert 0 < whole.onset_misses < runs
+
+
+def test_ensemble_heap_peak_is_below_its_amplitudes():
+    # the batch hands each group of samples to a reduction that keeps only
+    # the onset index and the final populations per member, so 16 fig4
+    # members no longer hold their (4, 16, 2001) complex amplitudes, 2.05
+    # MB, the bound. The heap peaked at 3.55 MB with them and peaks at 0.75
+    # MB without (tracemalloc), 2.7 times below the bound; the amplitudes'
+    # size does not depend on the span, so (0, 15), past every onset,
+    # keeps the traced run short
+    runs, samples = 16, 2001
+    tracemalloc.start()
+    try:
+        stats = run_ensemble(VACUUM, runs, "resonant", fig4_params(),
+                             tau_span=(0.0, 15.0), pulse=fig4_pulse(),
+                             sampling=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.onset_misses == 0
+    assert peak < 4 * runs * samples * np.dtype(complex).itemsize
 
 
 @pytest.mark.parametrize("kind", ["cpt", "effective"])
