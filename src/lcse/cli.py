@@ -18,15 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ScenarioConfig, build_coupling, build_initial_state,
-                     build_integrator, build_pendulum_state, build_pulse,
-                     build_seed_spec, build_grid_spec, build_system_params,
-                     config_to_dict, landscape_cases, parse_config)
+from .config import ScenarioConfig, build, config_to_dict, parse_config
 from .core import classify_regime
 from .cpt import run_transfer
 from .dynamics import integrate
 from .errors import ConfigError, DomainError, InvalidInputError, NumericalError
-from .landscape import contour_portrait, default_start_grid, energy_grid
+from .landscape import contour_portrait, energy_grid
 from .presets import load_preset, preset_description, preset_names
 from .stochastic import run_ensemble
 
@@ -108,34 +105,6 @@ def _drift(traj) -> dict:
         e = traj.monitors["energy"]
         out["max_energy_drift"] = float(np.abs(e - e[0]).max())
     return out
-
-
-def _build(cfg: ScenarioConfig) -> tuple[object, dict]:
-    """What a run of cfg starts from, and the arguments it integrates with,
-    named as integrate's. Their constructors hold the range checks, so
-    `validate` builds them too and refuses what `run` would refuse before
-    integrating."""
-    if cfg.mode == "landscape":
-        g = cfg.grid
-        return (default_start_grid(g["starts_n_theta"], g["starts_n_n0"],
-                                   g["starts_n0_min"], g["starts_n0_max"],
-                                   g["m_mag"]),
-                {"grid": build_grid_spec(cfg), "cases": landscape_cases(cfg)})
-    integ = cfg.integration
-    kw = {"params": build_system_params(cfg),
-          "tau_span": (integ["tau_start"], integ["tau_end"])}
-    if cfg.pulse:  # the resonant family
-        kw["pulse"] = build_pulse(cfg)
-    else:
-        kw["coupling"] = build_coupling(cfg)
-    if cfg.mode == "pendulum":
-        start = build_pendulum_state(cfg)
-    elif cfg.mode == "ensemble":
-        start = build_seed_spec(cfg)
-    else:
-        start = build_initial_state(cfg)
-    kw.update(config=build_integrator(cfg), sampling=integ["samples"])
-    return start, kw
 
 
 def _run_effective(initial, kw: dict, out: Path) -> tuple[list[str], dict]:
@@ -380,7 +349,7 @@ def _execute(args) -> int:
 
     if args.command == "validate":
         cfg = _read_config(args.config)
-        _build(cfg)
+        build(cfg)
         print(f"OK: mode = {cfg.mode}")
         return 0
 
@@ -395,7 +364,7 @@ def _execute(args) -> int:
     if args.variant != "symmetrized" and not cfg.pulse:
         raise InvalidInputError("--variant only applies to resonant, cpt "
                                 "and kind = cpt ensemble runs")
-    start, kw = _build(cfg)
+    start, kw = build(cfg)
 
     out = Path(args.out) if args.out else Path(cfg.output.get("dir", "."))
     try:

@@ -6,8 +6,9 @@ rejected, so a typo cannot silently fall back to a default and a key cannot
 be silently ignored. parse_config collects every problem it can find and
 reports them all at once.
 
-Builder helpers at the bottom turn a validated ScenarioConfig into the
-library objects (SystemParams, initial state, pulse, grid, seed spec).
+build() turns a validated ScenarioConfig into the library objects its mode
+runs with, so one module knows the modes: _READS for the keys each reads,
+build for the objects it makes of them.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import math
 from dataclasses import dataclass, field
 
 from .constants import RB87_C2_OVER_C0
-from .core import (CouplingSummary, SpinorAmplitudes, SystemParams,
-                   effective_coupling, ladder_lightshifts)
-from .cpt import THETA_VARIANTS, PulseSchedule, make_schedule
+from .core import (SpinorAmplitudes, SystemParams, effective_coupling,
+                   ladder_lightshifts)
+from .cpt import THETA_VARIANTS, PulseSchedule
 from .dynamics import IntegratorConfig, PendulumState, require_interior
 from .errors import ConfigError
-from .landscape import GridSpec, LandscapeParams
+from .landscape import GridSpec, LandscapeParams, default_start_grid
 from .stochastic import SEED_MODES, SeedSpec
 
 MODES = ("effective", "pendulum", "resonant", "landscape", "cpt", "ensemble")
@@ -294,87 +295,65 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# builders: validated config -> library objects
+# the objects each mode runs with
 
-def build_system_params(cfg: ScenarioConfig) -> SystemParams:
+def build(cfg: ScenarioConfig) -> tuple[object, dict]:
+    """What a run of cfg starts from, and the arguments it runs with: named
+    as integrate's, or for landscape its GridSpec and its cases, one
+    (coupling multiple, shift setting, LandscapeParams) each; shifts 'on'
+    takes the drive ladder's light shifts at W = c_eff - c2n, and 'both'
+    gives an 'on' and an 'off' case. The constructors hold the range
+    checks, in a fixed order, so `validate` refuses first what `run`
+    refuses first, before integrating."""
+    par, integ, ini = cfg.params, cfg.integration, cfg.initial
+    if cfg.mode == "landscape":
+        g = cfg.grid
+        starts = default_start_grid(g["starts_n_theta"], g["starts_n_n0"],
+                                    g["starts_n0_min"], g["starts_n0_max"],
+                                    g["m_mag"])
+        grid = GridSpec(theta_range=(g["theta_min"], g["theta_max"]),
+                        n0_range=(g["n0_min"], g["n0_max"]),
+                        resolution=(g["n_theta"], g["n_n0"]))
+        settings = ("on", "off") if g["shifts"] == "both" else (g["shifts"],)
+        cases = []
+        for mult in g["c_eff_over_c2"]:
+            c_eff = mult * par["c2n"]
+            for setting in settings:
+                shifts = (ladder_lightshifts(c_eff - par["c2n"])
+                          if setting == "on" else (0.0, 0.0))
+                cases.append((mult, setting, LandscapeParams(
+                    c_eff, par["c2n"], par["q"], g["m_mag"], *shifts)))
+        return starts, {"grid": grid, "cases": cases}
     # keys the mode does not read keep SystemParams' defaults, which the
     # schema's equal; c0n is the unit and only recorded
-    return SystemParams(**{k: v for k, v in cfg.params.items() if k != "c0n"})
-
-
-def build_coupling(cfg: ScenarioConfig) -> CouplingSummary:
-    return effective_coupling(build_system_params(cfg))
-
-
-def build_initial_state(cfg: ScenarioConfig) -> SpinorAmplitudes:
-    """The start amplitudes, with a molecular mode exactly when the mode
-    reads [initial] n_m."""
-    ini = cfg.initial
-    n_m = ini.get("n_m", 0.0)
-    total = ini["n_plus"] + ini["n_zero"] + ini["n_minus"] + 2.0 * n_m
-    scale = 1.0 / total  # exact renormalization of the allowed 1e-9 slack
-    return SpinorAmplitudes.from_populations(
-        ini["n_plus"] * scale, ini["n_zero"] * scale, ini["n_minus"] * scale,
-        n_m=n_m * scale, resonant="n_m" in ini,
-        phase_plus=ini["phase_plus"], phase_zero=ini["phase_zero"],
-        phase_minus=ini["phase_minus"], phase_m=ini.get("phase_m", 0.0))
-
-
-def build_pendulum_state(cfg: ScenarioConfig) -> PendulumState:
-    """The pendulum start; a start on the domain boundary is refused here,
-    so `validate` refuses it as `run` does."""
-    ini = cfg.initial
-    state = PendulumState(ini["theta"], ini["n_zero"], ini["m_mag"])
-    require_interior(state)
-    return state
-
-
-def build_integrator(cfg: ScenarioConfig) -> IntegratorConfig:
-    integ = cfg.integration
-    return IntegratorConfig(rel_tol=integ["rel_tol"],
-                            abs_tol=integ["abs_tol"])
-
-
-def build_pulse(cfg: ScenarioConfig) -> PulseSchedule:
-    pl = cfg.pulse
-    return make_schedule(pl["omega_p"], pl["omega_d0"], pl["t_zero"],
-                         small_delta=cfg.params["small_delta"],
-                         c2n=cfg.params["c2n"],
-                         theta_variant=pl["theta_variant"],
-                         theta_fixed=pl["theta_fixed"])
-
-
-def build_seed_spec(cfg: ScenarioConfig) -> SeedSpec:
-    sd = cfg.seeds
-    return SeedSpec(mode=sd["mode"], classical_n=sd["classical_n"],
-                    atom_number_N=sd["atom_number"],
-                    rng_seed=int(sd["rng_seed"]))
-
-
-def landscape_cases(cfg: ScenarioConfig) -> list[tuple[float, str, LandscapeParams]]:
-    """One LandscapeParams per (coupling multiple, shift setting) pair.
-
-    shifts 'on' derives the light shifts from the two-channel ladder tied to
-    the drive strength W = c_eff - c2n (delta-shift 10 W, pump-shift W / 10);
-    'off' zeroes them; 'both' yields the on and off case for each coupling.
-    """
-    g = cfg.grid
-    c2 = cfg.params["c2n"]
-    shift_settings = ("on", "off") if g["shifts"] == "both" else (g["shifts"],)
-    cases = []
-    for mult in g["c_eff_over_c2"]:
-        c_eff = mult * c2
-        w = c_eff - c2
-        for setting in shift_settings:
-            delta, p = ladder_lightshifts(w) if setting == "on" else (0.0, 0.0)
-            cases.append((mult, setting, LandscapeParams(
-                c_eff=c_eff, c2n=c2, q=cfg.params["q"], m_mag=g["m_mag"],
-                lightshift_delta=delta, lightshift_p=p)))
-    return cases
-
-
-def build_grid_spec(cfg: ScenarioConfig) -> GridSpec:
-    g = cfg.grid
-    return GridSpec(theta_range=(g["theta_min"], g["theta_max"]),
-                    n0_range=(g["n0_min"], g["n0_max"]),
-                    resolution=(g["n_theta"], g["n_n0"]))
+    params = SystemParams(**{k: v for k, v in par.items() if k != "c0n"})
+    kw = {"params": params,
+          "tau_span": (integ["tau_start"], integ["tau_end"])}
+    if cfg.pulse:  # the resonant family
+        kw["pulse"] = PulseSchedule(**cfg.pulse, c2n=par["c2n"],
+                                    small_delta=par["small_delta"])
+    else:
+        kw["coupling"] = effective_coupling(params)
+    if cfg.mode == "pendulum":
+        # a start on the domain boundary is refused here, as run refuses it
+        start = PendulumState(ini["theta"], ini["n_zero"], ini["m_mag"])
+        require_interior(start)
+    elif cfg.mode == "ensemble":
+        sd = cfg.seeds
+        start = SeedSpec(mode=sd["mode"], classical_n=sd["classical_n"],
+                         atom_number_N=sd["atom_number"],
+                         rng_seed=int(sd["rng_seed"]))
+    else:
+        n_m = ini.get("n_m", 0.0)
+        # exact renormalization of the allowed 1e-9 slack
+        scale = 1.0 / (ini["n_plus"] + ini["n_zero"] + ini["n_minus"]
+                       + 2.0 * n_m)
+        start = SpinorAmplitudes.from_populations(
+            ini["n_plus"] * scale, ini["n_zero"] * scale,
+            ini["n_minus"] * scale, n_m=n_m * scale, resonant="n_m" in ini,
+            phase_plus=ini["phase_plus"], phase_zero=ini["phase_zero"],
+            phase_minus=ini["phase_minus"], phase_m=ini.get("phase_m", 0.0))
+    kw.update(config=IntegratorConfig(rel_tol=integ["rel_tol"],
+                                      abs_tol=integ["abs_tol"]),
+              sampling=integ["samples"])
+    return start, kw

@@ -165,17 +165,8 @@ def _locked_detuning(n_s, n0_s, small_delta, c2n, variant):
     return -small_delta + c2n * shift
 
 
-def make_schedule(omega_p: float, omega_d0: float, t_zero: float,
-                  small_delta: float = 0.0, c2n: float = 0.0,
-                  theta_variant: str = "coherence",
-                  theta_fixed: Optional[float] = None) -> PulseSchedule:
-    """Constant pump, sech dump, and a detuning lock (see PulseSchedule).
-
-    theta_variant 'fixed' holds Theta at theta_fixed instead of tracking the
-    instantaneous resonance.
-    """
-    return PulseSchedule(omega_p, omega_d0, t_zero, small_delta, c2n,
-                         theta_variant, theta_fixed)
+# the constructor under its older name
+make_schedule = PulseSchedule
 
 
 @dataclass

@@ -397,9 +397,10 @@ def integrate(family: str,
     grid over the span) or an explicit tau grid that runs monotonically
     from tau_span[0] toward tau_span[1] and stays within the span. Monitors
     (total N, magnetization, energy where defined) are attached to the
-    returned Trajectory. A step that falls below ten ulp of tau raises
-    NumericalError carrying that tau; a pendulum orbit that reaches the
-    (1-n0)^2 = m^2 edge raises DomainError.
+    returned Trajectory. A step that falls below ten ulp of tau, or a run
+    past _MAX_STEP_ATTEMPTS trial steps, raises NumericalError carrying
+    the tau reached; a pendulum orbit that reaches the (1-n0)^2 = m^2 edge
+    raises DomainError.
     """
     if family not in _FAMILIES:
         raise InvalidInputError(f"unknown family {family!r}")
@@ -467,6 +468,23 @@ def _select_initial_step(fun, t0, y0, f0, t_bound, direction, rtol,
     return min(100 * h0, h1, interval)
 
 
+# the most step attempts one run may make: trial steps of a single run,
+# loop passes of a batch; past it the run raises NumericalError. The
+# presets, the tests and the benchmark make at most 6,453 (a lossy fig4
+# transfer), so a run that needs 150 times that is taken to be stuck: a
+# stiff drive, or decay run backward into growth
+_MAX_STEP_ATTEMPTS = 1_000_000
+
+
+def _over_budget(tau: float, member: Optional[int] = None) -> NumericalError:
+    """The error of a run that used up _MAX_STEP_ATTEMPTS at tau; in a
+    batch, of the member furthest behind."""
+    who = "" if member is None else f" for member {member}"
+    return NumericalError(
+        f"integration stopped{who} after {_MAX_STEP_ATTEMPTS} step "
+        f"attempts at tau = {tau!r}", tau=tau, member=member)
+
+
 # accepted steps with samples are held and their samples written this many
 # steps at a time, so what a run holds is bounded whatever its length (a
 # fig4 transfer: about 0.8 MB of heap at 64, 11 MB holding every step);
@@ -481,8 +499,8 @@ def _dopri(fun, t0: float, t_bound: float, y0: list, t_eval: np.ndarray,
 
     The state is a list of Python numbers and fun(tau, y) returns one, so
     a step makes no numpy call. The step rules are _dopri_batch's (scipy's
-    RK45._step_impl); a step below ten ulp of tau raises NumericalError.
-    The accepted steps that hold samples are kept until _HELD_STEPS of them
+    RK45._step_impl); a step below ten ulp of tau raises NumericalError,
+    and so does trial step _MAX_STEP_ATTEMPTS + 1. The accepted steps that hold samples are kept until _HELD_STEPS of them
     are written together from their quartic dense output.
 
     edge(y), if given, is a boundary function: an accepted step that takes
@@ -502,6 +520,7 @@ def _dopri(fun, t0: float, t_bound: float, y0: list, t_eval: np.ndarray,
     h_abs = _select_initial_step(fun, t, y, f, t_bound, direction, rtol,
                                  atol)
     g = edge(y) if edge else None
+    attempts = 0
     nxt = 0                                 # next sample index
     held = []                               # accepted steps with samples
     out = np.empty((len(y0), len(t_eval)), dtype=complex)
@@ -522,6 +541,9 @@ def _dopri(fun, t0: float, t_bound: float, y0: list, t_eval: np.ndarray,
             h_abs = min_step
         rejected = False
         while True:
+            attempts += 1
+            if attempts > _MAX_STEP_ATTEMPTS:
+                raise _over_budget(t)
             if h_abs < min_step:
                 raise NumericalError(
                     f"integration failed: required step size is less than "
@@ -626,8 +648,9 @@ def integrate_batch(family: str,
     _dopri_batch), so column j reproduces integrate(family, initials[j],
     ...) to rounding, and no column's numbers depend on the others. Runs
     forward only (tau_span[1] > tau_span[0]); sampling as in integrate(),
-    increasing. A step that falls below ten ulp of tau raises NumericalError
-    naming the start (`member`, its index) and the tau where it failed.
+    increasing. A step that falls below ten ulp of tau, or a run past
+    _MAX_STEP_ATTEMPTS loop passes, raises NumericalError naming a start
+    (`member`, its index) and the tau it reached.
     """
     batch = prepare_batch(family, initials, params, tau_span, coupling,
                           pulse, config, sampling, variant)
@@ -773,7 +796,8 @@ def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
     0.9 err^-1/5). Samples inside an accepted step come from its quartic
     dense output, as solve_ivp's t_eval does; the accepted steps that hold
     samples are kept until _HELD_PASSES of them are written together.
-    Finished columns leave the working arrays.
+    Finished columns leave the working arrays. Pass _MAX_STEP_ATTEMPTS + 1
+    raises NumericalError naming the column furthest behind.
     """
     coeffs = _complex_operands(coeffs)
 
@@ -790,7 +814,12 @@ def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
     nxt = np.zeros(width, dtype=int)   # next t_eval index per column
     hK = np.empty((_STAGES + 1,) + y.shape, dtype=y.dtype)  # h K_s
     held = []                          # accepted steps not yet sampled
+    passes = 0
     while len(cols):
+        passes += 1
+        if passes > _MAX_STEP_ATTEMPTS:
+            j = int(np.argmin(t))
+            raise _over_budget(float(t[j]), int(cols[j]))
         # nextafter(t, inf) > t: no abs needed
         min_step = 10.0 * (np.nextafter(t, np.inf) - t)
         if np.count_nonzero(h_abs >= min_step) < len(h_abs):
@@ -875,8 +904,12 @@ def _sample_steps(write, held, t_eval):
     step = used[within]                                  # held column
     sample = np.arange(len(step)) + np.repeat(nxt - np.cumsum(count) + count,
                                               count)     # t_eval index
-    hQ = _combine(hK[:, :, used, None],
-                  _P_COLUMNS)[:, within]                 # (n, samples, 4)
+    # h Q summed stage by stage from zero, as add.reduce over the stages
+    # sums, without the (stages, n, columns, 4) product
+    hQ = np.zeros((hK.shape[1], len(used), 4), dtype=complex)
+    for s in range(_STAGES + 1):
+        hQ += hK[s][:, used, None] * _P_COLUMNS[s]
+    hQ = hQ[:, within]                                   # (n, samples, 4)
     x = ((t_eval[sample] - t_old[step]) / h[step]).astype(complex)
     poly = hQ[..., 3]
     for k in (2, 1, 0):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .dynamics import PendulumState, energy_functional, outside_domain
 from .errors import DomainError, InvalidInputError
@@ -136,18 +135,21 @@ def find_fixed_points(lp: LandscapeParams,
     m2 = lp.m_mag * lp.m_mag
     base = _base_energy(lp)
     l0, l1 = base[1], 2.0 * base[2]             # L(n) = l0 + l1 n
+    lines = ((lp.c_eff, 0.0), (-lp.c_eff, math.pi))   # (s C, theta)
+    if m2 == 0.0:
+        line_roots = [[-(l0 + sc) / (l1 - 2.0 * sc)] if l1 != 2.0 * sc
+                      else [] for sc, _th in lines]
+    else:
+        k = l0 + l1
+        quartics = np.array([[m2 * m2 * (l1 + 2.0 * sc),
+                              -2.0 * m2 * (k + sc), 0.0, 2.0 * (k - sc),
+                              2.0 * sc - l1] for sc, _th in lines])
+        line_roots = [[1.0 - 0.5 * (v.real + m2 / v.real)
+                       for v in zs.tolist()
+                       if v.imag == 0.0 and v.real > abs(lp.m_mag)]
+                      for zs in _quartic_roots(quartics)]
     out: list[FixedPoint] = []
-    for s, th in ((1.0, 0.0), (-1.0, math.pi)):
-        sc = s * lp.c_eff
-        if m2 == 0.0:
-            roots = [-(l0 + sc) / (l1 - 2.0 * sc)] if l1 != 2.0 * sc else []
-        else:
-            k = l0 + l1
-            quartic = [m2 * m2 * (l1 + 2.0 * sc), -2.0 * m2 * (k + sc), 0.0,
-                       2.0 * (k - sc), 2.0 * sc - l1]
-            roots = [1.0 - 0.5 * (v.real + m2 / v.real)
-                     for v in P.polyroots(quartic).tolist()
-                     if v.imag == 0.0 and v.real > abs(lp.m_mag)]
+    for (sc, th), roots in zip(lines, line_roots):
         for n in sorted(roots):
             # a root whose S^2 rounds to 0 is the edge's fixed point
             if not (0.0 < n < n0_max and (1.0 - n) ** 2 > m2):
@@ -171,7 +173,7 @@ def find_fixed_points(lp: LandscapeParams,
 
 
 # Roots of Q closer than this in n0 are one root: a double root (a saddle or
-# a center) comes out of polyroots split by up to 3e-7 on the fig3
+# a center) comes out of _quartic_roots split by up to 3e-7 on the fig3
 # landscapes. A root within half of it of the start is the start.
 _ROOT_TOL = 1e-5
 
@@ -197,8 +199,8 @@ def classify_trajectory(lp: LandscapeParams,
 
 
 def _quartic_roots(quartics: np.ndarray) -> list[np.ndarray]:
-    """P.polyroots of each row of coefficients (lowest power first), bit for
-    bit, from one stacked eigvals per trimmed length: trailing zero
+    """numpy's polyroots of each row of coefficients (lowest power first),
+    bit for bit, from one stacked eigvals per trimmed length: trailing zero
     coefficients are dropped as as_series drops them, each matrix is
     polycompanion's, and a linear row is solved as polyroots solves it."""
     k, width = quartics.shape
@@ -234,7 +236,7 @@ def _classify(lp: LandscapeParams,
         return [Verdict.OPEN] * len(starts)
     m2 = lp.m_mag * lp.m_mag
     inside = np.flatnonzero((1.0 - n) ** 2 - m2 > 0.0)
-    # E0 - base(n) and Q(n), lowest power first; polyroots drops a zero
+    # E0 - base(n) and Q(n), lowest power first; _quartic_roots drops a zero
     # leading coefficient, which C^2 = (c2 + Delta/4 + p)^2 makes exactly
     base = _base_energy(lp)
     r0, r1, r2 = e0[inside] - base[0], -base[1], -base[2]
@@ -256,7 +258,7 @@ def _classify(lp: LandscapeParams,
 
 def _horner(x: float, coeffs: list) -> float:
     """The polynomial with coeffs (lowest power first) at x, in the order
-    of P.polyval's Horner loop, on Python floats."""
+    of numpy's polyval Horner loop, on Python floats."""
     value = coeffs[-1]
     for c in coeffs[-2::-1]:
         value = c + value * x

@@ -11,7 +11,7 @@ Verifies:
   - CLI outputs: CSV columns, manifest fields, and rerun byte-identity;
     CSV cells equal format(x, ".17g") on both formatting paths
   - exit codes 2 (bad input, an unreadable config, an --out that is a
-    file) and 3 (domain violation)
+    file), 3 (domain violation) and 4 (a run past the step budget)
   - one parser serves consecutive main() calls in a process
 """
 
@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcse import ConfigError, InvalidInputError, ValidityWarning, cli, config
-from lcse.config import build_grid_spec, landscape_cases
-from lcse.config import config_to_dict, parse_config, serialize_config
+from lcse import (ConfigError, InvalidInputError, ValidityWarning, cli,
+                  config, dynamics)
+from lcse.config import build, config_to_dict, parse_config, serialize_config
 from lcse.landscape import energy_grid
 from lcse.presets import load_preset, preset_description, preset_names, preset_text
 
@@ -647,8 +647,8 @@ def test_cli_energy_grid_rows_and_masked_cells(tmp_path, capsys):
     path.write_text(text)
     assert cli.main(["run", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 0
-    cfg = parse_config(text)
-    eg = energy_grid(landscape_cases(cfg)[0][2], build_grid_spec(cfg))
+    _starts, kw = build(parse_config(text))
+    eg = energy_grid(kw["cases"][0][2], kw["grid"])
     assert eg.mask[-1].all() and not eg.mask[:-1].any()  # the n0 = 1 row
     lines = (tmp_path / "o" / "energy_grid.csv").read_text().splitlines()
     assert lines[2] == "theta,n_zero,energy,mask"
@@ -819,6 +819,22 @@ def test_cli_validate_and_run_agree_on_pendulum_starts(tmp_path, capsys,
         assert ("pendulum initial state on the domain boundary" in err) == (
             code == 3), (args, err)
     assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("preset, member", [("fig4-cpt", False),
+                                            ("fig4-ensemble", True)])
+def test_cli_run_past_step_budget_exits_4(tmp_path, capsys, monkeypatch,
+                                          preset, member):
+    # a single run and a batch both stop at the budget, naming the tau
+    # reached (and in a batch the member)
+    monkeypatch.setattr(dynamics, "_MAX_STEP_ATTEMPTS", 100)
+    assert cli.main(["run", "--preset", preset,
+                     "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "integration stopped" in err
+    assert "after 100 step attempts at tau = " in err
+    assert ("for member " in err) == member
 
 
 def test_cli_validity_warning_once_per_call(tmp_path):

@@ -102,6 +102,7 @@ def test_sech_pulse_shape():
 
 
 def test_make_schedule_variants():
+    assert make_schedule is PulseSchedule  # the constructor's older name
     assert set(THETA_VARIANTS) == {"coherence", "stationary", "fixed"}
     with pytest.raises(InvalidInputError):
         make_schedule(1.0, 40.0, 20.0, theta_variant="fixed")

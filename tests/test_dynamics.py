@@ -17,6 +17,8 @@ Verifies:
     detuning lock, both variants), columns do not depend on each other,
     scipy's step rules and tableau (bit for bit), one drive evaluation per
     step attempt, a too-small step names the member
+  - a run past the step-attempt budget raises NumericalError with the tau
+    reached (a batch: and the member), also a backward decaying run
   - how many held steps or passes are written at a time changes no bit
   - the RHS kernels: one state against a batch column, the pendulum flow
     against the energy gradient, next to the S = 0 edge
@@ -38,8 +40,10 @@ from lcse import (CouplingSummary, DomainError, IntegratorConfig,
                   integrate, integrate_batch, rhs_effective, rhs_pendulum,
                   rhs_resonant, state_observables)
 from lcse import dynamics
+from lcse.config import build
 from lcse.cpt import (PulseSchedule, cpt_state, make_schedule,
                       resonance_detuning)
+from lcse.presets import load_preset
 
 
 LADDER = SystemParams(omega_p=0.1, omega_d=1.0, big_delta_prime=10.0, q=0.01)
@@ -569,6 +573,43 @@ def test_batch_too_small_step_names_member():
     assert err.value.member == 0
     assert err.value.tau == 1e17
     assert "member 0" in str(err.value)
+
+
+def test_fig4_transfer_past_step_budget_raises_with_tau(monkeypatch):
+    # the budget counts trial steps; a fig4 transfer makes about 4.6k
+    monkeypatch.setattr(dynamics, "_MAX_STEP_ATTEMPTS", 200)
+    start, kw = build(load_preset("fig4-cpt"))
+    with pytest.raises(NumericalError) as err:
+        integrate("resonant", start, **kw)
+    tau = err.value.tau
+    assert 0.0 < tau < 150.0 and err.value.member is None
+    assert str(err.value) == (f"integration stopped after 200 step "
+                              f"attempts at tau = {tau!r}")
+
+
+def test_batch_past_step_budget_names_member(monkeypatch):
+    # the budget counts loop passes; the member furthest behind is named
+    monkeypatch.setattr(dynamics, "_MAX_STEP_ATTEMPTS", 50)
+    with pytest.raises(NumericalError) as err:
+        integrate_batch("resonant", spread_starts(3, True),
+                        SystemParams(small_delta=3.0, gamma=1.0),
+                        (0.0, 150.0), pulse=FIG4, sampling=301)
+    member, tau = err.value.member, err.value.tau
+    assert member in (0, 1, 2) and 0.0 < tau < 150.0
+    assert f"for member {member} after 50 step attempts" in str(err.value)
+    assert f"at tau = {tau!r}" in str(err.value)
+
+
+def test_backward_decaying_run_ends_at_step_budget(monkeypatch):
+    # run backward, molecular decay is growth: without a budget this run
+    # stepped for minutes without finishing or failing
+    monkeypatch.setattr(dynamics, "_MAX_STEP_ATTEMPTS", 2000)
+    with pytest.raises(NumericalError, match="2000 step attempts") as err, \
+            np.errstate(all="ignore"):
+        integrate("resonant", spread_starts(1, True)[0],
+                  SystemParams(small_delta=3.0, gamma=1.0), (150.0, 0.0),
+                  pulse=FIG4, sampling=11)
+    assert 0.0 < err.value.tau < 150.0
 
 
 def test_batch_rejects_bad_input():

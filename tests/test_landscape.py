@@ -5,7 +5,8 @@ Verifies:
   - the domain gate (1 - n0)^2 >= m^2
   - grid evaluation with masked infeasible cells
   - closed-form fixed points against frozen center/saddle locations, the
-    flow's gradient and Jacobian, and a root at a round n0
+    flow's gradient and Jacobian, and a root at a round n0; with m != 0
+    they equal, bit for bit, each line's quartic solved by polyroots
   - orbit verdicts: winding, boundary starts, saddle starts, landscapes
     whose orbit polynomial has degree 3, and the frozen 10x10 grid counts
     for the four standard couplings with drive shifts on and off
@@ -199,6 +200,50 @@ def test_fixed_points_on_the_linear_branch_at_a_round_n0():
         (0.0, 0.5, Stability.CENTER), (math.pi, 0.5, Stability.CENTER)]
     assert [p.energy for p in pts] == pytest.approx([-0.0125, 0.0125],
                                                     rel=1e-15)
+
+
+def polyroots_fixed_points(lp):
+    """(theta, n0) of find_fixed_points' interior points, each line's
+    quartic in v solved on its own by numpy's polyroots: the oracle for
+    the stacked solve."""
+    m2 = lp.m_mag * lp.m_mag
+    base = _base_energy(lp)
+    l0, l1 = base[1], 2.0 * base[2]
+    out = []
+    for s, th in ((1.0, 0.0), (-1.0, math.pi)):
+        sc = s * lp.c_eff
+        if m2 == 0.0:
+            roots = [-(l0 + sc) / (l1 - 2.0 * sc)] if l1 != 2.0 * sc else []
+        else:
+            k = l0 + l1
+            quartic = [m2 * m2 * (l1 + 2.0 * sc), -2.0 * m2 * (k + sc), 0.0,
+                       2.0 * (k - sc), 2.0 * sc - l1]
+            roots = [1.0 - 0.5 * (v.real + m2 / v.real)
+                     for v in P.polyroots(quartic).tolist()
+                     if v.imag == 0.0 and v.real > abs(lp.m_mag)]
+        out += [(th, n) for n in sorted(roots)
+                if 0.0 < n < 1.0 - abs(lp.m_mag) and (1.0 - n) ** 2 > m2]
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m_mag=st.floats(-0.95, 0.95).filter(lambda m: m != 0.0),
+       c_eff=st.floats(-1.0, 1.0), c2n=coefficient, q=coefficient,
+       ls_delta=coefficient, ls_p=coefficient,
+       tie=st.sampled_from([None, 1.0, -1.0]))
+def test_fixed_points_equal_polyroots_oracle(m_mag, c_eff, c2n, q, ls_delta,
+                                             ls_p, tie):
+    # tie = +-1 puts C at -+(c2 + Delta/4 + p): the leading coefficient of
+    # one line's quartic is then exactly 0 and the quartic is trimmed
+    if tie is not None:
+        c_eff = -tie * (c2n + 0.25 * ls_delta + ls_p)
+    for m in (0.0, m_mag):
+        lp = LandscapeParams(c_eff=c_eff, c2n=c2n, q=q, m_mag=m,
+                             lightshift_delta=ls_delta, lightshift_p=ls_p)
+        pts = find_fixed_points(lp, include_boundary=False)
+        got = np.array([(p.theta, p.n_zero) for p in pts]).reshape(-1, 2)
+        want = np.array(polyroots_fixed_points(lp)).reshape(-1, 2)
+        assert got.tobytes() == want.tobytes(), lp
 
 
 def test_classify_zero_coupling_is_open():

@@ -5,7 +5,8 @@ Verifies:
   - every name in lcse.__all__ resolves, and none is listed twice
   - the README's python example runs as written in a fresh interpreter
   - the README's table of the keys each mode reads is config's table
-  - `import lcse` and a run of every mode load no scipy module
+  - `import lcse` and a run of every mode load no scipy module;
+    `import lcse.cli` loads no numpy.polynomial either
 """
 
 import re
@@ -94,3 +95,18 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
     for mode in short_run_texts():
         assert (tmp_path / mode / "manifest.json").exists(), mode
+
+
+def test_import_loads_no_scipy_and_no_numpy_polynomial():
+    # fixed points and orbit verdicts share landscape._quartic_roots, so
+    # nothing in lcse imports numpy.polynomial
+    child = """
+import sys
+import lcse.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+             or m.startswith("numpy.polynomial")))
+"""
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
