@@ -27,8 +27,8 @@ from .dynamics import (BatchTrajectory, CrossValidation, IntegratorConfig,
                        PendulumState, Trajectory,
                        crossvalidate_amplitude_vs_pendulum,
                        energy_from_amplitudes, energy_functional,
-                       energy_gradient_n0, integrate, integrate_batch,
-                       rhs_effective, rhs_pendulum, rhs_resonant)
+                       integrate, integrate_batch, rhs_effective,
+                       rhs_pendulum, rhs_resonant)
 from .errors import (ConfigError, DomainError, InvalidInputError, LcseError,
                      NumericalError)
 from .landscape import (EnergyGrid, FixedPoint, GridSpec, LandscapeParams,
@@ -56,9 +56,8 @@ __all__ = [
     "stationarity_residual",
     "BatchTrajectory", "CrossValidation", "IntegratorConfig", "PendulumState",
     "Trajectory", "crossvalidate_amplitude_vs_pendulum",
-    "energy_from_amplitudes", "energy_functional", "energy_gradient_n0",
-    "integrate", "integrate_batch", "rhs_effective", "rhs_pendulum",
-    "rhs_resonant",
+    "energy_from_amplitudes", "energy_functional", "integrate",
+    "integrate_batch", "rhs_effective", "rhs_pendulum", "rhs_resonant",
     "ConfigError", "DomainError", "InvalidInputError", "LcseError",
     "NumericalError",
     "EnergyGrid", "FixedPoint", "GridSpec", "LandscapeParams",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -82,16 +83,22 @@ def _columns_line(columns: dict) -> str:
     return "columns: " + ", ".join(columns)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+def _plain(obj):
+    """obj as JSON data: numpy values as Python ones, and a NaN or an
+    infinity as None, which strict JSON parsers accept as null."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _plain(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _write_json(path: Path, obj) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -176,7 +183,6 @@ def _run_resonant(cfg: ScenarioConfig, initial, kw: dict, out: Path,
 
 def _run_landscape(cfg: ScenarioConfig, starts, kw: dict,
                    out: Path) -> tuple[list[str], dict]:
-    g = cfg.grid
     gridspec, cases = kw["grid"], kw["cases"]
     mults = list(dict.fromkeys(mult for mult, _s, _lp in cases))
     single = len(mults) == 1
@@ -184,20 +190,17 @@ def _run_landscape(cfg: ScenarioConfig, starts, kw: dict,
     counts_echo = {}
     for k, mult in enumerate(mults, start=1):
         doc: dict = {"c_eff_over_c2": mult, "q": cfg.params["q"],
-                     "m_mag": g["m_mag"]}
+                     "m_mag": cfg.grid["m_mag"]}
         grids = {}
         for m2, setting, lp in cases:
             if m2 != mult:
                 continue
             summary = contour_portrait(lp, gridspec, starts)
-            # recorded only: no verdict reads tau_max or eps_return
             doc[f"shifts_{setting}"] = {
                 "c_eff": lp.c_eff,
                 "lightshift_delta": lp.lightshift_delta,
                 "lightshift_p": lp.lightshift_p,
                 **summary.to_dict(),
-                "tau_max": g["tau_max"],
-                "eps_return": g["eps_return"],
             }
             grids[setting] = energy_grid(lp, gridspec)
             counts_echo[f"{format(mult, '.17g')}/{setting}"] = summary.counts
@@ -325,6 +328,11 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        # numpy refuses an array that cannot fit (a huge `samples` or
+        # `runs`) at once, with its size in the message
+        print(f"invalid input: {exc or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 def _read_config(path: str) -> ScenarioConfig:

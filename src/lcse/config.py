@@ -36,8 +36,6 @@ _REQ = object()  # sentinel: no default
 _SCHEMA = {
     "scenario": {"mode": (MODES, _REQ)},
     "params": {
-        # accepted and written to manifest.json; the model is in units of c0n
-        "c0n": (float, 1.0),
         "c2n": (float, RB87_C2_OVER_C0),
         "q": (float, 0.0),
         "omega_p": (float, 0.0),
@@ -81,9 +79,9 @@ _SCHEMA = {
         "n_n0": (int, 101),
         "c_eff_over_c2": ("floats", _REQ),
         "shifts": (("on", "off", "both"), _REQ),
-        # accepted and written to portrait.json, no effect on a verdict
-        "tau_max": (float, 500.0),
-        "eps_return": (float, 1e-4),
+        # read by nothing; accepted, without a default, only because the
+        # benchmark's portraits inputs still set it
+        "tau_max": (float, None),
         "m_mag": (float, 0.0),
         "starts_n_theta": (int, 10),
         "starts_n_n0": (int, 10),
@@ -106,8 +104,8 @@ _SCHEMA = {
 # and [output], plus the [params] and [pulse] keys of mode k.
 _INTEGRATION = "rel_tol abs_tol tau_start* tau_end* samples"
 _AMPLITUDES = "n_plus* n_zero* n_minus* phase_plus phase_zero phase_minus"
-_OFF_RESONANT = {"params": "c0n c2n q* omega_p* omega_d* big_delta_prime*"}
-_RESONANT = {"params": "c0n c2n small_delta* gamma*",
+_OFF_RESONANT = {"params": "c2n q* omega_p* omega_d* big_delta_prime*"}
+_RESONANT = {"params": "c2n small_delta* gamma*",
              "pulse": "omega_p* omega_d0* t_zero* theta_variant theta_fixed"}
 _ENSEMBLE = {"seeds": "mode* kind classical_n atom_number rng_seed* runs*",
              "integration": _INTEGRATION, "output": "dir"}
@@ -119,11 +117,9 @@ _READS = {
     "resonant": {**_RESONANT, "initial": _AMPLITUDES + " n_m phase_m",
                  "integration": _INTEGRATION, "output": "dir"},
     "landscape": {
-        "params": "c0n c2n q",
-        # accepted and recorded: no landscape computation integrates
-        "integration": _INTEGRATION.replace("*", ""),
+        "params": "c2n q",
         "grid": "theta_min theta_max n0_min n0_max n_theta n_n0 "
-                "c_eff_over_c2* shifts* tau_max eps_return m_mag "
+                "c_eff_over_c2* shifts* tau_max m_mag "
                 "starts_n_theta starts_n_n0 starts_n0_min starts_n0_max",
         "output": "dir"},
     "ensemble/cpt": {**_RESONANT, **_ENSEMBLE},
@@ -325,8 +321,8 @@ def build(cfg: ScenarioConfig) -> tuple[object, dict]:
                     c_eff, par["c2n"], par["q"], g["m_mag"], *shifts)))
         return starts, {"grid": grid, "cases": cases}
     # keys the mode does not read keep SystemParams' defaults, which the
-    # schema's equal; c0n is the unit and only recorded
-    params = SystemParams(**{k: v for k, v in par.items() if k != "c0n"})
+    # schema's equal
+    params = SystemParams(**par)
     kw = {"params": params,
           "tau_span": (integ["tau_start"], integ["tau_end"])}
     if cfg.pulse:  # the resonant family

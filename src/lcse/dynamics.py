@@ -129,19 +129,6 @@ def energy_functional(theta, n_zero, m_mag, c_eff, c2n, q,
             - lightshift_p * n_zero ** 2)
 
 
-def energy_gradient_n0(theta, n_zero, m_mag, c_eff, c2n, q,
-                       lightshift_delta=0.0, lightshift_p=0.0):
-    """dE/dn0 of the functional above; diverges at the S = 0 boundary for
-    m != 0. _rhs_pend inlines it on Python floats."""
-    s2 = (1.0 - n_zero) ** 2 - m_mag ** 2
-    s = np.sqrt(np.maximum(s2, 0.0))
-    ds = np.where(s > 0.0, -(1.0 - n_zero) / np.where(s > 0.0, s, 1.0), 0.0)
-    return (-q + c_eff * np.cos(theta) * (s + n_zero * ds)
-            + c2n * (1.0 - 2.0 * n_zero)
-            + 0.5 * lightshift_delta * (1.0 - n_zero)
-            - 2.0 * lightshift_p * n_zero)
-
-
 def energy_from_amplitudes(state: SpinorAmplitudes, params: SystemParams,
                            coupling: CouplingSummary) -> float:
     """Evaluate the functional on a three-mode amplitude state."""
@@ -204,7 +191,7 @@ def rhs_pendulum(state: PendulumState, params: SystemParams,
 
 def _rhs_pend(tau, y, c_eff, c2, q, m_mag, ls_delta, ls_p):
     # on Python floats, also for an array y (as solve_ivp hands it); returns
-    # a list. dtheta is 2 energy_gradient_n0, inlined with its guard
+    # a list. dtheta is 2 dE/dn0 of energy_functional, with the guard
     # dS/dn0 = 0 at S = 0
     theta, n0 = y.tolist() if isinstance(y, np.ndarray) else y
     s = math.sqrt(max((1.0 - n0) ** 2 - m_mag ** 2, 0.0))
@@ -476,13 +463,17 @@ def _select_initial_step(fun, t0, y0, f0, t_bound, direction, rtol,
 _MAX_STEP_ATTEMPTS = 1_000_000
 
 
-def _over_budget(tau: float, member: Optional[int] = None) -> NumericalError:
-    """The error of a run that used up _MAX_STEP_ATTEMPTS at tau; in a
-    batch, of the member furthest behind."""
+def _stopped(tau: float, member: Optional[int] = None,
+             floor: bool = False) -> NumericalError:
+    """The error of a run that stopped at tau: past _MAX_STEP_ATTEMPTS, or
+    (floor) with a step below ten ulp of tau; in a batch it names the
+    member (the one furthest behind, or the first below the floor)."""
     who = "" if member is None else f" for member {member}"
-    return NumericalError(
-        f"integration stopped{who} after {_MAX_STEP_ATTEMPTS} step "
-        f"attempts at tau = {tau!r}", tau=tau, member=member)
+    what = (f"failed{who}: required step size is less than spacing between "
+            f"numbers" if floor else
+            f"stopped{who} after {_MAX_STEP_ATTEMPTS} step attempts")
+    return NumericalError(f"integration {what} at tau = {tau!r}", tau=tau,
+                          member=member)
 
 
 # accepted steps with samples are held and their samples written this many
@@ -543,11 +534,9 @@ def _dopri(fun, t0: float, t_bound: float, y0: list, t_eval: np.ndarray,
         while True:
             attempts += 1
             if attempts > _MAX_STEP_ATTEMPTS:
-                raise _over_budget(t)
+                raise _stopped(t)
             if h_abs < min_step:
-                raise NumericalError(
-                    f"integration failed: required step size is less than "
-                    f"spacing between numbers at tau = {t!r}", tau=t)
+                raise _stopped(t, floor=True)
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0.0:
                 t_new = t_bound
@@ -819,7 +808,7 @@ def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
         passes += 1
         if passes > _MAX_STEP_ATTEMPTS:
             j = int(np.argmin(t))
-            raise _over_budget(float(t[j]), int(cols[j]))
+            raise _stopped(float(t[j]), int(cols[j]))
         # nextafter(t, inf) > t: no abs needed
         min_step = 10.0 * (np.nextafter(t, np.inf) - t)
         if np.count_nonzero(h_abs >= min_step) < len(h_abs):
@@ -828,10 +817,7 @@ def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
             too_small = h_abs < min_step
             if np.count_nonzero(too_small):
                 j = int(np.argmax(too_small))
-                raise NumericalError(
-                    f"integration failed for member {cols[j]}: required "
-                    f"step size is less than spacing between numbers at "
-                    f"tau = {t[j]!r}", tau=float(t[j]), member=int(cols[j]))
+                raise _stopped(float(t[j]), int(cols[j]), floor=True)
         t_new = np.minimum(t + h_abs, t_bound)
         h = t_new - t                  # > 0: the run is forward
         hc = h.astype(complex)

@@ -53,7 +53,6 @@ q = 0.01
 [grid]
 c_eff_over_c2 = 1, 0.5, -0.5, -1
 shifts = both
-tau_max = 2500
 """
 
 _FIG4_COMMON = f"""

@@ -11,6 +11,7 @@ dynamics.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Union
 
@@ -158,9 +159,11 @@ def run_ensemble(spec: SeedSpec, runs: int, family: str,
         try:
             batch.run(write)
         except NumericalError as exc:
+            # named once, by the run's index in the ensemble, not the block
             run = first + exc.member
-            raise NumericalError(f"ensemble run {run}: {exc}", tau=exc.tau,
-                                 member=run) from exc
+            reason = re.sub(r" for member \d+", "", str(exc), count=1)
+            raise NumericalError(f"ensemble run {run}: {reason}",
+                                 tau=exc.tau, member=run) from exc
         seeds[:, block] = [[s.a_plus for s in states],
                            [s.a_minus for s in states]]
         onset[block] = np.append(batch.t_eval, math.nan)[crossing]

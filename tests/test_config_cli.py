@@ -11,7 +11,9 @@ Verifies:
   - CLI outputs: CSV columns, manifest fields, and rerun byte-identity;
     CSV cells equal format(x, ".17g") on both formatting paths
   - exit codes 2 (bad input, an unreadable config, an --out that is a
-    file), 3 (domain violation) and 4 (a run past the step budget)
+    file, a run too large for memory), 3 (domain violation) and 4 (a run
+    past the step budget)
+  - JSON artifacts are strict JSON: a NaN is written as null
   - one parser serves consecutive main() calls in a process
 """
 
@@ -111,8 +113,9 @@ def scenario_texts(draw):
     if "n_plus" in ini:
         ini["n_zero"] = 1.0 - ini["n_plus"] - ini["n_minus"] - 2.0 * ini.get(
             "n_m", 0.0)
-    integ = values["integration"]
-    integ["tau_end"] = integ["tau_start"] + draw(st.floats(1e-6, 1e6))
+    integ = values.get("integration")  # landscape integrates nothing
+    if integ is not None:
+        integ["tau_end"] = integ["tau_start"] + draw(st.floats(1e-6, 1e6))
     pulse = values.get("pulse", {})
     if pulse.get("theta_variant") == "fixed":
         pulse.setdefault("theta_fixed", draw(finite))
@@ -612,13 +615,43 @@ def test_write_csv_zero_rows(tmp_path):
     assert path.read_text() == "# nothing\na,b\n"
 
 
+def refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 def test_write_json_matches_streamed_dump(tmp_path):
-    obj = {"b": [np.float64(0.1), np.int64(3), np.arange(3.0)],
-           "a": {"x": math.nan, "y": -0.0, "z": "text"}, "c": None}
+    # numpy values are written as Python ones, NaN and infinities as null
+    obj = {"b": [np.float64(0.1), np.int64(3), np.arange(3.0),
+                 np.float64(math.nan), (1, math.inf)],
+           "a": {"x": math.nan, "y": -0.0, "z": "text",
+                 "w": np.array([-math.inf, 2.5])}, "c": None}
+    plain = {"b": [0.1, 3, [0.0, 1.0, 2.0], None, [1, None]],
+             "a": {"x": None, "y": -0.0, "z": "text", "w": [None, 2.5]},
+             "c": None}
     cli._write_json(tmp_path / "o.json", obj)
     stream = io.StringIO()
-    json.dump(obj, stream, indent=2, sort_keys=True, default=cli._json_default)
-    assert (tmp_path / "o.json").read_text() == stream.getvalue() + "\n"
+    json.dump(plain, stream, indent=2, sort_keys=True)
+    text = (tmp_path / "o.json").read_text()
+    assert text == stream.getvalue() + "\n"
+    assert json.loads(text, parse_constant=refuse_constant) == plain
+
+
+def test_cli_ensemble_without_onset_writes_strict_json(tmp_path):
+    # no member reaches the onset by tau = 0.2, so the onset statistics
+    # are NaN: null in the JSON artifacts, nan in the CSV
+    path = tmp_path / "short.ini"
+    path.write_text(edited("fig4-ensemble", "tau_end = 150", "tau_end = 0.2")
+                    .replace("runs = 16", "runs = 2"))
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    stats = json.loads((out / "ensemble_stats.json").read_text(),
+                       parse_constant=refuse_constant)
+    manifest = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=refuse_constant)
+    assert stats["mean_tau_onset"] is None and stats["onset_misses"] == 2
+    assert manifest["derived"]["stats"] == stats
+    rows = (out / "ensemble.csv").read_text().splitlines()
+    assert [r.rsplit(",", 1)[1] for r in rows[-2:]] == ["nan", "nan"]
 
 
 def test_cli_main_reuses_its_parser(tmp_path, capsys):
@@ -825,8 +858,8 @@ def test_cli_validate_and_run_agree_on_pendulum_starts(tmp_path, capsys,
                                             ("fig4-ensemble", True)])
 def test_cli_run_past_step_budget_exits_4(tmp_path, capsys, monkeypatch,
                                           preset, member):
-    # a single run and a batch both stop at the budget, naming the tau
-    # reached (and in a batch the member)
+    # a single run and an ensemble both stop at the budget, naming the tau
+    # reached (and in an ensemble the run, once)
     monkeypatch.setattr(dynamics, "_MAX_STEP_ATTEMPTS", 100)
     assert cli.main(["run", "--preset", preset,
                      "--out", str(tmp_path / "o")]) == 4
@@ -834,7 +867,61 @@ def test_cli_run_past_step_budget_exits_4(tmp_path, capsys, monkeypatch,
     assert err.startswith("numerical failure: ")
     assert "integration stopped" in err
     assert "after 100 step attempts at tau = " in err
-    assert ("for member " in err) == member
+    assert ("ensemble run " in err) == member
+    assert "member" not in err
+
+
+@pytest.mark.parametrize("preset, old, new, size", [
+    ("fig2-collision", "samples = 1001", "samples = 10000000000000",
+     "72.8 TiB"),
+    ("fig4-ensemble", "runs = 16", "runs = 100000000000", "2.91 TiB"),
+])
+def test_cli_oversized_run_exits_2(tmp_path, capsys, preset, old, new, size):
+    # numpy refuses arrays this large at once; the run ends with one line
+    path = tmp_path / "huge.ini"
+    path.write_text(edited(preset, old, new))
+    assert cli.main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: Unable to allocate ")
+    assert size in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("section, key", [
+    ("params", "c0n"), ("grid", "eps_return"), ("integration", "rel_tol"),
+    ("integration", "tau_end"), ("integration", "samples")])
+def test_cli_landscape_refuses_keys_no_computation_reads(tmp_path, capsys,
+                                                          section, key):
+    # c0n is the unit, eps_return belonged to a deleted flow classifier,
+    # and a landscape integrates nothing
+    path = tmp_path / "landscape.ini"
+    path.write_text(with_key(preset_text("fig3-portraits"), section, key,
+                             "1"))
+    out = tmp_path / "o"
+    cause = (f"section [{section}] is not used by mode 'landscape'"
+             if section == "integration" else
+             f"unknown key '{key}' in [{section}]")
+    for args in (["validate"], ["run", "--out", str(out)]):
+        assert cli.main([*args, "--config", str(path)]) == 2, args
+        assert cause in capsys.readouterr().err, args
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reader", sorted(VALID_TEXTS))
+def test_parse_refuses_c0n(reader):
+    # every quantity is in units of c0n, so no mode has a c0n key
+    with pytest.raises(ConfigError) as err:
+        parse_config(with_key(VALID_TEXTS[reader], "params", "c0n", "1"))
+    assert err.value.problems == ["unknown key 'c0n' in [params]"]
+
+
+def test_landscape_accepts_tau_max_and_records_it_only_when_set():
+    # the benchmark's portraits inputs set [grid] tau_max, which no verdict
+    # reads; it has no default
+    text = preset_text("fig3-portraits")
+    assert "tau_max" not in config_to_dict(parse_config(text))["grid"]
+    cfg = parse_config(with_key(text, "grid", "tau_max", "2500"))
+    assert config_to_dict(cfg)["grid"]["tau_max"] == 2500.0
 
 
 def test_cli_validity_warning_once_per_call(tmp_path):

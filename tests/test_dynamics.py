@@ -149,6 +149,19 @@ def test_resonant_kernel_one_state_against_batch_column():
         assert np.abs(one - column).max() <= 2.0 * eps * np.abs(coeffs).sum()
 
 
+def energy_gradient_n0(theta, n_zero, m_mag, c_eff, c2n, q,
+                       lightshift_delta=0.0, lightshift_p=0.0):
+    """Oracle: dE/dn0 of dynamics.energy_functional on numpy, with the
+    guard dS/dn0 = 0 at S = 0; it diverges there for m != 0."""
+    s2 = (1.0 - n_zero) ** 2 - m_mag ** 2
+    s = np.sqrt(np.maximum(s2, 0.0))
+    ds = np.where(s > 0.0, -(1.0 - n_zero) / np.where(s > 0.0, s, 1.0), 0.0)
+    return (-q + c_eff * np.cos(theta) * (s + n_zero * ds)
+            + c2n * (1.0 - 2.0 * n_zero)
+            + 0.5 * lightshift_delta * (1.0 - n_zero)
+            - 2.0 * lightshift_p * n_zero)
+
+
 def test_pendulum_kernel_is_energy_gradient():
     rng = np.random.default_rng(12)
     for theta, n0, m in edge_and_interior_starts(rng, 2000):
@@ -157,7 +170,7 @@ def test_pendulum_kernel_is_energy_gradient():
         dth, dn0 = dynamics._rhs_pend(0.0, np.array([theta, n0]), c_eff, c2,
                                       q, m, ls_delta, ls_p)
         s = np.sqrt(max((1.0 - n0) ** 2 - m ** 2, 0.0))
-        assert dth == 2.0 * dynamics.energy_gradient_n0(
+        assert dth == 2.0 * energy_gradient_n0(
             theta, n0, m, c_eff, c2, q, ls_delta, ls_p)
         assert dn0 == 2.0 * c_eff * n0 * s * np.sin(theta)
 

@@ -5,6 +5,7 @@ Verifies:
   - every name in lcse.__all__ resolves, and none is listed twice
   - the README's python example runs as written in a fresh interpreter
   - the README's table of the keys each mode reads is config's table
+  - every script in demos/ runs to exit 0 in a fresh interpreter
   - `import lcse` and a run of every mode load no scipy module;
     `import lcse.cli` loads no numpy.polynomial either
 """
@@ -14,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lcse
 from lcse import config
 from lcse.presets import preset_text
@@ -21,6 +24,7 @@ from lcse.presets import preset_text
 from cli_run import child_env
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+DEMOS = sorted((README.parent / "demos").glob("*.py"))
 
 
 def test_exports_resolve_and_readme_example_runs():
@@ -50,6 +54,15 @@ def test_readme_key_table_matches_config():
     assert documented == {
         reader: {sec: keys for sec, keys in reads.items() if sec != "scenario"}
         for reader, reads in config._TABLE.items()}
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(tmp_path, demo):
+    # the demos use only public names; each runs as a reader would run it
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=child_env(), cwd=tmp_path,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def short_run_texts() -> dict:

@@ -10,7 +10,8 @@ Verifies:
   - input validation on seed specs and ensemble arguments
   - any subset of runs, in any blocking, reproduces the same per-run
     columns bit for bit, each run matching its direct single run; blocks
-    hold at most ENSEMBLE_BLOCK members; a too-small step names the run
+    hold at most ENSEMBLE_BLOCK members; a too-small step names the run;
+    a failing run is named once, by its index in the ensemble
   - an ensemble keeps only its per-run columns, not its members' samples:
     its heap peak stays below the size of their amplitudes
 """
@@ -24,7 +25,7 @@ import pytest
 from lcse import (InvalidInputError, NumericalError, SeedSpec,
                   SpinorAmplitudes, SystemParams, effective_coupling,
                   integrate, run_ensemble, sample_seed, state_observables)
-from lcse import stochastic
+from lcse import dynamics, stochastic
 from lcse import RB87_C2_OVER_C0 as C2
 from lcse.cpt import cpt_state, make_schedule, run_transfer
 
@@ -296,3 +297,35 @@ def test_too_small_step_names_the_run():
                      pulse=pulse, sampling=11)
     assert err.value.member == 0
     assert err.value.tau == 1e17
+
+
+@pytest.mark.parametrize("failure", ["budget", "floor"])
+def test_failing_run_is_named_by_its_ensemble_index(monkeypatch, failure):
+    # blocks of 2 and only the second fails: runs 2 and 3 are its members
+    # 0 and 1, and the error names the run as the ensemble counts it
+    prepare_batch = stochastic.prepare_batch
+    blocks = []
+
+    def second_fails(family, initials, params, tau_span, **kwargs):
+        blocks.append(len(initials))
+        if len(blocks) == 2 and failure == "budget":
+            monkeypatch.setattr(dynamics, "_MAX_STEP_ATTEMPTS", 20)
+        elif len(blocks) == 2:
+            # at tau ~ 1e17 ten ulp of tau (160) is above any usable step
+            tau_span = (1e17, 1e17 + 1e4)
+            kwargs.update(pulse=make_schedule(
+                1.0, 40.0, 1e30, theta_variant="fixed", theta_fixed=0.0),
+                sampling=11)
+        return prepare_batch(family, initials, params, tau_span, **kwargs)
+
+    monkeypatch.setattr(stochastic, "prepare_batch", second_fails)
+    monkeypatch.setattr(stochastic, "ENSEMBLE_BLOCK", 2)
+    with pytest.raises(NumericalError) as err, np.errstate(all="ignore"):
+        run_ensemble(VACUUM, 4, **short_scenario("cpt"))
+    run, tau = err.value.member, err.value.tau
+    assert blocks == [2, 2] and run in (2, 3)
+    reason = (f"stopped after 20 step attempts at tau = {tau!r}"
+              if failure == "budget" else
+              "failed: required step size is less than spacing between "
+              "numbers at tau = 1e+17")
+    assert str(err.value) == f"ensemble run {run}: integration {reason}"
