@@ -9,6 +9,7 @@ run. Exit codes: 0 success, 2 config problem, 3 domain violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -114,51 +115,42 @@ def _drift(traj) -> dict:
     return out
 
 
-def _run_effective(initial, kw: dict, out: Path) -> tuple[list[str], dict]:
+def _run_off_resonant(cfg: ScenarioConfig, initial, kw: dict,
+                      out: Path) -> tuple[list[str], dict]:
     params, coupling = kw["params"], kw["coupling"]
-    traj = integrate("effective", initial, **kw)
-    pops = traj.populations()
-    columns = {"tau": traj.times, "n_plus": pops[0], "n_zero": pops[1],
-               "n_minus": pops[2], "theta": traj.theta(),
-               "total_n": traj.monitors["total_n"],
-               "magnetization": traj.monitors["magnetization"],
-               "energy": traj.monitors["energy"]}
-    _write_csv(out / "trajectory.csv",
-               ["off-resonant three-mode run", _columns_line(columns)],
-               columns)
-    derived = {
-        "omega_eff": coupling.omega_eff, "c_eff": coupling.c_eff,
-        "lightshift_delta": coupling.lightshift_delta,
-        "lightshift_p": coupling.lightshift_p,
-        "regime": classify_regime(coupling.c_eff, params.c2n).value,
-    }
-    return ["trajectory.csv"], {"conservation": _drift(traj),
-                                "derived": derived}
-
-
-def _run_pendulum(initial, kw: dict, out: Path) -> tuple[list[str], dict]:
-    params, coupling = kw["params"], kw["coupling"]
-    traj = integrate("pendulum", initial, **kw)
-    columns = {"tau": traj.times, "theta": traj.values[0],
-               "n_zero": traj.values[1], "energy": traj.monitors["energy"]}
-    _write_csv(out / "trajectory.csv",
-               ["reduced (theta, n0) pendulum run at fixed magnetization "
-                f"m = {initial.m_mag!r}", _columns_line(columns)],
-               columns)
+    traj = integrate(cfg.mode, initial, **kw)
     derived = {"c_eff": coupling.c_eff,
                "regime": classify_regime(coupling.c_eff, params.c2n).value}
+    if cfg.mode == "pendulum":
+        comment = ("reduced (theta, n0) pendulum run at fixed magnetization "
+                   f"m = {initial.m_mag!r}")
+        columns = {"tau": traj.times, "theta": traj.values[0],
+                   "n_zero": traj.values[1]}
+    else:
+        comment = "off-resonant three-mode run"
+        pops = traj.populations()
+        columns = {"tau": traj.times, "n_plus": pops[0], "n_zero": pops[1],
+                   "n_minus": pops[2], "theta": traj.theta(),
+                   "total_n": traj.monitors["total_n"],
+                   "magnetization": traj.monitors["magnetization"]}
+        derived.update(omega_eff=coupling.omega_eff,
+                       lightshift_delta=coupling.lightshift_delta,
+                       lightshift_p=coupling.lightshift_p)
+    columns["energy"] = traj.monitors["energy"]
+    _write_csv(out / "trajectory.csv", [comment, _columns_line(columns)],
+               columns)
     return ["trajectory.csv"], {"conservation": _drift(traj),
                                 "derived": derived}
 
 
-def _run_resonant(cfg: ScenarioConfig, initial, kw: dict, out: Path,
-                  variant: str) -> tuple[list[str], dict]:
-    pulse, span = kw["pulse"], kw["tau_span"]
+def _run_resonant(cfg: ScenarioConfig, initial, kw: dict,
+                  out: Path) -> tuple[list[str], dict]:
+    pulse, span, variant = kw["pulse"], kw["tau_span"], kw["variant"]
     if cfg.mode == "cpt":
-        result = run_transfer(initial, **kw, variant=variant)
+        result = run_transfer(initial, **kw)
         traj = result.trajectory
     else:
-        traj = integrate("resonant", initial, **kw, variant=variant)
+        traj = integrate("resonant", initial, **kw)
         result = None
     pops = traj.populations()
     _, omega_d, theta_big = pulse.drive(traj.times)
@@ -184,17 +176,14 @@ def _run_resonant(cfg: ScenarioConfig, initial, kw: dict, out: Path,
 def _run_landscape(cfg: ScenarioConfig, starts, kw: dict,
                    out: Path) -> tuple[list[str], dict]:
     gridspec, cases = kw["grid"], kw["cases"]
-    mults = list(dict.fromkeys(mult for mult, _s, _lp in cases))
-    single = len(mults) == 1
+    single = len(cases) == 1
     outputs: list[str] = []
     counts_echo = {}
-    for k, mult in enumerate(mults, start=1):
+    for k, (mult, settings) in enumerate(cases.items(), start=1):
         doc: dict = {"c_eff_over_c2": mult, "q": cfg.params["q"],
                      "m_mag": cfg.grid["m_mag"]}
         grids = {}
-        for m2, setting, lp in cases:
-            if m2 != mult:
-                continue
+        for setting, lp in settings.items():
             summary = contour_portrait(lp, gridspec, starts)
             doc[f"shifts_{setting}"] = {
                 "c_eff": lp.c_eff,
@@ -228,12 +217,11 @@ def _run_landscape(cfg: ScenarioConfig, starts, kw: dict,
     return outputs, {"derived": {"counts": counts_echo}}
 
 
-def _run_ensemble(cfg: ScenarioConfig, spec, kw: dict, out: Path,
-                  variant: str) -> tuple[list[str], dict]:
+def _run_ensemble(cfg: ScenarioConfig, spec, kw: dict,
+                  out: Path) -> tuple[list[str], dict]:
     # a kind = cpt member is a resonant transfer
     stats = run_ensemble(spec, int(cfg.seeds["runs"]),
-                         "resonant" if cfg.pulse else "effective", **kw,
-                         variant=variant)
+                         "resonant" if cfg.pulse else "effective", **kw)
     finals = stats.final_populations
     columns = {"run": np.arange(stats.runs),
                "seed_plus_re": stats.seed_plus.real,
@@ -252,23 +240,18 @@ def _run_ensemble(cfg: ScenarioConfig, spec, kw: dict, out: Path,
     _write_json(out / "ensemble_stats.json", stats.to_dict())
     derived = {"stats": stats.to_dict()}
     if cfg.pulse:
-        derived["variant"] = variant
+        derived["variant"] = kw["variant"]
     return ["ensemble.csv", "ensemble_stats.json"], {"derived": derived}
 
 
-def _dispatch(cfg: ScenarioConfig, start, kw: dict, out: Path,
-              variant: str) -> dict:
+_RUNNERS = {"effective": _run_off_resonant, "pendulum": _run_off_resonant,
+            "resonant": _run_resonant, "cpt": _run_resonant,
+            "landscape": _run_landscape, "ensemble": _run_ensemble}
+
+
+def _dispatch(cfg: ScenarioConfig, start, kw: dict, out: Path) -> dict:
     t0 = time.perf_counter()
-    if cfg.mode == "effective":
-        outputs, extra = _run_effective(start, kw, out)
-    elif cfg.mode == "pendulum":
-        outputs, extra = _run_pendulum(start, kw, out)
-    elif cfg.mode in ("resonant", "cpt"):
-        outputs, extra = _run_resonant(cfg, start, kw, out, variant)
-    elif cfg.mode == "landscape":
-        outputs, extra = _run_landscape(cfg, start, kw, out)
-    else:
-        outputs, extra = _run_ensemble(cfg, start, kw, out, variant)
+    outputs, extra = _RUNNERS[cfg.mode](cfg, start, kw, out)
     notes = list(_NOTES)
     if cfg.mode in ("cpt", "ensemble") and cfg.pulse:  # transfer runs
         notes += _TRANSFER_NOTES
@@ -373,14 +356,24 @@ def _execute(args) -> int:
         raise InvalidInputError("--variant only applies to resonant, cpt "
                                 "and kind = cpt ensemble runs")
     start, kw = build(cfg)
+    if cfg.pulse:  # the runs whose equations the variant selects
+        kw["variant"] = args.variant
 
     out = Path(args.out) if args.out else Path(cfg.output.get("dir", "."))
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InvalidInputError("cannot create output directory "
                                 f"{str(out)!r}: {exc.strerror}") from None
-    manifest = _dispatch(cfg, start, kw, out, args.variant)
+    try:
+        manifest = _dispatch(cfg, start, kw, out)
+    except BaseException:
+        # a failed run removes the directories it made while they are empty
+        with contextlib.suppress(OSError):
+            for d in made:
+                d.rmdir()
+        raise
     print(f"wrote {', '.join(manifest['outputs'])} and manifest.json "
           f"to {out}")
     return 0

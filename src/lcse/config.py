@@ -295,10 +295,11 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 def build(cfg: ScenarioConfig) -> tuple[object, dict]:
     """What a run of cfg starts from, and the arguments it runs with: named
-    as integrate's, or for landscape its GridSpec and its cases, one
-    (coupling multiple, shift setting, LandscapeParams) each; shifts 'on'
-    takes the drive ladder's light shifts at W = c_eff - c2n, and 'both'
-    gives an 'on' and an 'off' case. The constructors hold the range
+    as integrate's, or for landscape its GridSpec and its cases, grouped
+    as {coupling multiple: {shift setting: LandscapeParams}} (a repeated
+    multiple is one group); shifts 'on' takes the drive ladder's light
+    shifts at W = c_eff - c2n, and 'both' gives an 'on' and an 'off'
+    case. The constructors hold the range
     checks, in a fixed order, so `validate` refuses first what `run`
     refuses first, before integrating."""
     par, integ, ini = cfg.params, cfg.integration, cfg.initial
@@ -311,14 +312,13 @@ def build(cfg: ScenarioConfig) -> tuple[object, dict]:
                         n0_range=(g["n0_min"], g["n0_max"]),
                         resolution=(g["n_theta"], g["n_n0"]))
         settings = ("on", "off") if g["shifts"] == "both" else (g["shifts"],)
-        cases = []
+        cases = {}
         for mult in g["c_eff_over_c2"]:
             c_eff = mult * par["c2n"]
-            for setting in settings:
-                shifts = (ladder_lightshifts(c_eff - par["c2n"])
-                          if setting == "on" else (0.0, 0.0))
-                cases.append((mult, setting, LandscapeParams(
-                    c_eff, par["c2n"], par["q"], g["m_mag"], *shifts)))
+            cases[mult] = {setting: LandscapeParams(
+                c_eff, par["c2n"], par["q"], g["m_mag"],
+                *(ladder_lightshifts(c_eff - par["c2n"]) if setting == "on"
+                  else (0.0, 0.0))) for setting in settings}
         return starts, {"grid": grid, "cases": cases}
     # keys the mode does not read keep SystemParams' defaults, which the
     # schema's equal

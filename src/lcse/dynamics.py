@@ -236,9 +236,16 @@ def rhs_resonant(state: SpinorAmplitudes, params: SystemParams, pulse,
 def _resonant_operands(params: SystemParams, pulse, variant: str):
     """(rows, coeffs) of _res_body: rows(tau) is (-i Omega_p, -i Omega_d,
     -i (Theta + delta)) from pulse.drive(tau), coeffs (-i c2,
-    -(i delta + gamma), symmetrized)."""
+    -(i delta + gamma), symmetrized). A locked Theta is computed from the
+    pulse's c2n and small_delta, so they must be the run's."""
     symmetrized = _symmetrized(variant)
     delta = params.small_delta
+    if pulse.theta_variant != "fixed" and (
+            pulse.c2n, pulse.small_delta) != (params.c2n, delta):
+        raise InvalidInputError(
+            f"the {pulse.theta_variant} lock takes c2n = {pulse.c2n!r}, "
+            f"small_delta = {pulse.small_delta!r} from its pulse, but the "
+            f"run has c2n = {params.c2n!r}, small_delta = {delta!r}")
 
     def rows(tau):
         op, od, th = pulse.drive(tau)
@@ -665,12 +672,13 @@ class Batch(NamedTuple):
     rtol: float
     atol: float
 
-    def run(self, write) -> None:
+    def run(self, write, first: int = 0) -> None:
         """Step every start from t0 to t_bound, handing each group of
         samples to write(cols, sample, states) as it is made: states[:, i]
-        is start cols[i] at t_eval[sample[i]]. Each (start, sample) pair is
-        written once."""
-        _dopri_batch(*self, write)
+        is start cols[i] at t_eval[sample[i]], the starts numbered from
+        first. Each (start, sample) pair is written once; a NumericalError
+        names its start by that number."""
+        _dopri_batch(*self, write, first)
 
 
 def prepare_batch(family: str,
@@ -764,9 +772,10 @@ _HELD_PASSES = 8
 
 
 def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
-                 rtol: float, atol: float, write) -> None:
+                 rtol: float, atol: float, write, first: int) -> None:
     """Step every column of y0 from t0 to t_bound and hand its samples on
-    t_eval to write(cols, sample, states), as _sample_steps makes them.
+    t_eval to write(cols, sample, states), as _sample_steps makes them;
+    column j is start first + j.
 
     The derivative at tau is body(y, *rows(tau), *coeffs). The drive rows
     are evaluated once per step attempt, on the (5, R) stage times
@@ -794,7 +803,7 @@ def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
         return body(y, *rows(t), *coeffs)
 
     width = y0.shape[1]
-    cols = np.arange(width)            # batch index of each working column
+    cols = np.arange(first, first + width)  # start of each working column
     t = np.full(width, t0)
     y = y0
     f = fun(t, y)

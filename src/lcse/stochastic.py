@@ -11,7 +11,6 @@ dynamics.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Union
 
@@ -20,7 +19,7 @@ import numpy as np
 from .core import SpinorAmplitudes, SystemParams, CouplingSummary
 from .cpt import PulseSchedule
 from .dynamics import IntegratorConfig, prepare_batch
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError
 
 SEED_MODES = ("fixed-classical", "vacuum-sampled")
 ONSET_THRESHOLD = 0.1
@@ -128,13 +127,16 @@ def run_ensemble(spec: SeedSpec, runs: int, family: str,
     do not depend on which others share its block: any subset of runs,
     executed in any grouping, reproduces the same columns bit for bit, and
     each run matches a direct single run (run_transfer or integrate) to
-    rounding.
+    rounding. A run that fails raises the batch's NumericalError, which
+    names it (`member`) by its run number.
     """
     if runs < 1:
         raise InvalidInputError("runs must be >= 1")
     seeds = np.empty((2, runs), dtype=complex)
     finals = np.zeros((4, runs))
-    onset = np.empty(runs)
+    # per run the first sample index with n+ + n- above the threshold;
+    # one past the last sample while it has none
+    crossing = np.empty(runs, dtype=int)
     for first in range(0, runs, ENSEMBLE_BLOCK):
         block = slice(first, min(first + ENSEMBLE_BLOCK, runs))
         states = [sample_seed(spec, np.random.default_rng(
@@ -145,28 +147,18 @@ def run_ensemble(spec: SeedSpec, runs: int, family: str,
                               coupling=coupling, pulse=pulse, config=config,
                               sampling=sampling, variant=variant)
         final = len(batch.t_eval) - 1
-        # per member the first sample index with n+ + n- above the
-        # threshold; final + 1 while it has none
-        crossing = np.full(len(states), final + 1)
+        crossing[block] = final + 1
 
         def write(cols, sample, values):
             sides = np.abs(values[0]) ** 2 + np.abs(values[2]) ** 2
             crossed = sides > ONSET_THRESHOLD
             np.minimum.at(crossing, cols[crossed], sample[crossed])
             last = sample == final
-            finals[:len(values), first + cols[last]] = (
-                np.abs(values[:, last]) ** 2)
-        try:
-            batch.run(write)
-        except NumericalError as exc:
-            # named once, by the run's index in the ensemble, not the block
-            run = first + exc.member
-            reason = re.sub(r" for member \d+", "", str(exc), count=1)
-            raise NumericalError(f"ensemble run {run}: {reason}",
-                                 tau=exc.tau, member=run) from exc
+            finals[:len(values), cols[last]] = np.abs(values[:, last]) ** 2
+        batch.run(write, first)
         seeds[:, block] = [[s.a_plus for s in states],
                            [s.a_minus for s in states]]
-        onset[block] = np.append(batch.t_eval, math.nan)[crossing]
+    onset = np.append(batch.t_eval, math.nan)[crossing]
     side = finals[0] + finals[2]
     hit = onset[np.isfinite(onset)]
     return EnsembleStats(

@@ -12,7 +12,7 @@ Verifies:
     CSV cells equal format(x, ".17g") on both formatting paths
   - exit codes 2 (bad input, an unreadable config, an --out that is a
     file, a run too large for memory), 3 (domain violation) and 4 (a run
-    past the step budget)
+    past the step budget); a failed run leaves no output directory it made
   - JSON artifacts are strict JSON: a NaN is written as null
   - one parser serves consecutive main() calls in a process
 """
@@ -20,6 +20,7 @@ Verifies:
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -681,7 +682,7 @@ def test_cli_energy_grid_rows_and_masked_cells(tmp_path, capsys):
     assert cli.main(["run", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 0
     _starts, kw = build(parse_config(text))
-    eg = energy_grid(kw["cases"][0][2], kw["grid"])
+    eg = energy_grid(kw["cases"][-0.5]["off"], kw["grid"])
     assert eg.mask[-1].all() and not eg.mask[:-1].any()  # the n0 = 1 row
     lines = (tmp_path / "o" / "energy_grid.csv").read_text().splitlines()
     assert lines[2] == "theta,n_zero,energy,mask"
@@ -859,16 +860,20 @@ def test_cli_validate_and_run_agree_on_pendulum_starts(tmp_path, capsys,
 def test_cli_run_past_step_budget_exits_4(tmp_path, capsys, monkeypatch,
                                           preset, member):
     # a single run and an ensemble both stop at the budget, naming the tau
-    # reached (and in an ensemble the run, once)
+    # reached (and in an ensemble the run, once, by its run number), and
+    # leave no output directory behind
     monkeypatch.setattr(dynamics, "_MAX_STEP_ATTEMPTS", 100)
-    assert cli.main(["run", "--preset", preset,
-                     "--out", str(tmp_path / "o")]) == 4
+    out = tmp_path / "o"
+    assert cli.main(["run", "--preset", preset, "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ")
-    assert "integration stopped" in err
-    assert "after 100 step attempts at tau = " in err
-    assert ("ensemble run " in err) == member
-    assert "member" not in err
+    found = re.fullmatch(r"numerical failure: integration stopped"
+                         r"(?: for member (\d+))? after 100 step attempts "
+                         r"at tau = \S+\n", err)
+    assert found, err
+    assert err.count("member") == member
+    if member:  # fig4-ensemble has runs 0 to 15
+        assert 0 <= int(found[1]) < 16
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("preset, old, new, size", [
@@ -880,11 +885,24 @@ def test_cli_oversized_run_exits_2(tmp_path, capsys, preset, old, new, size):
     # numpy refuses arrays this large at once; the run ends with one line
     path = tmp_path / "huge.ini"
     path.write_text(edited(preset, old, new))
-    assert cli.main(["run", "--config", str(path),
-                     "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: Unable to allocate ")
     assert size in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_failed_run_removes_only_directories_it_made(tmp_path, capsys):
+    # the run makes keep/a/b; failing, it removes those two, not keep
+    path = tmp_path / "huge.ini"
+    path.write_text(edited("fig2-collision", "samples = 1001",
+                           "samples = 10000000000000"))
+    keep = tmp_path / "keep"
+    keep.mkdir()
+    assert cli.main(["run", "--config", str(path),
+                     "--out", str(keep / "a" / "b")]) == 2
+    assert keep.is_dir() and not any(keep.iterdir())
 
 
 @pytest.mark.parametrize("section, key", [

@@ -9,6 +9,10 @@ Verifies:
     component differs from the dark manifold, and differ on generic states
   - halving tolerances reproduces the tight-tolerance answer
   - time-reversed integration returns to the initial state
+  - the effective family is the resonant one's large-detuning limit: the
+    n0 gap shrinks as (Omega/Theta)^2 at fixed W
+  - a locked pulse whose c2n or small_delta differ from its run's is
+    refused by every resonant entry point; a fixed lock is exempt
   - boundary and configuration errors; a pendulum orbit's boundary
     crossing is where solve_ivp's event puts it
   - the one-state RK45 follows solve_ivp's RK45 (both directions, every
@@ -27,22 +31,23 @@ Verifies:
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
 from lcse import (CouplingSummary, DomainError, IntegratorConfig,
-                  InvalidInputError, NumericalError, PendulumState,
-                  SpinorAmplitudes,
+                  InvalidInputError, NumericalError, PendulumState, SeedSpec,
+                  SpinorAmplitudes, ValidityWarning,
                   SystemParams, crossvalidate_amplitude_vs_pendulum,
                   drive_ladder, effective_coupling, energy_from_amplitudes,
                   integrate, integrate_batch, rhs_effective, rhs_pendulum,
-                  rhs_resonant, state_observables)
-from lcse import dynamics
+                  rhs_resonant, run_ensemble, state_observables)
+from lcse import RB87_C2_OVER_C0, dynamics
 from lcse.config import build
 from lcse.cpt import (PulseSchedule, cpt_state, make_schedule,
-                      resonance_detuning)
+                      resonance_detuning, run_transfer)
 from lcse.presets import load_preset
 
 
@@ -298,6 +303,54 @@ def test_crossvalidation_effective_vs_pendulum():
     assert cv.max_dev_n0 < 1e-6
 
 
+def limit_gap(w, s):
+    """Largest |n0| gap over tau in [0, 200] between an effective run and
+    the resonant run it was eliminated from, from the fig2 start at q = 0:
+    the drive ladder at W with its Rabi frequencies scaled by sqrt(s) and
+    its detuning Theta by s, so omega_eff = W whatever s. The resonant run
+    puts Theta on the molecule: small_delta = Theta with a fixed lock
+    theta_fixed = -Theta leaves Theta + delta = 0 on the +-1 modes,
+    t_zero = 1e300 holds the dump constant, gamma = 0, and the pulse takes
+    the Rabi frequencies' magnitudes (for W < 0 the ladder's are negative,
+    their product and omega_eff unchanged)."""
+    op, od, theta = drive_ladder(w)
+    op, od, theta = op * s ** 0.5, od * s ** 0.5, theta * s
+    params = SystemParams(omega_p=op, omega_d=od, big_delta_prime=theta)
+    eff = integrate("effective",
+                    SpinorAmplitudes.from_populations(0.05, 0.9, 0.05),
+                    params, (0.0, 200.0), coupling=effective_coupling(params),
+                    sampling=2001)
+    res = integrate("resonant",
+                    SpinorAmplitudes.from_populations(0.05, 0.9, 0.05,
+                                                      resonant=True),
+                    SystemParams(small_delta=theta), (0.0, 200.0),
+                    pulse=PulseSchedule(abs(op), abs(od), 1e300,
+                                        theta_variant="fixed",
+                                        theta_fixed=-theta),
+                    sampling=2001)
+    return float(np.abs(res.populations()[1] - eff.populations()[1]).max())
+
+
+# max |n0 gap| measured at Theta = 2.31 and 9.25 (the ladder's own)
+@pytest.mark.parametrize("sign, measured", [
+    pytest.param(1.0, (1.64e-3, 4.12e-4), id="positive-W"),
+    pytest.param(-1.0, (6.89e-3, 1.75e-3), id="negative-W")])
+def test_effective_family_is_large_detuning_limit_of_resonant(sign,
+                                                              measured):
+    # the effective family is the resonant one with the molecule eliminated
+    # adiabatically: at fixed W = +-2|c2| the gap shrinks as (Omega/Theta)^2,
+    # so a four times larger Theta cuts it four times
+    w = sign * 2.0 * abs(RB87_C2_OVER_C0)
+    with pytest.warns(ValidityWarning):    # 2 |Theta| < 10 max |Omega|
+        near = limit_gap(w, 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ValidityWarning)
+        far = limit_gap(w, 1.0)
+    # each gap within 10 % of its measured value
+    assert near < 1.1 * measured[0] and far < 1.1 * measured[1]
+    assert 3.0 <= near / far <= 5.0
+
+
 def test_pendulum_boundary_raises_domain_error():
     # (1 - n0)^2 = m^2 makes the conjugate angle singular
     with pytest.raises(DomainError):
@@ -423,6 +476,46 @@ def test_unknown_variant_rejected():
                   variant="other")
 
 
+LOCK_CALLS = {
+    "integrate": lambda st, params, pulse: integrate(
+        "resonant", st, params, (0.0, 1.0), pulse=pulse, sampling=2),
+    "integrate_batch": lambda st, params, pulse: integrate_batch(
+        "resonant", [st], params, (0.0, 1.0), pulse=pulse, sampling=2),
+    "run_transfer": lambda st, params, pulse: run_transfer(
+        st, params, pulse, tau_span=(0.0, 1.0), sampling=2),
+    "run_ensemble": lambda st, params, pulse: run_ensemble(
+        SeedSpec(), 2, "resonant", params, (0.0, 1.0), pulse=pulse,
+        sampling=2),
+    "rhs_resonant": lambda st, params, pulse: rhs_resonant(st, params, pulse),
+}
+
+
+@pytest.mark.parametrize("lock", ["coherence", "stationary"])
+@pytest.mark.parametrize("call", sorted(LOCK_CALLS))
+def test_locked_pulse_must_match_its_run(call, lock):
+    # a locked Theta is computed from the pulse's c2n and small_delta and
+    # the equations use the run's: a pulse whose values differ is refused,
+    # naming both pairs (the fig4-cpt transfer with the pulse's defaults
+    # 0, 0 would run at efficiency 0.0007 against 0.6904)
+    params = SystemParams(c2n=RB87_C2_OVER_C0, small_delta=3.0, gamma=1.0)
+    start = cpt_state(1.0, 40.0)
+    for c2n, delta in ((0.0, 0.0), (-0.0046, 3.0), (RB87_C2_OVER_C0, 2.0)):
+        pulse = make_schedule(1.0, 40.0, 20.0, small_delta=delta, c2n=c2n,
+                              theta_variant=lock)
+        with pytest.raises(InvalidInputError) as err:
+            LOCK_CALLS[call](start, params, pulse)
+        assert str(err.value) == (
+            f"the {lock} lock takes c2n = {c2n!r}, small_delta = {delta!r} "
+            f"from its pulse, but the run has c2n = {RB87_C2_OVER_C0!r}, "
+            "small_delta = 3.0")
+    # equal values run, and a fixed Theta reads neither
+    LOCK_CALLS[call](start, params, make_schedule(
+        1.0, 40.0, 20.0, small_delta=3.0, c2n=RB87_C2_OVER_C0,
+        theta_variant=lock))
+    LOCK_CALLS[call](start, params, make_schedule(
+        1.0, 40.0, 20.0, theta_variant="fixed", theta_fixed=-2.9))
+
+
 def test_unknown_family_rejected():
     st = SpinorAmplitudes.from_populations(0.3, 0.4, 0.3)
     with pytest.raises(InvalidInputError):
@@ -441,7 +534,7 @@ def test_energy_monitor_matches_functional():
 # ---------------------------------------------------------------------------
 # batched integration
 
-FIG4 = make_schedule(1.0, 40.0, 20.0, small_delta=3.0, c2n=-0.0046)
+FIG4 = make_schedule(1.0, 40.0, 20.0, small_delta=3.0, c2n=RB87_C2_OVER_C0)
 
 
 def spread_starts(count, resonant):
@@ -459,7 +552,7 @@ BATCH_CASES = [
     pytest.param("effective", None, "symmetrized", 3, id="effective"),
     pytest.param("resonant", FIG4, "symmetrized", 3, id="resonant"),
     pytest.param("resonant", make_schedule(1.0, 40.0, 20.0, small_delta=3.0,
-                                           c2n=-0.0046,
+                                           c2n=RB87_C2_OVER_C0,
                                            theta_variant="stationary"),
                  "symmetrized", 3, id="resonant-stationary"),
     pytest.param("resonant", make_schedule(1.0, 40.0, 20.0, small_delta=3.0,
