@@ -4,6 +4,12 @@ Dispatches validated scenario configs to the library, writes plot-ready CSV
 and JSON artifacts at 17 significant digits, and emits a manifest for every
 run. Exit codes: 0 success, 2 config problem, 3 domain violation,
 4 numerical failure.
+
+Every CSV cell is format(x, ".17g"), byte for byte. A block with few
+distinct values formats each once in Python; a mostly-distinct block is
+formatted in numpy (_write_fixed), which rounds fixed-notation cells
+exactly and hands 0, NaN, the infinities and exponent-notation cells to
+Python's "%.17g".
 """
 
 from __future__ import annotations
@@ -47,37 +53,231 @@ _TRANSFER_NOTES = [
 
 
 _CSV_BLOCK_ROWS = 1024
+# rows per numpy pass of _write_fixed: its arrays peak near 120 bytes a
+# cell, so a pass holds less heap than "%.17g" on a 1001-row table (about
+# 77 bytes a cell), in few enough passes that numpy's per-call overhead
+# stays small
+_FIXED_ROWS = 512
+
+# Exact "%.17g" in numpy for 1e-5 <= |x| < 1e17. The powers of ten up to
+# 10**22 are exact doubles; Veltkamp's splitter halves each into 26-bit
+# parts, so that Dekker's product a * 10**j = p + e is exact.
+_SPLIT = 134217729.0  # 2**27 + 1
+_POW10 = np.array([float(10 ** j) for j in range(23)])
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
 
 
-def _format_block(block: np.ndarray) -> str:
-    """The rows of block with each value as "%.17g". When fewer than half
-    of its cells hold distinct float64 bit patterns (an energy grid: one
-    theta axis, few n0 values, E even in theta), each distinct pattern is
-    formatted once and the rows are joined from those strings; -0.0 and
-    0.0, and NaNs of different payload, stay apart as patterns."""
+def _words(text: bytes, count: int) -> list[int]:
+    """text, NUL-padded, as count little-endian 64-bit words: its first
+    byte is the lowest byte of the first word."""
+    text = text.ljust(8 * count, b"\0")
+    return [int.from_bytes(text[i:i + 8], "little")
+            for i in range(0, 8 * count, 8)]
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Per i < 10**4: its four ASCII digits in one word (the first in the
+    lowest byte), and how many of them are trailing zeros. Built on first
+    use, so a run that writes no mostly-distinct block (a landscape) does
+    not hold them."""
+    i = np.arange(10 ** 4, dtype=np.uint16)
+    digits = np.zeros(i.size, np.uint64)
+    zeros = np.zeros(i.size, np.uint8)
+    for j in range(4):
+        digit = (i // 10 ** (3 - j) % 10 + ord("0")).astype(np.uint64)
+        digits |= digit << np.uint64(8 * j)
+        zeros += i % 10 ** (j + 1) == 0
+    return digits, zeros
+
+
+# Indexed by k + 4 for a decimal exponent k in -4 .. 16: the bytes of the
+# 17-digit string that precede the point, the point itself ("0.000" for
+# k < 0: OR-ing "0" into a digit leaves it unchanged), and the bits the
+# digits after the point move right to make room.
+_EXPONENTS = range(-4, 17)
+_INT_MASK = np.array([_words(b"\xff" * max(0, k + 1), 3)
+                      for k in _EXPONENTS], np.uint64).T.copy()
+_POINT = np.array([_words(b"0.000" if k < 0 else b"\0" * (k + 1) + b".", 3)
+                   for k in _EXPONENTS], np.uint64).T.copy()
+_FRAC_SHIFT = np.array([8 * max(1, 1 - k) for k in _EXPONENTS], np.uint64)
+# the first n bytes of three words, n = 0 .. 22 (the longest text)
+_KEEP = np.array([_words(b"\xff" * n, 3) for n in range(23)],
+                 np.uint64).T.copy()
+_U1, _U32, _U63 = np.uint64(1), np.uint64(32), np.uint64(63)
+_MINUS = np.uint64(ord("-") << 56)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """a * 10**(16 - k) rounded to an integer, ties to even, exactly: the
+    product is p + e (Dekker), p >= 2**53 is an even integer wherever the
+    result has 17 digits, so p + rint(e) rounds p + e."""
+    j = 16 - k
+    b_hi, b_lo = _POW10_HI[j], _POW10_LO[j]
+    p = a * _POW10[j]
+    del j
+    a_hi = a * _SPLIT
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    # e = a_lo b_lo - (((p - a_hi b_hi) - a_lo b_hi) - a_hi b_lo), in place
+    err = p - a_hi * b_hi
+    err -= a_lo * b_hi
+    err -= a_hi * b_lo
+    del a_hi, b_hi
+    e = np.multiply(a_lo, b_lo, out=a_lo)
+    e -= err
+    del err
+    d = p.astype(np.int64)
+    d += np.rint(e, out=e).astype(np.int64)
+    return d
+
+
+def _round17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, d) with d in [1e16, 1e17) and d * 10**(k - 16) equal to a
+    rounded to 17 significant digits, for 1e-5 <= a < 1e17."""
+    k = np.log10(a)
+    k = np.floor(k, out=k).astype(np.int64)
+    np.minimum(k, 16, out=k)  # log10 may round up to 17 just below 1e17
+    d = _scaled(a, k)
+    # log10 can miss the decade by one next to a power of ten, and the
+    # rounding can carry into the next one (9.99999999999999999e-5 gives
+    # 1.0000000000000000e-4); one step either way corrects both
+    off = np.flatnonzero((d - 10 ** 16).view(np.uint64) >= 9 * 10 ** 16)
+    if off.size:
+        k[off] += np.where(d[off] < 10 ** 16, -1, 1)
+        d[off] = _scaled(a[off], k[off])
+    return k, d
+
+
+def _ascii8(value: np.ndarray, out: np.ndarray) -> None:
+    """The eight decimal digits of each value < 10**8, as ASCII in one
+    little-endian word (the leading digit in the lowest byte)."""
+    digits4 = _digit_tables()[0]
+    q, r = np.divmod(value, 10 ** 4)
+    np.take(digits4, q, out=out)
+    del q
+    r = digits4[r]
+    r <<= _U32
+    out |= r
+
+
+def _fixed_words(k: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(3, n) little-endian words holding each cell's fixed-notation text
+    without its sign, NUL-padded: the 17 digits of d with the point after
+    digit k (k >= 0) or "0." and -k-1 zeros in front (-4 <= k < 0), and
+    the trailing zeros after the point dropped."""
+    digits = np.empty((3, d.size), np.uint64)
+    high, low = np.divmod(d, 10 ** 9)  # digits 0-7 and 8-16
+    _ascii8(high, digits[0])
+    middle, last = np.divmod(low, 10)  # digits 8-15 and 16
+    del high, low
+    _ascii8(middle, digits[1])
+    del middle
+    np.add(last, ord("0"), out=digits[2], casting="unsafe")
+    zeros = np.zeros(d.size, np.uint8)  # trailing zero digits of d
+    idx = np.flatnonzero(last == 0)
+    del last
+    rest = d[idx]
+    while idx.size:
+        group = rest % 10 ** 4
+        zeros[idx] += _digit_tables()[1][group]
+        more = group == 0
+        idx, rest = idx[more], rest[more] // 10 ** 4
+    col = k + 4
+    text = _INT_MASK.take(col, axis=1)
+    text &= digits
+    digits ^= text  # the digits after the point
+    text |= _POINT.take(col, axis=1)
+    bits = _FRAC_SHIFT.take(col)
+    del col
+    carry = digits[:-1] >> _U1
+    carry >>= _U63 - bits
+    digits <<= bits
+    del bits
+    digits[1:] |= carry
+    del carry
+    text |= digits
+    del digits
+    sig = 17 - zeros.astype(np.int64)
+    del zeros
+    length = np.where(k >= 0, np.maximum(k + 1, sig) + (sig > k + 1),
+                      1 - k + sig)
+    del sig
+    text &= _KEEP.take(length, axis=1)
+    return text
+
+
+def _write_fixed(fh, block: np.ndarray) -> None:
+    """Write the rows of block with each value as "%.17g", formatted in
+    numpy: a fixed-notation cell (1e-4 <= |x| < 1e17 once rounded) is laid
+    out from its exact 17-digit integer; 0, NaN, the infinities and
+    exponent-notation cells go through Python's "%.17g"."""
+    nrows, ncols = block.shape
+    x = block.ravel()
+    a = np.abs(x)
+    fixed = (a >= 1e-5) & (a < 1e17)
+    a[~fixed] = 1.0
+    k, d = _round17(a)
+    del a
+    fixed &= k >= -4
+    np.maximum(k, -4, out=k)
+    text = _fixed_words(k, d)
+    del k, d
+    # 32 bytes a cell: the separator before it, its sign in byte 7, then
+    # its text; the NUL bytes are dropped on writing
+    slot = np.empty((x.size, 4), "<u8")
+    slot[:, 1:] = text.T
+    del text
+    lead = slot.reshape(nrows, ncols, 4)[:, :, 0]
+    lead[:, 0] = ord("\n")
+    lead[:, 1:] = ord(",")
+    lead[0, 0] = 0
+    slot[:, 0] |= (np.signbit(x) & fixed) * _MINUS
+    cells = slot.view(np.uint8).reshape(x.size, 32)
+    slow = np.flatnonzero(~fixed)
+    if slow.size:
+        texts = [b"%.17g" % v for v in x[slow].tolist()]
+        cells[slow, 8:] = np.frombuffer(
+            b"".join(t.ljust(24, b"\0") for t in texts),
+            np.uint8).reshape(-1, 24)
+    cells = cells.ravel()
+    fh.write(cells[cells != 0])
+    fh.write(b"\n")
+
+
+def _write_block(fh, block: np.ndarray) -> None:
+    """Write the rows of block with each value as "%.17g". When fewer than
+    half of its cells hold distinct float64 bit patterns (an energy grid:
+    one theta axis, few n0 values, E even in theta), each distinct pattern
+    is formatted once and the rows are joined from those strings; -0.0 and
+    0.0, and NaNs of different payload, stay apart as patterns. Otherwise
+    the rows go through _write_fixed, _FIXED_ROWS at a time."""
     bits = block.view(np.int64).ravel()
     srt = np.sort(bits)
     if 2 * (1 + np.count_nonzero(srt[1:] != srt[:-1])) >= bits.size:
-        row = ",".join(["%.17g"] * block.shape[1]) + "\n"
-        return row * len(block) % tuple(block.ravel().tolist())
+        del bits, srt
+        for start in range(0, len(block), _FIXED_ROWS):
+            _write_fixed(fh, block[start:start + _FIXED_ROWS])
+        return
     distinct, inverse = np.unique(bits, return_inverse=True)
     text = "%.17g," * distinct.size % tuple(distinct.view(float).tolist())
     strs = np.array(text.split(",")[:-1], dtype=object)
     row = ",".join(["%s"] * block.shape[1]) + "\n"
-    return row * len(block) % tuple(strs[inverse].tolist())
+    fh.write((row * len(block) % tuple(strs[inverse].tolist())).encode())
 
 
 def _write_csv(path: Path, comments: list[str], columns: dict) -> None:
     """Comments, a header of the column names, then one row per index with
-    each value as format(float(x), ".17g"), formatted a block at a time."""
+    each value as format(float(x), ".17g"), written a block at a time."""
     table = np.column_stack([np.asarray(c, dtype=float)
                              for c in columns.values()])
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
+            fh.write(f"# {line}\n".encode())
+        fh.write((",".join(columns) + "\n").encode())
         for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            fh.write(_format_block(table[start:start + _CSV_BLOCK_ROWS]))
+            _write_block(fh, table[start:start + _CSV_BLOCK_ROWS])
 
 
 def _columns_line(columns: dict) -> str:
@@ -285,8 +485,8 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int,
                        help="override the ensemble rng_seed")
     p_run.add_argument("--variant", choices=["literal", "symmetrized"],
-                       default="symmetrized",
-                       help="resonant equation variant")
+                       help="resonant equation variant (default: "
+                       "symmetrized)")
 
     sub.add_parser("presets", help="list built-in scenarios")
 
@@ -312,8 +512,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except MemoryError as exc:
-        # numpy refuses an array that cannot fit (a huge `samples` or
-        # `runs`) at once, with its size in the message
+        # numpy refuses an array that cannot fit (a huge landscape grid)
+        # at once, with its size in the message
         print(f"invalid input: {exc or 'out of memory'}", file=sys.stderr)
         return 2
 
@@ -352,12 +552,12 @@ def _execute(args) -> int:
         if cfg.mode != "ensemble":
             raise InvalidInputError("--seed only applies to ensemble runs")
         cfg.seeds["rng_seed"] = int(args.seed)
-    if args.variant != "symmetrized" and not cfg.pulse:
+    if args.variant is not None and not cfg.pulse:
         raise InvalidInputError("--variant only applies to resonant, cpt "
                                 "and kind = cpt ensemble runs")
     start, kw = build(cfg)
     if cfg.pulse:  # the runs whose equations the variant selects
-        kw["variant"] = args.variant
+        kw["variant"] = args.variant or "symmetrized"
 
     out = Path(args.out) if args.out else Path(cfg.output.get("dir", "."))
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first

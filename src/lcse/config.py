@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import os
 from dataclasses import dataclass, field
 
 from .constants import RB87_C2_OVER_C0
@@ -23,7 +24,7 @@ from .core import (SpinorAmplitudes, SystemParams, effective_coupling,
                    ladder_lightshifts)
 from .cpt import THETA_VARIANTS, PulseSchedule
 from .dynamics import IntegratorConfig, PendulumState, require_interior
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .landscape import GridSpec, LandscapeParams, default_start_grid
 from .stochastic import SEED_MODES, SeedSpec
 
@@ -293,6 +294,47 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 # ---------------------------------------------------------------------------
 # the objects each mode runs with
 
+# bytes a run's arrays hold at least: per sample its tau and its state
+# (16 per complex amplitude, 8 per pendulum coordinate; an ensemble keeps
+# only the tau grid), and per ensemble run its two seeds, four final
+# populations, side, onset and onset sample index
+_SAMPLE_BYTES = {"effective": 8 + 3 * 16, "pendulum": 8 + 2 * 8,
+                 "resonant": 8 + 4 * 16, "cpt": 8 + 4 * 16, "ensemble": 8}
+_RUN_BYTES = 2 * 16 + 4 * 8 + 3 * 8
+
+
+def _size(nbytes: int) -> str:
+    """nbytes in binary units to three significant digits (72.8 TiB); a
+    count beyond float range reads inf EiB."""
+    k = min(max(0, (nbytes.bit_length() - 1) // 10), 6)
+    unit = ("bytes", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB")[k]
+    try:
+        return f"{nbytes / 1024 ** k:.3g} {unit}"
+    except OverflowError:
+        return f"inf {unit}"
+
+
+def _require_memory(cfg: ScenarioConfig) -> None:
+    """Refuse a run whose arrays alone exceed the machine's physical
+    memory, before anything is allocated: numpy would grant them, and the
+    run would swap or be killed instead of failing."""
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # not a POSIX system
+        return
+    samples = cfg.integration["samples"]
+    need = samples * _SAMPLE_BYTES[cfg.mode]
+    what = f"[integration] samples = {samples} needs"
+    if cfg.mode == "ensemble":
+        need += cfg.seeds["runs"] * _RUN_BYTES
+        what = (f"[integration] samples = {samples} and [seeds] runs = "
+                f"{cfg.seeds['runs']} need")
+    if need > have:
+        raise InvalidInputError(f"{what} at least {_size(need)} of arrays, "
+                                f"more than the {_size(have)} of physical "
+                                "memory")
+
+
 def build(cfg: ScenarioConfig) -> tuple[object, dict]:
     """What a run of cfg starts from, and the arguments it runs with: named
     as integrate's, or for landscape its GridSpec and its cases, grouped
@@ -320,6 +362,7 @@ def build(cfg: ScenarioConfig) -> tuple[object, dict]:
                 *(ladder_lightshifts(c_eff - par["c2n"]) if setting == "on"
                   else (0.0, 0.0))) for setting in settings}
         return starts, {"grid": grid, "cases": cases}
+    _require_memory(cfg)
     # keys the mode does not read keep SystemParams' defaults, which the
     # schema's equal
     params = SystemParams(**par)

@@ -17,10 +17,13 @@ Verifies:
   - one parser serves consecutive main() calls in a process
 """
 
+import decimal
 import io
 import json
 import math
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,9 +397,16 @@ def test_cli_seed_flag_restricted(tmp_path):
 
 
 def test_cli_variant_flag_restricted(tmp_path):
-    proc = run_cli("run", "--preset", "fig2-frozen", "--variant", "literal",
-                   "--out", str(tmp_path / "x"))
-    assert proc.returncode == 2
+    # an explicit --variant is refused on a run without [pulse], whichever
+    # value it names (the default applies only to pulsed runs)
+    for variant in ("literal", "symmetrized"):
+        proc = run_cli("run", "--preset", "fig2-frozen", "--variant",
+                       variant, "--out", str(tmp_path / variant))
+        assert proc.returncode == 2, variant
+        assert proc.stderr == ("invalid input: --variant only applies to "
+                               "resonant, cpt and kind = cpt ensemble "
+                               "runs\n"), variant
+        assert not (tmp_path / variant).exists()
 
 
 SHORT_ENSEMBLE = """
@@ -614,6 +624,129 @@ def test_write_csv_zero_rows(tmp_path):
     path = tmp_path / "empty.csv"
     cli._write_csv(path, ["nothing"], {"a": [], "b": np.array([], bool)})
     assert path.read_text() == "# nothing\na,b\n"
+
+
+def written_cells(path, values, ncols):
+    """values written by _write_csv as a table of ncols columns (the last
+    row padded with 1.0), and its cells as read back."""
+    values = list(values) + [1.0] * (-len(values) % ncols)
+    table = np.array(values, dtype=float).reshape(-1, ncols)
+    cli._write_csv(path, ["cells"],
+                   {f"c{j}": table[:, j] for j in range(ncols)})
+    lines = path.read_text().split("\n")
+    assert lines[:2] == ["# cells", ",".join(f"c{j}" for j in range(ncols))]
+    assert lines[-1] == ""
+    return table.ravel().tolist(), [c for line in lines[2:-1]
+                                    for c in line.split(",")]
+
+
+def assert_cells_match_format_17g(path, values, ncols=3):
+    values, cells = written_cells(path, values, ncols)
+    assert cells == [format(v, ".17g") for v in values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=400,
+                     unique=True),
+       ncols=st.integers(1, 9))
+def test_write_csv_cells_match_format_17g_for_bit_patterns(tmp_path_factory,
+                                                           bits, ncols):
+    # any float64 bit pattern: NaN payloads, infinities, subnormals, and
+    # both notations; distinct patterns take the numpy formatter
+    values = np.array(bits, dtype=np.uint64).view(float)
+    assert_cells_match_format_17g(tmp_path_factory.mktemp("bits") / "t.csv",
+                                  values, ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mags=st.lists(st.floats(1e-6, 1e18), min_size=1, max_size=400,
+                     unique=True),
+       signs=st.integers(0, 2 ** 400 - 1), ncols=st.integers(1, 9))
+def test_write_csv_cells_match_format_17g_across_notations(tmp_path_factory,
+                                                           mags, signs,
+                                                           ncols):
+    # magnitudes across the fixed-notation range, its edges and beyond
+    values = [-m if signs >> k & 1 else m for k, m in enumerate(mags)]
+    assert_cells_match_format_17g(tmp_path_factory.mktemp("mags") / "t.csv",
+                                  values, ncols)
+
+
+def _neighbours(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+def _is_tie(x):
+    # the exact decimal value of x has 18 significant digits, the last a 5
+    digits = list(decimal.Decimal(x).as_tuple().digits)
+    while digits[-1] == 0:
+        digits.pop()
+    return len(digits) == 18 and digits[-1] == 5
+
+
+NAN_PAYLOADS = np.array([0x7FF8000000000001, 0xFFF8000000000000,
+                         0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
+                        dtype=np.uint64).view(float).tolist()
+NAMED_CELLS = {
+    "zeros-nan-inf-subnormal": [0.0, -0.0, math.nan, -math.nan,
+                                *NAN_PAYLOADS, math.inf, -math.inf, 5e-324,
+                                -5e-324, 2.2250738585072009e-308,
+                                -1.5e-315, 2.2250738585072014e-308],
+    "powers-of-ten": [v for k in range(-8, 23)
+                      for v in _neighbours(10.0 ** k)],
+    "notation-switches": [v for x in (1e-5, 1e-4, 1e16, 1e17)
+                          for v in (*_neighbours(x), -x,
+                                    *_neighbours(0.99999999999999999 * x))],
+    # 17 nines round up to the next power of ten, which may switch notation
+    "round-up-to-next-power": [float(f"9.99999999999999999e{k}")
+                               for k in range(-7, 18)]
+                              + [9.999999999999999e-5, 99999999999999984.0,
+                                 9.9999999999999995e-5],
+}
+
+
+@pytest.mark.parametrize("values", NAMED_CELLS.values(), ids=NAMED_CELLS)
+def test_write_csv_named_cells_match_format_17g(tmp_path, values):
+    assert_cells_match_format_17g(tmp_path / "t.csv", values)
+    assert_cells_match_format_17g(tmp_path / "t.csv", values, ncols=1)
+
+
+def test_write_csv_rounds_exact_ties_to_even(tmp_path):
+    # integers in [1e16, 1e17) times 2**-j, kept where the exact value lies
+    # halfway between two 17-digit decimals
+    ties = [x for n in range(10 ** 16, 10 ** 16 + 800, 2)
+            for x in (float(n) * 2.0 ** -j for j in range(1, 60))
+            if _is_tie(x)]
+    assert len(ties) > 500
+    values, cells = written_cells(tmp_path / "t.csv", ties, 4)
+    assert cells == [format(v, ".17g") for v in values]
+    # to the even neighbour, which lies below as often as above
+    up = [decimal.Decimal(c) > decimal.Decimal(v)
+          for c, v in zip(cells, ties)]
+    assert 0.3 < sum(up) / len(up) < 0.7
+    assert "1250000000000000.2" in cells and "1250000000000000.8" in cells
+
+
+def test_write_csv_heap_peak_at_most_the_python_formatter(tmp_path):
+    # a 1001 x 8 table of mostly distinct values (a trajectory's shape),
+    # formatted in numpy _FIXED_ROWS rows at a time; "%.17g" over each
+    # 1024-row block peaked at 619,883 bytes on this table (tracemalloc,
+    # numpy 2.4), the numpy formatter at 538,743, 13 % below: the bound is
+    # the former
+    rng = np.random.default_rng(17)
+    table = (rng.uniform(-1.0, 1.0, (1001, 8))
+             * 10.0 ** rng.uniform(-3.0, 3.0, (1001, 8)))
+    columns = {f"c{j}": table[:, j] for j in range(8)}
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ["warm-up"], columns)
+    tracemalloc.start()
+    try:
+        cli._write_csv(path, ["a table"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 619_883, peak
+    assert path.read_text().split("\n")[2:-1] == [
+        ",".join(format(v, ".17g") for v in row) for row in table.tolist()]
 
 
 def refuse_constant(name):
@@ -878,30 +1011,62 @@ def test_cli_run_past_step_budget_exits_4(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("preset, old, new, size", [
     ("fig2-collision", "samples = 1001", "samples = 10000000000000",
-     "72.8 TiB"),
-    ("fig4-ensemble", "runs = 16", "runs = 100000000000", "2.91 TiB"),
+     "509 TiB"),
+    ("fig4-ensemble", "runs = 16", "runs = 100000000000", "8 TiB"),
 ])
 def test_cli_oversized_run_exits_2(tmp_path, capsys, preset, old, new, size):
-    # numpy refuses arrays this large at once; the run ends with one line
+    # arrays larger than any machine's memory are refused before the run
+    # allocates them or makes its output directory, with one line
     path = tmp_path / "huge.ini"
     path.write_text(edited(preset, old, new))
     out = tmp_path / "o"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("invalid input: Unable to allocate ")
-    assert size in err and err.count("\n") == 1
+    assert err.startswith("invalid input: [integration] samples = ")
+    assert f"at least {size} of arrays" in err and err.count("\n") == 1
     assert not out.exists()
 
 
-def test_cli_failed_run_removes_only_directories_it_made(tmp_path, capsys):
+def _physical_memory(monkeypatch, nbytes):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": nbytes // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+
+
+@pytest.mark.parametrize("preset, old, key, fits, billion", [
+    # 1 GiB holds 19173961 effective samples of 56 bytes (tau and three
+    # complex amplitudes), and 12201429 ensemble runs of 88 bytes beside
+    # 2001 tau samples
+    ("fig2-collision", "samples = 1001", "samples", 19173961, "52.2 GiB"),
+    ("fig4-ensemble", "runs = 16", "runs", 12201429, "82 GiB"),
+])
+def test_cli_validate_refuses_run_beyond_physical_memory(
+        tmp_path, capsys, monkeypatch, preset, old, key, fits, billion):
+    # validate builds the run's inputs and allocates none of its arrays
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 30 // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    path = tmp_path / "big.ini"
+    for count in (fits, fits + 1, 10 ** 9):
+        path.write_text(edited(preset, old, f"{key} = {count}"))
+        code = cli.main(["validate", "--config", str(path)])
+        err = capsys.readouterr().err
+        if count == fits:
+            assert code == 0 and err == "", err
+            continue
+        assert code == 2, count
+        assert err.startswith("invalid input: [integration] samples = ")
+        assert f"{key} = {count} need" in err
+        assert err.endswith(", more than the 1 GiB of physical memory\n")
+    assert f"at least {billion} of arrays" in err
+
+
+def test_cli_failed_run_removes_only_directories_it_made(tmp_path, capsys,
+                                                        monkeypatch):
     # the run makes keep/a/b; failing, it removes those two, not keep
-    path = tmp_path / "huge.ini"
-    path.write_text(edited("fig2-collision", "samples = 1001",
-                           "samples = 10000000000000"))
+    monkeypatch.setattr(dynamics, "_MAX_STEP_ATTEMPTS", 100)
     keep = tmp_path / "keep"
     keep.mkdir()
-    assert cli.main(["run", "--config", str(path),
-                     "--out", str(keep / "a" / "b")]) == 2
+    assert cli.main(["run", "--preset", "fig4-cpt",
+                     "--out", str(keep / "a" / "b")]) == 4
     assert keep.is_dir() and not any(keep.iterdir())
 
 
