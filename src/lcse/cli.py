@@ -68,12 +68,11 @@ _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 
 
-def _words(text: bytes, count: int) -> list[int]:
-    """text, NUL-padded, as count little-endian 64-bit words: its first
-    byte is the lowest byte of the first word."""
-    text = text.ljust(8 * count, b"\0")
-    return [int.from_bytes(text[i:i + 8], "little")
-            for i in range(0, 8 * count, 8)]
+def _words(text: bytes) -> list[int]:
+    """text, NUL-padded to 24 bytes, as three little-endian 64-bit words:
+    its first byte is the lowest byte of the first word."""
+    text = text.ljust(24, b"\0")
+    return [int.from_bytes(text[i:i + 8], "little") for i in (0, 8, 16)]
 
 
 @functools.cache
@@ -97,13 +96,13 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
 # k < 0: OR-ing "0" into a digit leaves it unchanged), and the bits the
 # digits after the point move right to make room.
 _EXPONENTS = range(-4, 17)
-_INT_MASK = np.array([_words(b"\xff" * max(0, k + 1), 3)
+_INT_MASK = np.array([_words(b"\xff" * max(0, k + 1))
                       for k in _EXPONENTS], np.uint64).T.copy()
-_POINT = np.array([_words(b"0.000" if k < 0 else b"\0" * (k + 1) + b".", 3)
+_POINT = np.array([_words(b"0.000" if k < 0 else b"\0" * (k + 1) + b".")
                    for k in _EXPONENTS], np.uint64).T.copy()
 _FRAC_SHIFT = np.array([8 * max(1, 1 - k) for k in _EXPONENTS], np.uint64)
 # the first n bytes of three words, n = 0 .. 22 (the longest text)
-_KEEP = np.array([_words(b"\xff" * n, 3) for n in range(23)],
+_KEEP = np.array([_words(b"\xff" * n) for n in range(23)],
                  np.uint64).T.copy()
 _U1, _U32, _U63 = np.uint64(1), np.uint64(32), np.uint64(63)
 _MINUS = np.uint64(ord("-") << 56)
