@@ -1009,12 +1009,13 @@ def test_cli_run_past_step_budget_exits_4(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("preset, old, new, size", [
+@pytest.mark.parametrize("preset, old, new, need", [
     ("fig2-collision", "samples = 1001", "samples = 10000000000000",
-     "509 TiB"),
-    ("fig4-ensemble", "runs = 16", "runs = 100000000000", "8 TiB"),
+     "needs at least 509 TiB"),
+    ("fig4-ensemble", "runs = 16", "runs = 100000000000",
+     "need at least 8 TiB"),
 ])
-def test_cli_oversized_run_exits_2(tmp_path, capsys, preset, old, new, size):
+def test_cli_oversized_run_exits_2(tmp_path, capsys, preset, old, new, need):
     # arrays larger than any machine's memory are refused before the run
     # allocates them or makes its output directory, with one line
     path = tmp_path / "huge.ini"
@@ -1023,7 +1024,7 @@ def test_cli_oversized_run_exits_2(tmp_path, capsys, preset, old, new, size):
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: [integration] samples = ")
-    assert f"at least {size} of arrays" in err and err.count("\n") == 1
+    assert f"{need} of arrays" in err and err.count("\n") == 1
     assert not out.exists()
 
 
