@@ -52,11 +52,14 @@ _TRANSFER_NOTES = [
 ]
 
 
+# The two paths of _write_block want different sizes. The factored path
+# formats each distinct value once per block, so a larger block repeats
+# more: an energy grid's blocks are 22 % distinct at 1024 rows and 26 % at
+# 512, and write 10-20 % slower at 512. _write_fixed's arrays peak near 120
+# bytes a cell, so its passes of _FIXED_ROWS hold less heap than "%.17g"
+# on a 1001-row table (about 77 bytes a cell), in few enough passes that
+# numpy's per-call overhead stays small.
 _CSV_BLOCK_ROWS = 1024
-# rows per numpy pass of _write_fixed: its arrays peak near 120 bytes a
-# cell, so a pass holds less heap than "%.17g" on a 1001-row table (about
-# 77 bytes a cell), in few enough passes that numpy's per-call overhead
-# stays small
 _FIXED_ROWS = 512
 
 # Exact "%.17g" in numpy for 1e-5 <= |x| < 1e17. The powers of ten up to
@@ -68,11 +71,12 @@ _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 
 
-def _words(text: bytes) -> list[int]:
-    """text, NUL-padded to 24 bytes, as three little-endian 64-bit words:
-    its first byte is the lowest byte of the first word."""
-    text = text.ljust(24, b"\0")
-    return [int.from_bytes(text[i:i + 8], "little") for i in (0, 8, 16)]
+def _words(texts: list[bytes]) -> np.ndarray:
+    """(3, len(texts)): each text, NUL-padded to 24 bytes, as three
+    little-endian 64-bit words; its first byte is the lowest byte of the
+    first word."""
+    return np.frombuffer(b"".join(t.ljust(24, b"\0") for t in texts),
+                         "<u8").reshape(-1, 3).T
 
 
 @functools.cache
@@ -81,13 +85,16 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     lowest byte), and how many of them are trailing zeros. Built on first
     use, so a run that writes no mostly-distinct block (a landscape) does
     not hold them."""
-    i = np.arange(10 ** 4, dtype=np.uint16)
-    digits = np.zeros(i.size, np.uint64)
-    zeros = np.zeros(i.size, np.uint8)
-    for j in range(4):
-        digit = (i // 10 ** (3 - j) % 10 + ord("0")).astype(np.uint64)
-        digits |= digit << np.uint64(8 * j)
-        zeros += i % 10 ** (j + 1) == 0
+    rest = np.arange(10 ** 4, dtype=np.int64)
+    digits = np.zeros(rest.size, np.uint64)
+    zeros = np.zeros(rest.size, np.uint8)
+    tail = np.ones(rest.size, bool)  # every digit so far is 0
+    for j in range(3, -1, -1):  # the last digit first
+        rest, digit = np.divmod(rest, 10)
+        tail &= digit == 0
+        zeros += tail
+        digit += ord("0")
+        digits |= digit.view(np.uint64) << np.uint64(8 * j)
     return digits, zeros
 
 
@@ -96,14 +103,12 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
 # k < 0: OR-ing "0" into a digit leaves it unchanged), and the bits the
 # digits after the point move right to make room.
 _EXPONENTS = range(-4, 17)
-_INT_MASK = np.array([_words(b"\xff" * max(0, k + 1))
-                      for k in _EXPONENTS], np.uint64).T.copy()
-_POINT = np.array([_words(b"0.000" if k < 0 else b"\0" * (k + 1) + b".")
-                   for k in _EXPONENTS], np.uint64).T.copy()
+_INT_MASK = _words([b"\xff" * max(0, k + 1) for k in _EXPONENTS])
+_POINT = _words([b"0.000" if k < 0 else b"\0" * (k + 1) + b"."
+                 for k in _EXPONENTS])
 _FRAC_SHIFT = np.array([8 * max(1, 1 - k) for k in _EXPONENTS], np.uint64)
 # the first n bytes of three words, n = 0 .. 22 (the longest text)
-_KEEP = np.array([_words(b"\xff" * n) for n in range(23)],
-                 np.uint64).T.copy()
+_KEEP = _words([b"\xff" * n for n in range(23)])
 _U1, _U32, _U63 = np.uint64(1), np.uint64(32), np.uint64(63)
 _MINUS = np.uint64(ord("-") << 56)
 

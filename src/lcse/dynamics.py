@@ -160,29 +160,19 @@ def rhs_effective(state: SpinorAmplitudes, params: SystemParams,
 def _rhs_eff(y, c_eff, c2, q, ls_delta, ls_p):
     # one state as a list of Python complex costs a fraction of numpy
     # scalar arithmetic and gives a list; an array, one state (3,) or a
-    # batch (3, R), takes its conjugates and its populations in one numpy
-    # operation each, the populations complex, so that with the batch's
-    # complex coefficients it runs only complex-complex loops, on its rows,
-    # and gives an array. The populations are re^2 + im^2 as on the list
-    # path: f conj(f) may fuse a multiply-add and round differently
-    array = isinstance(y, np.ndarray)
+    # batch (3, R), runs on its rows and gives an array
     ap, a0, am = y
-    if array:
-        cy = y.conj()
-        np_, n0, nm = (y.real ** 2 + y.imag ** 2).astype(complex)
-        cp, c0, cm = cy
-    else:
-        np_ = ap.real ** 2 + ap.imag ** 2
-        n0 = a0.real ** 2 + a0.imag ** 2
-        nm = am.real ** 2 + am.imag ** 2
-        cp, c0, cm = ap.conjugate(), a0.conjugate(), am.conjugate()
-    pair = c_eff * a0 * a0
-    dap = -1j * ((q + c2 * (np_ + n0 - nm) - ls_delta * nm) * ap + pair * cm)
+    np_ = ap.real ** 2 + ap.imag ** 2
+    n0 = a0.real ** 2 + a0.imag ** 2
+    nm = am.real ** 2 + am.imag ** 2
+    dap = -1j * ((q + c2 * (np_ + n0 - nm) - ls_delta * nm) * ap
+                 + c_eff * a0 * a0 * am.conjugate())
     da0 = -1j * ((c2 * (np_ + nm) - 2.0 * ls_p * n0) * a0
-                 + 2.0 * c_eff * c0 * ap * am)
-    dam = -1j * ((q + c2 * (nm + n0 - np_) - ls_delta * np_) * am + pair * cp)
+                 + 2.0 * c_eff * a0.conjugate() * ap * am)
+    dam = -1j * ((q + c2 * (nm + n0 - np_) - ls_delta * np_) * am
+                 + c_eff * a0 * a0 * ap.conjugate())
     d = [dap, da0, dam]
-    return np.array(d) if array else d
+    return np.array(d) if isinstance(y, np.ndarray) else d
 
 
 def rhs_pendulum(state: PendulumState, params: SystemParams,

@@ -1028,6 +1028,23 @@ def test_cli_oversized_run_exits_2(tmp_path, capsys, preset, old, new, need):
     assert not out.exists()
 
 
+def test_cli_oversized_landscape_grid_exits_2(tmp_path, capsys):
+    # the bound on samples and runs does not cover a landscape grid; numpy
+    # refuses one larger than any machine's memory at once, and the run
+    # ends with its message on one line and without its output directory
+    path = tmp_path / "huge.ini"
+    path.write_text(edited("fig3-portraits", "shifts = both",
+                           "shifts = off\nn_theta = 3000000\n"
+                           "n_n0 = 3000000\nstarts_n_theta = 2\n"
+                           "starts_n_n0 = 2"))
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: Unable to allocate 65.5 TiB ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def _physical_memory(monkeypatch, nbytes):
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": nbytes // 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -1043,8 +1060,7 @@ def _physical_memory(monkeypatch, nbytes):
 def test_cli_validate_refuses_run_beyond_physical_memory(
         tmp_path, capsys, monkeypatch, preset, old, key, fits, billion):
     # validate builds the run's inputs and allocates none of its arrays
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 30 // 4096}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    _physical_memory(monkeypatch, 2 ** 30)
     path = tmp_path / "big.ini"
     for count in (fits, fits + 1, 10 ** 9):
         path.write_text(edited(preset, old, f"{key} = {count}"))
