@@ -5,11 +5,10 @@ and JSON artifacts at 17 significant digits, and emits a manifest for every
 run. Exit codes: 0 success, 2 config problem, 3 domain violation,
 4 numerical failure.
 
-Every CSV cell is format(x, ".17g"), byte for byte. A block with few
-distinct values formats each once in Python; a mostly-distinct block is
-formatted in numpy (_write_fixed), which rounds fixed-notation cells
-exactly and hands 0, NaN, the infinities and exponent-notation cells to
-Python's "%.17g".
+Every CSV cell is format(x, ".17g"), byte for byte, formatted in numpy
+(_write_block): fixed-notation cells are rounded exactly, 0 and -0 are
+laid out directly, and only NaN, the infinities and exponent-notation
+cells go through Python's "%.17g".
 """
 
 from __future__ import annotations
@@ -52,15 +51,12 @@ _TRANSFER_NOTES = [
 ]
 
 
-# The two paths of _write_block want different sizes. The factored path
-# formats each distinct value once per block, so a larger block repeats
-# more: an energy grid's blocks are 22 % distinct at 1024 rows and 26 % at
-# 512, and write 10-20 % slower at 512. _write_fixed's arrays peak near 120
-# bytes a cell, so its passes of _FIXED_ROWS hold less heap than "%.17g"
-# on a 1001-row table (about 77 bytes a cell), in few enough passes that
-# numpy's per-call overhead stays small.
-_CSV_BLOCK_ROWS = 1024
-_FIXED_ROWS = 512
+# _write_block's arrays peak near 120 bytes a cell, so 512-row blocks hold
+# less heap than "%.17g" on a 1001-row table (about 77 bytes a cell), in
+# few enough passes that numpy's per-call overhead stays small. 1024-row
+# blocks write an energy grid faster, but peak at 0.86 MB on a 1001 x 8
+# trajectory, above the 0.62 MB that "%.17g" held there.
+_CSV_BLOCK_ROWS = 512
 
 # Exact "%.17g" in numpy for 1e-5 <= |x| < 1e17. The powers of ten up to
 # 10**22 are exact doubles; Veltkamp's splitter halves each into 26-bit
@@ -83,8 +79,8 @@ def _words(texts: list[bytes]) -> np.ndarray:
 def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     """Per i < 10**4: its four ASCII digits in one word (the first in the
     lowest byte), and how many of them are trailing zeros. Built on first
-    use, so a run that writes no mostly-distinct block (a landscape) does
-    not hold them."""
+    use, so `validate`, `presets` and a library import do not build
+    them."""
     rest = np.arange(10 ** 4, dtype=np.int64)
     digits = np.zeros(rest.size, np.uint64)
     zeros = np.zeros(rest.size, np.uint8)
@@ -109,6 +105,7 @@ _POINT = _words([b"0.000" if k < 0 else b"\0" * (k + 1) + b"."
 _FRAC_SHIFT = np.array([8 * max(1, 1 - k) for k in _EXPONENTS], np.uint64)
 # the first n bytes of three words, n = 0 .. 22 (the longest text)
 _KEEP = _words([b"\xff" * n for n in range(23)])
+_ZERO = _words([b"0"])
 _U1, _U32, _U63 = np.uint64(1), np.uint64(32), np.uint64(63)
 _MINUS = np.uint64(ord("-") << 56)
 
@@ -212,14 +209,16 @@ def _fixed_words(k: np.ndarray, d: np.ndarray) -> np.ndarray:
     return text
 
 
-def _write_fixed(fh, block: np.ndarray) -> None:
+def _write_block(fh, block: np.ndarray) -> None:
     """Write the rows of block with each value as "%.17g", formatted in
     numpy: a fixed-notation cell (1e-4 <= |x| < 1e17 once rounded) is laid
-    out from its exact 17-digit integer; 0, NaN, the infinities and
-    exponent-notation cells go through Python's "%.17g"."""
+    out from its exact 17-digit integer, and 0 and -0 as "0" with their
+    sign; NaN, the infinities and exponent-notation cells go through
+    Python's "%.17g"."""
     nrows, ncols = block.shape
     x = block.ravel()
     a = np.abs(x)
+    zero = a == 0
     fixed = (a >= 1e-5) & (a < 1e17)
     a[~fixed] = 1.0
     k, d = _round17(a)
@@ -228,6 +227,9 @@ def _write_fixed(fh, block: np.ndarray) -> None:
     np.maximum(k, -4, out=k)
     text = _fixed_words(k, d)
     del k, d
+    text[:, zero] = _ZERO
+    fixed |= zero
+    del zero
     # 32 bytes a cell: the separator before it, its sign in byte 7, then
     # its text; the NUL bytes are dropped on writing
     slot = np.empty((x.size, 4), "<u8")
@@ -248,27 +250,6 @@ def _write_fixed(fh, block: np.ndarray) -> None:
     cells = cells.ravel()
     fh.write(cells[cells != 0])
     fh.write(b"\n")
-
-
-def _write_block(fh, block: np.ndarray) -> None:
-    """Write the rows of block with each value as "%.17g". When fewer than
-    half of its cells hold distinct float64 bit patterns (an energy grid:
-    one theta axis, few n0 values, E even in theta), each distinct pattern
-    is formatted once and the rows are joined from those strings; -0.0 and
-    0.0, and NaNs of different payload, stay apart as patterns. Otherwise
-    the rows go through _write_fixed, _FIXED_ROWS at a time."""
-    bits = block.view(np.int64).ravel()
-    srt = np.sort(bits)
-    if 2 * (1 + np.count_nonzero(srt[1:] != srt[:-1])) >= bits.size:
-        del bits, srt
-        for start in range(0, len(block), _FIXED_ROWS):
-            _write_fixed(fh, block[start:start + _FIXED_ROWS])
-        return
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = "%.17g," * distinct.size % tuple(distinct.view(float).tolist())
-    strs = np.array(text.split(",")[:-1], dtype=object)
-    row = ",".join(["%s"] * block.shape[1]) + "\n"
-    fh.write((row * len(block) % tuple(strs[inverse].tolist())).encode())
 
 
 def _write_csv(path: Path, comments: list[str], columns: dict) -> None:

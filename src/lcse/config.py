@@ -301,6 +301,10 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 _SAMPLE_BYTES = {"effective": 8 + 3 * 16, "pendulum": 8 + 2 * 8,
                  "resonant": 8 + 4 * 16, "cpt": 8 + 4 * 16, "ensemble": 8}
 _RUN_BYTES = 2 * 16 + 4 * 8 + 3 * 8
+# a landscape's CSV table holds per grid cell its theta, n0 and an energy
+# and a mask per shift setting; a start is a PendulumState in a list, 152
+# bytes on CPython 3.11 (tracemalloc over default_start_grid)
+_START_BYTES = 152
 
 
 def _size(nbytes: int) -> str:
@@ -315,22 +319,36 @@ def _size(nbytes: int) -> str:
 
 
 def _require_memory(cfg: ScenarioConfig) -> None:
-    """Refuse a run whose arrays alone exceed the machine's physical
-    memory, before anything is allocated: numpy would grant them, and the
-    run would swap or be killed instead of failing."""
+    """Refuse a run whose arrays (and a landscape's start states) alone
+    exceed the machine's physical memory, before anything is allocated:
+    numpy would grant them, and the run would swap or be killed instead of
+    failing."""
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # not a POSIX system
         return
-    samples = cfg.integration["samples"]
-    need = samples * _SAMPLE_BYTES[cfg.mode]
-    what = f"[integration] samples = {samples} needs"
-    if cfg.mode == "ensemble":
-        need += cfg.seeds["runs"] * _RUN_BYTES
-        what = (f"[integration] samples = {samples} and [seeds] runs = "
-                f"{cfg.seeds['runs']} need")
+    held = "arrays"
+    if cfg.mode == "landscape":
+        g = cfg.grid
+        n_th, n_n0 = g["n_theta"], g["n_n0"]
+        s_th, s_n0 = g["starts_n_theta"], g["starts_n_n0"]
+        columns = 2 + 2 * (2 if g["shifts"] == "both" else 1)
+        # a negative count is refused by its constructor, not here
+        need = (max(0, n_th) * max(0, n_n0) * columns * 8
+                + max(0, s_th) * max(0, s_n0) * _START_BYTES)
+        what = (f"[grid] n_theta = {n_th}, n_n0 = {n_n0}, starts_n_theta = "
+                f"{s_th} and starts_n_n0 = {s_n0} need")
+        held = "arrays and start states"
+    else:
+        samples = cfg.integration["samples"]
+        need = samples * _SAMPLE_BYTES[cfg.mode]
+        what = f"[integration] samples = {samples} needs"
+        if cfg.mode == "ensemble":
+            need += cfg.seeds["runs"] * _RUN_BYTES
+            what = (f"[integration] samples = {samples} and [seeds] runs = "
+                    f"{cfg.seeds['runs']} need")
     if need > have:
-        raise InvalidInputError(f"{what} at least {_size(need)} of arrays, "
+        raise InvalidInputError(f"{what} at least {_size(need)} of {held}, "
                                 f"more than the {_size(have)} of physical "
                                 "memory")
 
@@ -344,6 +362,7 @@ def build(cfg: ScenarioConfig) -> tuple[object, dict]:
     case. The constructors hold the range
     checks, in a fixed order, so `validate` refuses first what `run`
     refuses first, before integrating."""
+    _require_memory(cfg)
     par, integ, ini = cfg.params, cfg.integration, cfg.initial
     if cfg.mode == "landscape":
         g = cfg.grid
@@ -362,7 +381,6 @@ def build(cfg: ScenarioConfig) -> tuple[object, dict]:
                 *(ladder_lightshifts(c_eff - par["c2n"]) if setting == "on"
                   else (0.0, 0.0))) for setting in settings}
         return starts, {"grid": grid, "cases": cases}
-    _require_memory(cfg)
     # keys the mode does not read keep SystemParams' defaults, which the
     # schema's equal
     params = SystemParams(**par)

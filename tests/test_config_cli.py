@@ -9,7 +9,7 @@ Verifies:
     run refuses before integrating
   - built-in presets load, list, and run end to end
   - CLI outputs: CSV columns, manifest fields, and rerun byte-identity;
-    CSV cells equal format(x, ".17g") on both formatting paths
+    CSV cells equal format(x, ".17g"), byte for byte
   - exit codes 2 (bad input, an unreadable config, an --out that is a
     file, a run too large for memory), 3 (domain violation) and 4 (a run
     past the step budget); a failed run leaves no output directory it made
@@ -582,13 +582,11 @@ def test_write_csv_matches_format_17g(tmp_path):
                           "4,4.9406564584124654e-324", "5,0.10000000000000001"]
 
 
-def _distinct_share(block: np.ndarray) -> float:
-    return np.unique(block.view(np.int64)).size / block.size
-
-
-def test_write_csv_factored_blocks_match_format_17g(tmp_path):
-    # blocks 0 and 2 repeat a few values (each distinct value is formatted
-    # once), block 1 is mostly distinct (one "%.17g" pass over its cells)
+def test_write_csv_repeated_value_blocks_match_format_17g(tmp_path):
+    # blocks 0 and 2 repeat a few values (0 and -0, NaNs of either sign and
+    # another payload, the infinities, subnormals), block 1 is mostly
+    # distinct; the numpy formatter lays out the zeros with their sign and
+    # hands the rest of the specials to Python's "%.17g"
     nan_payload = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
     special = [0.0, -0.0, math.nan, -math.nan, nan_payload, math.inf,
                -math.inf, 5e-324, -5e-324, 0.1, 1.0]
@@ -598,13 +596,6 @@ def test_write_csv_factored_blocks_match_format_17g(tmp_path):
     x[rows:2 * rows] = np.random.default_rng(5).standard_normal(rows)
     mask = np.arange(n) % 3 == 0
     runs = np.arange(n)
-    table = np.column_stack([runs, mask, x]).astype(float)
-    shares = [_distinct_share(table[s:s + rows])
-              for s in range(0, n, rows)]
-    assert shares[0] < 0.5 and shares[1] >= 0.5 and shares[2] < 0.5
-    # the mask and x of the tail block repeat values of block 0
-    assert np.isin(table[2 * rows:, 1:].view(np.int64),
-                   table[:rows, 1:].view(np.int64)).all()
     path = tmp_path / "t.csv"
     cli._write_csv(path, ["a table"], {"run": runs, "mask": mask, "x": x})
     lines = path.read_text().split("\n")
@@ -652,7 +643,7 @@ def assert_cells_match_format_17g(path, values, ncols=3):
 def test_write_csv_cells_match_format_17g_for_bit_patterns(tmp_path_factory,
                                                            bits, ncols):
     # any float64 bit pattern: NaN payloads, infinities, subnormals, and
-    # both notations; distinct patterns take the numpy formatter
+    # both notations
     values = np.array(bits, dtype=np.uint64).view(float)
     assert_cells_match_format_17g(tmp_path_factory.mktemp("bits") / "t.csv",
                                   values, ncols)
@@ -726,25 +717,51 @@ def test_write_csv_rounds_exact_ties_to_even(tmp_path):
     assert "1250000000000000.2" in cells and "1250000000000000.8" in cells
 
 
+def _write_csv_peak(path, columns) -> int:
+    """tracemalloc's heap peak while _write_csv writes columns, warmed up."""
+    cli._write_csv(path, ["warm-up"], columns)
+    tracemalloc.start()
+    try:
+        cli._write_csv(path, ["a table"], columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_write_csv_heap_peak_at_most_the_python_formatter(tmp_path):
-    # a 1001 x 8 table of mostly distinct values (a trajectory's shape),
-    # formatted in numpy _FIXED_ROWS rows at a time; "%.17g" over each
-    # 1024-row block peaked at 619,883 bytes on this table (tracemalloc,
-    # numpy 2.4), the numpy formatter at 538,743, 13 % below: the bound is
-    # the former
+    # a 1001 x 8 table of mostly distinct values (a trajectory's shape):
+    # "%.17g" over each 1024-row block peaked at 619,883 bytes on it
+    # (tracemalloc, numpy 2.4), the numpy formatter at 542,807 in 512-row
+    # blocks, 12 % below: the bound is the former
     rng = np.random.default_rng(17)
     table = (rng.uniform(-1.0, 1.0, (1001, 8))
              * 10.0 ** rng.uniform(-3.0, 3.0, (1001, 8)))
     columns = {f"c{j}": table[:, j] for j in range(8)}
     path = tmp_path / "t.csv"
-    cli._write_csv(path, ["warm-up"], columns)
-    tracemalloc.start()
-    try:
-        cli._write_csv(path, ["a table"], columns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _write_csv_peak(path, columns)
     assert peak <= 619_883, peak
+    assert path.read_text().split("\n")[2:-1] == [
+        ",".join(format(v, ".17g") for v in row) for row in table.tolist()]
+
+    # the fig3 energy grid at c_eff/c2 = -0.5, shifts both: 18,281 x 6
+    # cells of few distinct values, a third of them 0 (both masks). The
+    # formatter that wrote each distinct value once in Python peaked at
+    # 1,316,626 bytes on it (numpy 2.4.6), the numpy formatter at 1,255,503
+    cfg = parse_config(edited("fig3-portraits", "1, 0.5, -0.5, -1", "-0.5"))
+    _, kw = build(cfg)
+    grids = {s: energy_grid(lp, kw["grid"])
+             for s, lp in sorted(kw["cases"][-0.5].items())}
+    theta, n_zero = np.meshgrid(grids["off"].theta, grids["off"].n_zero)
+    columns = {"theta": theta.ravel(), "n_zero": n_zero.ravel()}
+    for s, eg in grids.items():
+        columns[f"energy_shifts_{s}"] = np.where(eg.mask, 0.0,
+                                                 eg.values).ravel()
+        columns[f"mask_shifts_{s}"] = eg.mask.ravel()
+    table = np.column_stack(list(columns.values())).astype(float)
+    assert table.shape == (18_281, 6)
+    assert 0.3 < np.mean(table == 0) < 0.4
+    peak = _write_csv_peak(path, columns)
+    assert peak <= 1_316_626, peak
     assert path.read_text().split("\n")[2:-1] == [
         ",".join(format(v, ".17g") for v in row) for row in table.tolist()]
 
@@ -1009,21 +1026,30 @@ def test_cli_run_past_step_budget_exits_4(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("preset, old, new, need, start", [
+HUGE_GRID = ("shifts = off\nn_theta = 3000000\nn_n0 = 3000000\n"
+             "starts_n_theta = 2\nstarts_n_n0 = 2")
+
+
+@pytest.mark.parametrize("preset, old, new, need, start, memory", [
     ("fig2-collision", "samples = 1001", "samples = 10000000000000",
-     "needs at least 509 TiB of arrays", "[integration] samples = "),
+     "needs at least 509 TiB of arrays", "[integration] samples = ", None),
     ("fig4-ensemble", "runs = 16", "runs = 100000000000",
-     "need at least 8 TiB of arrays", "[integration] samples = "),
-    ("fig3-portraits", "shifts = both",
-     "shifts = off\nn_theta = 3000000\nn_n0 = 3000000\n"
-     "starts_n_theta = 2\nstarts_n_n0 = 2",
-     "65.5 TiB for an array", "Unable to allocate "),
+     "need at least 8 TiB of arrays", "[integration] samples = ", None),
+    ("fig3-portraits", "shifts = both", HUGE_GRID,
+     "need at least 262 TiB of arrays and start states",
+     "[grid] n_theta = 3000000, ", None),
+    # on a machine that could hold the grid, numpy still refuses it
+    ("fig3-portraits", "shifts = both", HUGE_GRID,
+     "65.5 TiB for an array", "Unable to allocate ", 2 ** 62),
 ])
-def test_cli_oversized_run_exits_2(tmp_path, capsys, preset, old, new, need,
-                                   start):
-    # samples and runs larger than any machine's memory are refused before
-    # the run allocates them; numpy refuses a landscape grid that large at
-    # once. Either way the run ends with one line and no output directory
+def test_cli_oversized_run_exits_2(tmp_path, capsys, monkeypatch, preset,
+                                   old, new, need, start, memory):
+    # samples, runs and landscape grids larger than any machine's memory
+    # are refused before the run allocates them; past that check, numpy
+    # refuses a grid that large at once. Either way the run ends with one
+    # line and no output directory
+    if memory:
+        _physical_memory(monkeypatch, memory)
     path = tmp_path / "huge.ini"
     path.write_text(edited(preset, old, new))
     out = tmp_path / "o"
@@ -1039,29 +1065,43 @@ def _physical_memory(monkeypatch, nbytes):
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
 
 
-@pytest.mark.parametrize("preset, old, key, fits, billion", [
+@pytest.mark.parametrize("preset, old, key, fits, billion, memory", [
     # 1 GiB holds 19173961 effective samples of 56 bytes (tau and three
     # complex amplitudes), and 12201429 ensemble runs of 88 bytes beside
     # 2001 tau samples
-    ("fig2-collision", "samples = 1001", "samples", 19173961, "52.2 GiB"),
-    ("fig4-ensemble", "runs = 16", "runs", 12201429, "82 GiB"),
+    ("fig2-collision", "samples = 1001", "samples", 19173961, "52.2 GiB",
+     "1 GiB"),
+    ("fig4-ensemble", "runs = 16", "runs", 12201429, "82 GiB", "1 GiB"),
+    # 1 MiB holds the 10 x 10 starts of 152 bytes and 213 rows of n0 = 101
+    # grid cells of 48 bytes (theta, n0, and with shifts = both two
+    # energies and two masks); or the default 181 x 101 grid and 112 rows
+    # of 10 starts. validate does not build the starts it refuses
+    ("fig3-portraits", "[grid]", "n_theta", 213, "4.41 TiB", "1 MiB"),
+    ("fig3-portraits", "[grid]", "starts_n_theta", 112, "1.38 TiB",
+     "1 MiB"),
 ])
 def test_cli_validate_refuses_run_beyond_physical_memory(
-        tmp_path, capsys, monkeypatch, preset, old, key, fits, billion):
+        tmp_path, capsys, monkeypatch, preset, old, key, fits, billion,
+        memory):
     # validate builds the run's inputs and allocates none of its arrays
-    _physical_memory(monkeypatch, 2 ** 30)
+    _physical_memory(monkeypatch, {"1 GiB": 2 ** 30, "1 MiB": 2 ** 20}[memory])
     path = tmp_path / "big.ini"
     for count in (fits, fits + 1, 10 ** 9):
-        path.write_text(edited(preset, old, f"{key} = {count}"))
+        new = f"{key} = {count}"
+        if old == "[grid]":  # a key the preset leaves at its default
+            new = f"{old}\n{new}"
+        path.write_text(edited(preset, old, new))
         code = cli.main(["validate", "--config", str(path)])
         err = capsys.readouterr().err
         if count == fits:
             assert code == 0 and err == "", err
             continue
         assert code == 2, count
-        assert err.startswith("invalid input: [integration] samples = ")
-        assert f"{key} = {count} need" in err
-        assert err.endswith(", more than the 1 GiB of physical memory\n")
+        assert err.startswith("invalid input: [integration] samples = "
+                              if old != "[grid]" else
+                              "invalid input: [grid] n_theta = ")
+        assert f"{key} = {count}" in err
+        assert err.endswith(f", more than the {memory} of physical memory\n")
     assert f"at least {billion} of arrays" in err
 
 
