@@ -35,9 +35,9 @@ class PulseSchedule:
     The dump is omega_d0 sech(tau / t_zero). theta_variant 'coherence' or
     'stationary' locks Theta to the instantaneous collision-shifted
     resonance (resonance_detuning at the current Rabi ratio); 'fixed' holds
-    it at theta_fixed, which only 'fixed' takes. The pump must be > 0 so
-    the ratio r = Omega'_d / Omega'_p is always defined. rabi(tau) and
-    drive(tau) are the readers of these fields.
+    it at theta_fixed, which only 'fixed' takes. The pump must be finite
+    and > 0 so the ratio r = Omega'_d / Omega'_p is always defined; NaN is
+    refused. rabi(tau) and drive(tau) are the readers of these fields.
     """
 
     omega_p: float
@@ -49,15 +49,15 @@ class PulseSchedule:
     theta_fixed: Optional[float] = None
 
     def __post_init__(self):
-        if self.omega_p <= 0.0:
-            raise InvalidInputError("omega_p must be > 0")
+        if not 0.0 < self.omega_p < math.inf:
+            raise InvalidInputError("omega_p must be finite and > 0")
         if self.theta_variant not in THETA_VARIANTS:
             raise InvalidInputError(
                 f"theta_variant must be one of {THETA_VARIANTS}")
-        if self.t_zero <= 0.0:
+        if not self.t_zero > 0.0:
             raise InvalidInputError("t0 must be > 0")
-        if self.omega_d0 < 0.0:
-            raise InvalidInputError("omega_d0 must be >= 0")
+        if not 0.0 <= self.omega_d0 < math.inf:
+            raise InvalidInputError("omega_d0 must be finite and >= 0")
         fixed = self.theta_variant == "fixed"
         if fixed and self.theta_fixed is None:
             raise InvalidInputError("theta_variant 'fixed' needs theta_fixed")
@@ -65,6 +65,8 @@ class PulseSchedule:
             raise InvalidInputError("theta_fixed needs theta_variant 'fixed'")
         if fixed:
             object.__setattr__(self, "theta_fixed", float(self.theta_fixed))
+            if not math.isfinite(self.theta_fixed):
+                raise InvalidInputError("theta_fixed must be finite")
 
     def rabi(self, tau):
         """(pump, dump) at tau: two floats for a float tau, two arrays of

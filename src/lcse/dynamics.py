@@ -15,6 +15,7 @@ library reports.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
@@ -296,21 +297,18 @@ def _res_body(y, pump, dump, detune, c2, loss, symmetrized):
 _FAMILIES = ("effective", "pendulum", "resonant")
 
 
-def _sample_grid(tau_span, sampling) -> np.ndarray:
-    """The sample times: a point count gives a uniform grid over tau_span;
-    an explicit grid must run monotonically from tau_span[0] toward
-    tau_span[1] and stay within the span."""
-    if isinstance(sampling, int):
-        return np.linspace(tau_span[0], tau_span[1], sampling)
-    t_eval = np.array(sampling, dtype=float)
-    # sample times signed by the direction of the run: increasing, in span
-    direction = 1.0 if tau_span[1] > tau_span[0] else -1.0
-    stops = direction * t_eval
-    if (np.any(np.diff(stops) <= 0.0) or stops[0] < direction * tau_span[0]
-            or stops[-1] > direction * tau_span[1]):
-        raise InvalidInputError("sampling must run monotonically from "
-                                "tau_span[0] toward tau_span[1], within it")
-    return t_eval
+def _sample_grid(tau_span, sampling) -> tuple[float, float, np.ndarray]:
+    """(t0, t_bound, t_eval) of a forward run over tau_span sampled at
+    `sampling` points, an integer >= 2: the one check of span and samples."""
+    t0, t_bound = float(tau_span[0]), float(tau_span[1])
+    if not -math.inf < t0 < t_bound < math.inf:
+        raise InvalidInputError(f"tau_span must be finite, tau_span[1] > "
+                                f"tau_span[0], not {tau_span!r}")
+    if (isinstance(sampling, bool) or not hasattr(sampling, "__index__")
+            or operator.index(sampling) < 2):
+        raise InvalidInputError(f"sampling must be an integer >= 2, not "
+                                f"{sampling!r}")
+    return t0, t_bound, np.linspace(t0, t_bound, sampling)
 
 
 def _no_rows(tau) -> tuple:
@@ -383,26 +381,22 @@ def integrate(family: str,
               coupling: Optional[CouplingSummary] = None,
               pulse=None,
               config: Optional[IntegratorConfig] = None,
-              sampling: Union[int, Sequence[float]] = 1001,
+              sampling: int = 1001,
               variant: str = "symmetrized") -> Trajectory:
-    """Integrate one RHS family over tau_span and sample it.
+    """Integrate one RHS family forward over tau_span and sample it.
 
-    tau_span may run backward. sampling is either a point count (uniform
-    grid over the span) or an explicit tau grid that runs monotonically
-    from tau_span[0] toward tau_span[1] and stays within the span. Monitors
-    (total N, magnetization, energy where defined) are attached to the
-    returned Trajectory. A step that falls below ten ulp of tau, or a run
-    past _MAX_STEP_ATTEMPTS trial steps, raises NumericalError carrying
-    the tau reached; a pendulum orbit that reaches the (1-n0)^2 = m^2 edge
-    raises DomainError.
+    tau_span is finite with tau_span[1] > tau_span[0], and `sampling`, the
+    uniform sample count, an integer >= 2. Monitors (total N,
+    magnetization, energy where defined) are attached to the returned
+    Trajectory. A step below ten ulp of tau, or a run past
+    _MAX_STEP_ATTEMPTS trial steps, raises NumericalError carrying the tau
+    reached; a pendulum orbit that reaches the (1-n0)^2 = m^2 edge raises
+    DomainError.
     """
     if family not in _FAMILIES:
         raise InvalidInputError(f"unknown family {family!r}")
     cfg = config or IntegratorConfig()
-    t0, t_bound = float(tau_span[0]), float(tau_span[1])
-    if t_bound == t0:
-        raise InvalidInputError("tau_span must have nonzero length")
-    t_eval = _sample_grid((t0, t_bound), sampling)
+    t0, t_bound, t_eval = _sample_grid(tau_span, sampling)
     if family == "pendulum":
         if coupling is None:
             raise InvalidInputError("pendulum family needs a CouplingSummary")
@@ -441,19 +435,17 @@ def _rms_one(x: list) -> float:
     return math.sqrt(sum(squares)) / len(x) ** 0.5
 
 
-def _select_initial_step(fun, t0, y0, f0, t_bound, direction, rtol,
-                         atol) -> float:
+def _select_initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
     """scipy's select_initial_step (Hairer, Norsett & Wanner, Sec. II.4) for
-    one state in either direction, with no maximum step; _initial_step is
-    the batch's."""
-    interval = abs(t_bound - t0)
+    one state on a forward run, with no maximum step; _initial_step is the
+    batch's."""
+    interval = t_bound - t0
     scale = [atol + abs(yi) * rtol for yi in y0]
     d0 = _rms_one([yi / s for yi, s in zip(y0, scale)])
     d1 = _rms_one([fi / s for fi, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = fun(t0 + h0 * direction,
-             [yi + h0 * direction * fi for yi, fi in zip(y0, f0)])
+    f1 = fun(t0 + h0, [yi + h0 * fi for yi, fi in zip(y0, f0)])
     d2 = _rms_one([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -465,8 +457,8 @@ def _select_initial_step(fun, t0, y0, f0, t_bound, direction, rtol,
 # the most step attempts one run may make: trial steps of a single run,
 # loop passes of a batch; past it the run raises NumericalError. The
 # presets, the tests and the benchmark make at most 6,453 (a lossy fig4
-# transfer), so a run that needs 150 times that is taken to be stuck: a
-# stiff drive, or decay run backward into growth
+# transfer), so a run that needs 150 times that is taken to be stuck on a
+# stiff drive (effective, omega_p = omega_d = 1e3, big_delta_prime = 1)
 _MAX_STEP_ATTEMPTS = 1_000_000
 
 
@@ -492,31 +484,29 @@ _HELD_STEPS = 64
 
 def _dopri(fun, t0: float, t_bound: float, y0: list, t_eval: np.ndarray,
            rtol: float, atol: float, edge=None) -> np.ndarray:
-    """Step one state from t0 to t_bound (either direction); return it
-    sampled on t_eval, shape (n, len(t_eval)), complex.
+    """Step one state forward from t0 to t_bound; return it sampled on
+    t_eval, shape (n, len(t_eval)), complex.
 
     The state is a list of Python numbers and fun(tau, y) returns one, so
     a step makes no numpy call. The step rules are _dopri_batch's (scipy's
     RK45._step_impl); a step below ten ulp of tau raises NumericalError,
-    and so does trial step _MAX_STEP_ATTEMPTS + 1. The accepted steps that hold samples are kept until _HELD_STEPS of them
-    are written together from their quartic dense output.
+    and so does trial step _MAX_STEP_ATTEMPTS + 1. Accepted steps with
+    samples are written _HELD_STEPS at a time, from their dense output.
 
     edge(y), if given, is a boundary function: an accepted step that takes
     it from >= 0 to <= 0 raises DomainError at the crossing, located by
-    bisection on that step's dense output (solve_ivp's terminal event of
-    direction -1).
+    bisection on that step's dense output (solve_ivp's terminal event on
+    a decreasing crossing).
     """
     (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
      (a50, a51, a52, a53, a54)) = _A
     b0, _, b2, b3, b4, b5 = _B
     e0, _, e2, e3, e4, e5, e6 = _E
     _, c1, c2, c3, c4, _ = _C
-    direction = 1.0 if t_bound > t0 else -1.0
-    stops = (direction * t_eval).tolist()   # increasing
+    stops = t_eval.tolist()
     t, y = t0, y0
     f = fun(t, y)
-    h_abs = _select_initial_step(fun, t, y, f, t_bound, direction, rtol,
-                                 atol)
+    h_abs = _select_initial_step(fun, t, y, f, t_bound, rtol, atol)
     g = edge(y) if edge else None
     attempts = 0
     nxt = 0                                 # next sample index
@@ -533,8 +523,8 @@ def _dopri(fun, t0: float, t_bound: float, y0: list, t_eval: np.ndarray,
                                count, first, np.zeros(len(h), dtype=int),
                                t_old, y_old.T, h)], t_eval)
         held.clear()
-    while direction * (t - t_bound) < 0.0:
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+    while t < t_bound:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         if not h_abs >= min_step:           # a NaN step is replaced too
             h_abs = min_step
         rejected = False
@@ -544,11 +534,10 @@ def _dopri(fun, t0: float, t_bound: float, y0: list, t_eval: np.ndarray,
                 raise _stopped(t)
             if h_abs < min_step:
                 raise _stopped(t, floor=True)
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0.0:
+            t_new = t + h_abs
+            if t_new > t_bound:
                 t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
+            h = h_abs = t_new - t
             k2 = fun(t + c1 * h, [yi + a10 * p1 * h
                                   for yi, p1 in zip(y, f)])
             k3 = fun(t + c2 * h, [yi + (a20 * p1 + a21 * p2) * h
@@ -587,7 +576,7 @@ def _dopri(fun, t0: float, t_bound: float, y0: list, t_eval: np.ndarray,
                     f"pendulum trajectory hit the (1-n0)^2 = m^2 boundary at "
                     f"tau = {_crossing(edge, t, h, y, stages):g}")
             g = g_new
-        last = bisect_right(stops, direction * t_new, nxt)
+        last = bisect_right(stops, t_new, nxt)
         if last > nxt:
             held.append((t, h, y, stages, nxt, last - nxt))
             nxt = last
@@ -635,18 +624,17 @@ def integrate_batch(family: str,
                     coupling: Optional[CouplingSummary] = None,
                     pulse=None,
                     config: Optional[IntegratorConfig] = None,
-                    sampling: Union[int, Sequence[float]] = 1001,
+                    sampling: int = 1001,
                     variant: str = "symmetrized") -> BatchTrajectory:
     """Integrate many starts of an amplitude family in one loop.
 
     The starts are the columns of one (n, R) state. Each column keeps its
     own tau, step and accept/reject state under scipy's RK45 rules (see
     _dopri_batch), so column j reproduces integrate(family, initials[j],
-    ...) to rounding, and no column's numbers depend on the others. Runs
-    forward only (tau_span[1] > tau_span[0]); sampling as in integrate(),
-    increasing. A step that falls below ten ulp of tau, or a run past
-    _MAX_STEP_ATTEMPTS loop passes, raises NumericalError naming a start
-    (`member`, its index) and the tau it reached.
+    ...) to rounding, and no column's numbers depend on the others.
+    tau_span and sampling are integrate()'s. A step below ten ulp of tau,
+    or a run past _MAX_STEP_ATTEMPTS loop passes, raises NumericalError
+    naming a start (`member`, its index) and the tau it reached.
     """
     batch = prepare_batch(family, initials, params, tau_span, coupling,
                           pulse, config, sampling, variant)
@@ -688,7 +676,7 @@ def prepare_batch(family: str,
                   coupling: Optional[CouplingSummary] = None,
                   pulse=None,
                   config: Optional[IntegratorConfig] = None,
-                  sampling: Union[int, Sequence[float]] = 1001,
+                  sampling: int = 1001,
                   variant: str = "symmetrized") -> Batch:
     """Check integrate_batch's arguments and build the Batch it runs, so a
     caller that reduces the samples as they come (run_ensemble) need not
@@ -699,11 +687,7 @@ def prepare_batch(family: str,
             f"not {family!r}")
     if len(initials) == 0:
         raise InvalidInputError("batched integration needs at least one start")
-    t0, t_bound = float(tau_span[0]), float(tau_span[1])
-    if not t_bound > t0:
-        raise InvalidInputError("batched integration needs tau_span[1] > "
-                                "tau_span[0]")
-    t_eval = _sample_grid((t0, t_bound), sampling)
+    t0, t_bound, t_eval = _sample_grid(tau_span, sampling)
     cfg = config or IntegratorConfig()
     columns = [_amplitude_system(family, st, params, coupling, pulse, variant)
                for st in initials]
@@ -818,7 +802,6 @@ def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
         if passes > _MAX_STEP_ATTEMPTS:
             j = int(np.argmin(t))
             raise _stopped(float(t[j]), int(cols[j]))
-        # nextafter(t, inf) > t: no abs needed
         min_step = 10.0 * (np.nextafter(t, np.inf) - t)
         if np.count_nonzero(h_abs >= min_step) < len(h_abs):
             # fmax: a NaN step is replaced, as scipy's max() does

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class SeedSpec:
             raise InvalidInputError(f"mode must be one of {SEED_MODES}")
         if not 0.0 <= self.classical_n <= 0.1:
             raise InvalidInputError("classical_n must lie in [0, 0.1]")
-        if self.atom_number_N < 10:
+        if not self.atom_number_N >= 10:   # NaN too
             raise InvalidInputError("atom_number_N must be >= 10")
         if not 0 <= int(self.rng_seed) < 2 ** 64:
             raise InvalidInputError("rng_seed must be a 64-bit unsigned int")
@@ -113,7 +113,7 @@ def run_ensemble(spec: SeedSpec, runs: int, family: str,
                  coupling: Optional[CouplingSummary] = None,
                  pulse: Optional[PulseSchedule] = None,
                  config: Optional[IntegratorConfig] = None,
-                 sampling: Union[int, Sequence[float]] = 2001,
+                 sampling: int = 2001,
                  variant: str = "symmetrized") -> EnsembleStats:
     """Integrate `runs` independently seeded members and aggregate.
 

@@ -170,10 +170,18 @@ def test_pulse_schedule_is_plain_data():
     assert "theta_fixed" not in make_schedule(1.0, 40.0, 20.0).meta
     with pytest.raises(dataclasses.FrozenInstanceError):
         pulse.omega_p = 2.0
-    for bad in (dict(omega_p=0.0), dict(t_zero=0.0), dict(omega_d0=-1.0)):
+    # NaN fails every comparison, so each check must refuse it explicitly;
+    # t_zero = inf holds the dump constant and stays legal
+    nan, inf = math.nan, math.inf
+    for bad in (dict(omega_p=0.0), dict(t_zero=0.0), dict(omega_d0=-1.0),
+                dict(omega_p=nan), dict(omega_p=inf), dict(omega_d0=nan),
+                dict(omega_d0=inf), dict(t_zero=nan),
+                dict(theta_variant="fixed", theta_fixed=nan),
+                dict(theta_variant="fixed", theta_fixed=inf)):
         with pytest.raises(InvalidInputError):
             make_schedule(**{"omega_p": 1.0, "omega_d0": 40.0,
                              "t_zero": 20.0, **bad})
+    assert make_schedule(1.0, 40.0, inf).rabi(1e300) == (1.0, 40.0)
 
 
 @pytest.mark.parametrize("variant", ["coherence", "stationary"])

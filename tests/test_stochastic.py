@@ -87,6 +87,10 @@ def test_seed_spec_validation():
     with pytest.raises(InvalidInputError):
         SeedSpec(mode="vacuum-sampled", atom_number_N=5.0)
     with pytest.raises(InvalidInputError):
+        SeedSpec(mode="vacuum-sampled", atom_number_N=float("nan"))
+    with pytest.raises(InvalidInputError):
+        SeedSpec(classical_n=float("nan"))
+    with pytest.raises(InvalidInputError):
         SeedSpec(rng_seed=-1)
     with pytest.raises(InvalidInputError):
         SeedSpec(rng_seed=2 ** 64)
