@@ -5,10 +5,14 @@ and JSON artifacts at 17 significant digits, and emits a manifest for every
 run. Exit codes: 0 success, 2 config problem, 3 domain violation,
 4 numerical failure.
 
-Every CSV cell is format(x, ".17g"), byte for byte, formatted in numpy
-(_write_block): fixed-notation cells are rounded exactly, 0 and -0 are
-laid out directly, and only NaN, the infinities and exponent-notation
-cells go through Python's "%.17g".
+Every CSV cell is format(x, ".17g"), byte for byte, formatted in numpy by
+one formatter (_slots) and written by one emitter (_emit): fixed-notation
+cells are rounded exactly, 0 and -0 are laid out directly, and only NaN,
+the infinities and exponent-notation cells go through Python's "%.17g".
+Tables are written 512 rows at a time (_write_csv). An energy grid is
+written from its two axes a block of n0 rows at a time (_write_grid): the
+axis and mask values are formatted once and only the energies per cell, so
+its heap is bounded by one block, not by the grid.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .core import classify_regime
 from .cpt import run_transfer
 from .dynamics import integrate
 from .errors import ConfigError, DomainError, InvalidInputError, NumericalError
-from .landscape import contour_portrait, energy_grid
+from .landscape import contour_portrait, energy_block
 from .presets import load_preset, preset_description, preset_names
 from .stochastic import run_ensemble
 
@@ -51,12 +55,20 @@ _TRANSFER_NOTES = [
 ]
 
 
-# _write_block's arrays peak near 120 bytes a cell, so 512-row blocks hold
-# less heap than "%.17g" on a 1001-row table (about 77 bytes a cell), in
-# few enough passes that numpy's per-call overhead stays small. 1024-row
-# blocks write an energy grid faster, but peak at 0.86 MB on a 1001 x 8
-# trajectory, above the 0.62 MB that "%.17g" held there.
+# _write_csv's blocks (trajectories and ensembles): the formatter's arrays
+# peak near 120 bytes a cell, so 512-row blocks hold less heap than
+# "%.17g" on a 1001-row table (about 77 bytes a cell), in few enough passes
+# that numpy's per-call overhead stays small; 1024-row blocks peak at
+# 0.86 MB on a 1001 x 8 trajectory, above the 0.62 MB that "%.17g" held.
 _CSV_BLOCK_ROWS = 512
+# grid cells in one of _write_grid's blocks, which it cuts inside an n0 row
+# only where a row holds more. Writing the four fig3 grids (181 x 101,
+# shifts both) took a median of 105 ms in 512-cell blocks, where numpy's
+# per-call cost dominates, 70 ms in 2048-cell blocks (11 n0 rows) and
+# 57 ms in 4096-cell ones (40 alternating runs, 2-vCPU VM). The heap peak
+# doubles with the block: 0.97 MB at 2048 cells, below the 1.3 MB that one
+# grid's whole table took through _write_csv, and 1.9 MB at 4096.
+_GRID_BLOCK_CELLS = 2048
 
 # Exact "%.17g" in numpy for 1e-5 <= |x| < 1e17. The powers of ten up to
 # 10**22 are exact doubles; Veltkamp's splitter halves each into 26-bit
@@ -108,6 +120,7 @@ _KEEP = _words([b"\xff" * n for n in range(23)])
 _ZERO = _words([b"0"])
 _U1, _U32, _U63 = np.uint64(1), np.uint64(32), np.uint64(63)
 _MINUS = np.uint64(ord("-") << 56)
+_NEWLINE, _COMMA = np.uint64(ord("\n")), np.uint64(ord(","))
 
 
 def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -209,14 +222,13 @@ def _fixed_words(k: np.ndarray, d: np.ndarray) -> np.ndarray:
     return text
 
 
-def _write_block(fh, block: np.ndarray) -> None:
-    """Write the rows of block with each value as "%.17g", formatted in
-    numpy: a fixed-notation cell (1e-4 <= |x| < 1e17 once rounded) is laid
-    out from its exact 17-digit integer, and 0 and -0 as "0" with their
-    sign; NaN, the infinities and exponent-notation cells go through
-    Python's "%.17g"."""
-    nrows, ncols = block.shape
-    x = block.ravel()
+def _slots(x: np.ndarray) -> np.ndarray:
+    """(x.size, 4) little-endian words, 32 bytes a value: its sign in byte
+    7, its "%.17g" text NUL-padded in bytes 8-31, and byte 0 left for
+    _emit's separator. A fixed-notation cell (1e-4 <= |x| < 1e17 once
+    rounded) is laid out from its exact 17-digit integer, and 0 and -0 as
+    "0" with their sign; NaN, the infinities and exponent-notation cells go
+    through Python's "%.17g", which writes their sign in the text."""
     a = np.abs(x)
     zero = a == 0
     fixed = (a >= 1e-5) & (a < 1e17)
@@ -230,26 +242,36 @@ def _write_block(fh, block: np.ndarray) -> None:
     text[:, zero] = _ZERO
     fixed |= zero
     del zero
-    # 32 bytes a cell: the separator before it, its sign in byte 7, then
-    # its text; the NUL bytes are dropped on writing
     slot = np.empty((x.size, 4), "<u8")
     slot[:, 1:] = text.T
     del text
-    lead = slot.reshape(nrows, ncols, 4)[:, :, 0]
-    lead[:, 0] = ord("\n")
-    lead[:, 1:] = ord(",")
-    lead[0, 0] = 0
-    slot[:, 0] |= (np.signbit(x) & fixed) * _MINUS
-    cells = slot.view(np.uint8).reshape(x.size, 32)
+    slot[:, 0] = (np.signbit(x) & fixed) * _MINUS
     slow = np.flatnonzero(~fixed)
     if slow.size:
         texts = [b"%.17g" % v for v in x[slow].tolist()]
-        cells[slow, 8:] = np.frombuffer(
+        slot.view(np.uint8)[slow, 8:] = np.frombuffer(
             b"".join(t.ljust(24, b"\0") for t in texts),
             np.uint8).reshape(-1, 24)
-    cells = cells.ravel()
+    return slot
+
+
+def _emit(fh, slot: np.ndarray) -> None:
+    """Write the rows of slot, a C-contiguous (rows, columns, 4) array of
+    _slots words, as CSV lines: a "," before each cell but a row's first,
+    a newline before each row but the first and after the last, and the
+    NUL bytes dropped."""
+    lead = slot[:, :, 0]
+    lead[1:, 0] |= _NEWLINE
+    lead[:, 1:] |= _COMMA
+    cells = slot.view(np.uint8).ravel()
     fh.write(cells[cells != 0])
     fh.write(b"\n")
+
+
+def _write_head(fh, comments: list[str], names) -> None:
+    for line in comments:
+        fh.write(f"# {line}\n".encode())
+    fh.write((",".join(names) + "\n").encode())
 
 
 def _write_csv(path: Path, comments: list[str], columns: dict) -> None:
@@ -258,14 +280,52 @@ def _write_csv(path: Path, comments: list[str], columns: dict) -> None:
     table = np.column_stack([np.asarray(c, dtype=float)
                              for c in columns.values()])
     with open(path, "wb") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n".encode())
-        fh.write((",".join(columns) + "\n").encode())
+        _write_head(fh, comments, columns)
         for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            _write_block(fh, table[start:start + _CSV_BLOCK_ROWS])
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            _emit(fh, _slots(block.ravel()).reshape(*block.shape, 4))
 
 
-def _columns_line(columns: dict) -> str:
+def _write_grid(path: Path, theta: np.ndarray, n_zero: np.ndarray,
+                settings: dict) -> None:
+    """The energy grid over the axes theta and n_zero, as _write_csv would
+    write its table: a row per cell, n0 outer and theta inner, of theta, n0
+    and per shift setting the energy (0 where masked) and the mask. It is
+    written a block of n0 rows at a time, or a block of one row's cells
+    where a row is wider than a block, straight from the axes: the axis
+    values and the mask values are formatted once, and only the energies
+    per cell."""
+    names, lps = ["theta", "n_zero"], []
+    for s, lp in sorted(settings.items()):
+        suffix = f"_shifts_{s}" if len(settings) > 1 else ""
+        names += ["energy" + suffix, "mask" + suffix]
+        lps.append(lp)
+    theta_slots, n0_slots = _slots(theta), _slots(n_zero)
+    mask_slots = _slots(np.array([0.0, 1.0]))
+    rows = max(1, _GRID_BLOCK_CELLS // theta.size)
+    width = min(theta.size, _GRID_BLOCK_CELLS)
+    with open(path, "wb") as fh:
+        _write_head(fh, ["energy surface over (theta, n0)",
+                         _columns_line(names) + "; mask 1 marks cells "
+                         "outside (1-n0)^2 >= m^2 (energy written as 0 "
+                         "there)"], names)
+        for i in range(0, n_zero.size, rows):
+            n0 = n_zero[i:i + rows]
+            for j in range(0, theta.size, width):
+                th = theta[j:j + width]
+                slot = np.empty((n0.size, th.size, len(names), 4), "<u8")
+                slot[:, :, 0] = theta_slots[j:j + width]
+                slot[:, :, 1] = n0_slots[i:i + rows, None]
+                for col, lp in enumerate(lps, start=1):
+                    energies, masked = energy_block(lp, th, n0, 0.0)
+                    slot[:, :, 2 * col] = _slots(energies.ravel()).reshape(
+                        n0.size, th.size, 4)
+                    slot[:, :, 2 * col + 1] = mask_slots[
+                        masked.astype(np.intp)][:, None]
+                _emit(fh, slot.reshape(-1, len(names), 4))
+
+
+def _columns_line(columns) -> str:
     return "columns: " + ", ".join(columns)
 
 
@@ -361,13 +421,14 @@ def _run_resonant(cfg: ScenarioConfig, initial, kw: dict,
 def _run_landscape(cfg: ScenarioConfig, starts, kw: dict,
                    out: Path) -> tuple[list[str], dict]:
     gridspec, cases = kw["grid"], kw["cases"]
+    # built before any file is written: an axis numpy refuses leaves none
+    axes = gridspec.axes()
     single = len(cases) == 1
     outputs: list[str] = []
     counts_echo = {}
     for k, (mult, settings) in enumerate(cases.items(), start=1):
         doc: dict = {"c_eff_over_c2": mult, "q": cfg.params["q"],
                      "m_mag": cfg.grid["m_mag"]}
-        grids = {}
         for setting, lp in settings.items():
             summary = contour_portrait(lp, gridspec, starts)
             doc[f"shifts_{setting}"] = {
@@ -376,28 +437,13 @@ def _run_landscape(cfg: ScenarioConfig, starts, kw: dict,
                 "lightshift_p": lp.lightshift_p,
                 **summary.to_dict(),
             }
-            grids[setting] = energy_grid(lp, gridspec)
             counts_echo[f"{format(mult, '.17g')}/{setting}"] = summary.counts
         jname = "portrait.json" if single else f"portrait_{k}.json"
         _write_json(out / jname, doc)
         outputs.append(jname)
 
-        settings = sorted(grids)
-        eg0 = grids[settings[0]]
-        theta, n_zero = np.meshgrid(eg0.theta, eg0.n_zero)  # n0 outer
-        columns = {"theta": theta.ravel(), "n_zero": n_zero.ravel()}
-        for s in settings:
-            suffix = f"_shifts_{s}" if len(settings) > 1 else ""
-            eg = grids[s]
-            columns["energy" + suffix] = np.where(eg.mask, 0.0,
-                                                  eg.values).ravel()
-            columns["mask" + suffix] = eg.mask.ravel()
         cname = "energy_grid.csv" if single else f"energy_grid_{k}.csv"
-        _write_csv(out / cname,
-                   ["energy surface over (theta, n0)",
-                    _columns_line(columns) + "; mask 1 marks cells outside "
-                    "(1-n0)^2 >= m^2 (energy written as 0 there)"],
-                   columns)
+        _write_grid(out / cname, *axes, settings)
         outputs.append(cname)
     return outputs, {"derived": {"counts": counts_echo}}
 

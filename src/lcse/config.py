@@ -301,9 +301,11 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 _SAMPLE_BYTES = {"effective": 8 + 3 * 16, "pendulum": 8 + 2 * 8,
                  "resonant": 8 + 4 * 16, "cpt": 8 + 4 * 16, "ensemble": 8}
 _RUN_BYTES = 2 * 16 + 4 * 8 + 3 * 8
-# a landscape's CSV table holds per grid cell its theta, n0 and an energy
-# and a mask per shift setting; a start is a PendulumState in a list, 152
-# bytes on CPython 3.11 (tracemalloc over default_start_grid)
+# a landscape counts the CSV table it writes, per grid cell its theta, n0
+# and an energy and a mask per shift setting, as float64: the run writes it
+# a block of n0 rows at a time, so its heap holds one block and the term
+# bounds the table, not the heap. A start is a PendulumState in a list,
+# 152 bytes on CPython 3.11 (tracemalloc over default_start_grid)
 _START_BYTES = 152
 
 

@@ -54,6 +54,11 @@ class GridSpec:
         if self.resolution[0] < 2 or self.resolution[1] < 2:
             raise InvalidInputError("resolution must be at least 2x2")
 
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The theta axis and the n0 axis, evenly spaced over their ranges."""
+        return (np.linspace(*self.theta_range, self.resolution[0]),
+                np.linspace(*self.n0_range, self.resolution[1]))
+
 
 class Stability(enum.Enum):
     CENTER = "center"
@@ -95,15 +100,27 @@ class EnergyGrid(NamedTuple):
     mask: np.ndarray         # True where the domain precondition fails
 
 
+def energy_block(lp: LandscapeParams, theta: np.ndarray, n_zero: np.ndarray,
+                 fill: float) -> tuple[np.ndarray, np.ndarray]:
+    """Energies of the cells (n_zero[i], theta[j]) as an
+    (n_zero.size, theta.size) array, broadcast from the two axis vectors,
+    with fill in the rows outside (1-n0)^2 >= m^2; and that row mask, which
+    depends on n0 alone. The one computation of grid energies: energy_grid
+    takes a whole grid from it, the CLI a block of n0 rows at a time."""
+    rows = outside_domain(n_zero, lp.m_mag)
+    vals = energy_functional(theta, n_zero[:, None], lp.m_mag, lp.c_eff,
+                             lp.c2n, lp.q, lp.lightshift_delta,
+                             lp.lightshift_p)
+    vals[rows] = fill
+    return vals, rows
+
+
 def energy_grid(lp: LandscapeParams, grid: GridSpec) -> EnergyGrid:
-    """Row-major energy matrix with a domain mask for excluded cells."""
-    th = np.linspace(*grid.theta_range, grid.resolution[0])
-    n0 = np.linspace(*grid.n0_range, grid.resolution[1])
-    TH, N0 = np.meshgrid(th, n0)
-    mask = outside_domain(N0, lp.m_mag)
-    vals = energy_functional(TH, N0, lp.m_mag, lp.c_eff, lp.c2n, lp.q,
-                             lp.lightshift_delta, lp.lightshift_p)
-    vals = np.where(mask, np.nan, vals)
+    """Row-major energy matrix (n0 rows, theta columns) with a domain mask
+    for excluded cells, whose energy is NaN."""
+    th, n0 = grid.axes()
+    vals, rows = energy_block(lp, th, n0, np.nan)
+    mask = np.repeat(rows[:, None], th.size, axis=1)
     return EnergyGrid(th, n0, vals, mask)
 
 
@@ -353,6 +370,6 @@ def contour_portrait(lp: LandscapeParams, grid: GridSpec,
         counts=counts,
         fixed_points=find_fixed_points(lp),
         masked_fraction=float(outside_domain(  # the mask depends on n0 only
-            np.linspace(*grid.n0_range, grid.resolution[1]), lp.m_mag).mean()),
+            grid.axes()[1], lp.m_mag).mean()),
         verdicts=verdicts,
     )

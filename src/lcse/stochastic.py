@@ -11,6 +11,7 @@ dynamics.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -45,8 +46,11 @@ class SeedSpec:
             raise InvalidInputError("classical_n must lie in [0, 0.1]")
         if not self.atom_number_N >= 10:   # NaN too
             raise InvalidInputError("atom_number_N must be >= 10")
-        if not 0 <= int(self.rng_seed) < 2 ** 64:
-            raise InvalidInputError("rng_seed must be a 64-bit unsigned int")
+        if (isinstance(self.rng_seed, bool)
+                or not hasattr(self.rng_seed, "__index__")
+                or not 0 <= operator.index(self.rng_seed) < 2 ** 64):
+            raise InvalidInputError("rng_seed must be a 64-bit unsigned int, "
+                                    f"not {self.rng_seed!r}")
 
 
 def sample_seed(spec: SeedSpec,

@@ -822,29 +822,82 @@ def test_cli_main_reuses_its_parser(tmp_path, capsys):
     assert "OK: mode = effective" in capsys.readouterr().out
 
 
-def test_cli_energy_grid_rows_and_masked_cells(tmp_path, capsys):
-    text = ("[scenario]\nmode = landscape\n\n[params]\nq = 0.01\n\n"
-            "[grid]\nc_eff_over_c2 = -0.5\nshifts = off\nm_mag = 0.1\n"
-            "tau_max = 200\nn_theta = 3\nn_n0 = 5\nn0_max = 1\n"
+_BLOCK = cli._GRID_BLOCK_CELLS
+# (q, [grid] lines) of landscape runs whose energy grids _write_grid cuts
+# into blocks in each of its ways
+GRID_SHAPES = {
+    # the n0 = 1 row lies outside (1-n0)^2 >= m^2
+    "masked-3x5": (0.01, "shifts = off\nm_mag = 0.1\nn_theta = 3\n"
+                         "n_n0 = 5\nn0_max = 1\n"),
+    "shifts-both": (0.01, "shifts = both\nm_mag = 0.1\nn_theta = 7\n"
+                          "n_n0 = 6\nn0_max = 1\n"),
+    # every n0 row is cut inside by a block
+    "row-wider-than-block": (0.01, f"shifts = both\nn_theta = {_BLOCK + 5}"
+                                   "\nn_n0 = 3\n"),
+    # the last block holds fewer n0 rows than the others, masked and not
+    "rows-not-a-block-multiple": (
+        0.01, f"shifts = both\nm_mag = 0.1\nn_theta = 181\n"
+              f"n_n0 = {2 * (_BLOCK // 181) + 5}\nn0_max = 1\n"),
+    # with q = 0 and n0 <= 1e-6 every energy but the n0 = 0 row's is below
+    # 1e-5 in magnitude, written in exponent notation
+    "exponent-cells": (0.0, "shifts = off\nn_theta = 9\nn_n0 = 4\n"
+                            "n0_max = 1e-6\n"),
+}
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_cli_energy_grid_rows_and_masked_cells(tmp_path, capsys, shape):
+    q, grid = GRID_SHAPES[shape]
+    text = (f"[scenario]\nmode = landscape\n\n[params]\nq = {q}\n\n"
+            f"[grid]\nc_eff_over_c2 = -0.5\ntau_max = 200\n{grid}"
             "starts_n_theta = 2\nstarts_n_n0 = 2\nstarts_n0_max = 0.9\n")
-    path = tmp_path / "mask.ini"
+    path = tmp_path / "grid.ini"
     path.write_text(text)
     assert cli.main(["run", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 0
     _starts, kw = build(parse_config(text))
-    eg = energy_grid(kw["cases"][-0.5]["off"], kw["grid"])
-    assert eg.mask[-1].all() and not eg.mask[:-1].any()  # the n0 = 1 row
+    settings = sorted(kw["cases"][-0.5])
+    grids = [energy_grid(kw["cases"][-0.5][s], kw["grid"]) for s in settings]
     lines = (tmp_path / "o" / "energy_grid.csv").read_text().splitlines()
-    assert lines[2] == "theta,n_zero,energy,mask"
+    suffixes = ([f"_shifts_{s}" for s in settings] if len(settings) > 1
+                else [""])
+    assert lines[2] == ",".join(["theta", "n_zero"] + [
+        f"{c}{x}" for x in suffixes for c in ("energy", "mask")])
+    eg = grids[0]
     expected = []
     for i, n0 in enumerate(eg.n_zero):          # n0 outer, theta inner
         for j, th in enumerate(eg.theta):
-            cell = [0.0, 1.0] if eg.mask[i, j] else [eg.values[i, j], 0.0]
-            expected.append(",".join(format(float(v), ".17g")
-                                     for v in (th, n0, *cell)))
+            row = [th, n0]
+            for g in grids:
+                row += [0.0, 1.0] if g.mask[i, j] else [g.values[i, j], 0.0]
+            expected.append(",".join(format(float(v), ".17g") for v in row))
     assert lines[3:] == expected
-    assert lines[-3:] == [f"{format(th, '.17g')},1,0,1"
-                          for th in eg.theta.tolist()]
+    if shape == "masked-3x5":
+        assert eg.mask[-1].all() and not eg.mask[:-1].any()  # the n0 = 1 row
+        assert lines[-3:] == [f"{format(th, '.17g')},1,0,1"
+                              for th in eg.theta.tolist()]
+    if shape == "exponent-cells":
+        assert all("e-" in line.split(",")[2] for line in lines[3 + 9:])
+
+
+def test_cli_landscape_heap_peak_below_its_table(tmp_path, capsys):
+    # a 500 x 500 grid, shifts off: its CSV table, the 8,000,000 bytes that
+    # config._require_memory counts, was built whole and peaked at 18.3 MB
+    # of heap; written a block of n0 rows at a time it stays below the table
+    text = ("[scenario]\nmode = landscape\n\n[params]\nq = 0.01\n\n[grid]\n"
+            "c_eff_over_c2 = -0.5\nshifts = off\nn_theta = 500\n"
+            "n_n0 = 500\nstarts_n_theta = 2\nstarts_n_n0 = 2\n")
+    path = tmp_path / "big.ini"
+    path.write_text(text)
+    out = str(tmp_path / "o")
+    assert cli.main(["run", "--config", str(path), "--out", out]) == 0  # warm
+    tracemalloc.start()
+    try:
+        assert cli.main(["run", "--config", str(path), "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500 * 500 * 4 * 8, peak
 
 
 PENDULUM = """
@@ -1028,6 +1081,10 @@ def test_cli_run_past_step_budget_exits_4(tmp_path, capsys, monkeypatch,
 
 HUGE_GRID = ("shifts = off\nn_theta = 3000000\nn_n0 = 3000000\n"
              "starts_n_theta = 2\nstarts_n_n0 = 2")
+# a grid the memory check lets through on a 2**62-byte machine, whose
+# theta axis alone numpy refuses
+HUGE_AXIS = ("shifts = off\nn_theta = 10000000000000\nn_n0 = 2\n"
+             "starts_n_theta = 2\nstarts_n_n0 = 2")
 
 
 @pytest.mark.parametrize("preset, old, new, need, start, memory", [
@@ -1038,16 +1095,17 @@ HUGE_GRID = ("shifts = off\nn_theta = 3000000\nn_n0 = 3000000\n"
     ("fig3-portraits", "shifts = both", HUGE_GRID,
      "need at least 262 TiB of arrays and start states",
      "[grid] n_theta = 3000000, ", None),
-    # on a machine that could hold the grid, numpy still refuses it
-    ("fig3-portraits", "shifts = both", HUGE_GRID,
-     "65.5 TiB for an array", "Unable to allocate ", 2 ** 62),
+    # on a machine that could hold the grid's table, numpy still refuses
+    # an axis that large
+    ("fig3-portraits", "shifts = both", HUGE_AXIS,
+     "72.8 TiB for an array", "Unable to allocate ", 2 ** 62),
 ])
 def test_cli_oversized_run_exits_2(tmp_path, capsys, monkeypatch, preset,
                                    old, new, need, start, memory):
     # samples, runs and landscape grids larger than any machine's memory
     # are refused before the run allocates them; past that check, numpy
-    # refuses a grid that large at once. Either way the run ends with one
-    # line and no output directory
+    # refuses a grid axis that large at once. Either way the run ends with
+    # one line and no output directory
     if memory:
         _physical_memory(monkeypatch, memory)
     path = tmp_path / "huge.ini"

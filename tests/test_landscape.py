@@ -27,7 +27,8 @@ from numpy.polynomial import polynomial as P
 from lcse import (DomainError, GridSpec, InvalidInputError, LandscapeParams,
                   PendulumState, Stability, Verdict, classify_trajectory,
                   contour_portrait, default_start_grid, energy, energy_grid,
-                  find_fixed_points, ladder_lightshifts, RB87_C2_OVER_C0)
+                  energy_functional, find_fixed_points, ladder_lightshifts,
+                  RB87_C2_OVER_C0)
 
 from lcse.landscape import _base_energy, _quartic_roots
 
@@ -102,6 +103,16 @@ def test_energy_grid_shape_and_mask():
     assert np.all(out.mask[infeasible, :])
     assert not np.any(out.mask[~infeasible, :])
     assert np.all(np.isfinite(out.values[~out.mask]))
+    # energies broadcast from the axes equal the functional over the full
+    # meshgrid, bit for bit, and masked cells are NaN
+    shifted = LandscapeParams(0.1, C2, 0.01, 0.5, 0.3, 0.05)
+    for p in (lp, shifted):
+        g = energy_grid(p, grid)
+        th, n0 = np.meshgrid(g.theta, g.n_zero)
+        ref = energy_functional(th, n0, p.m_mag, p.c_eff, p.c2n, p.q,
+                                p.lightshift_delta, p.lightshift_p)
+        assert np.array_equal(g.values[~g.mask], ref[~g.mask])
+        assert np.isnan(g.values[g.mask]).all()
 
 
 def test_no_interior_fixed_points_when_coupling_dominated_by_q():

@@ -94,6 +94,13 @@ def test_seed_spec_validation():
         SeedSpec(rng_seed=-1)
     with pytest.raises(InvalidInputError):
         SeedSpec(rng_seed=2 ** 64)
+    # a seed that is not an integer: NaN and inf used to raise ValueError
+    # and OverflowError, and 1.5 was kept until sample_seed refused it
+    for seed in (float("nan"), float("inf"), 1.5, 2.0, "3", True):
+        with pytest.raises(InvalidInputError, match="rng_seed"):
+            SeedSpec(rng_seed=seed)
+    for seed in (np.uint64(2 ** 64 - 1), np.int32(7)):
+        assert SeedSpec(rng_seed=seed).rng_seed == seed
 
 
 def test_scenario_validation():
