@@ -21,8 +21,8 @@ from .core import (CouplingSummary, Regime, ScatteringInputs,
                    state_observables, require_normalized)
 from .cpt import (AdiabaticityReport, PulseSchedule, StationarityResidual,
                   TransferResult, adiabaticity_diagnostic, cpt_populations,
-                  cpt_state, make_schedule, resonance_detuning, run_transfer,
-                  stationarity_residual)
+                  cpt_state, make_schedule, resonance_detuning,
+                  resonant_counterpart, run_transfer, stationarity_residual)
 from .dynamics import (BatchTrajectory, CrossValidation, IntegratorConfig,
                        PendulumState, Trajectory,
                        crossvalidate_amplitude_vs_pendulum,
@@ -52,8 +52,8 @@ __all__ = [
     "ladder_lightshifts", "state_observables", "require_normalized",
     "AdiabaticityReport", "PulseSchedule", "StationarityResidual",
     "TransferResult", "adiabaticity_diagnostic", "cpt_populations",
-    "cpt_state", "make_schedule", "resonance_detuning", "run_transfer",
-    "stationarity_residual",
+    "cpt_state", "make_schedule", "resonance_detuning",
+    "resonant_counterpart", "run_transfer", "stationarity_residual",
     "BatchTrajectory", "CrossValidation", "IntegratorConfig", "PendulumState",
     "Trajectory", "crossvalidate_amplitude_vs_pendulum",
     "energy_from_amplitudes", "energy_functional", "integrate",

@@ -22,6 +22,7 @@ import contextlib
 import functools
 import json
 import math
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -29,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, build, config_to_dict, parse_config
+from .config import (ScenarioConfig, _size, build, config_to_dict,
+                     parse_config)
 from .core import classify_regime
 from .cpt import run_transfer
 from .dynamics import integrate
@@ -423,6 +425,16 @@ def _run_landscape(cfg: ScenarioConfig, starts, kw: dict,
     gridspec, cases = kw["grid"], kw["cases"]
     # built before any file is written: an axis numpy refuses leaves none
     axes = gridspec.axes()
+    # and so is this: a grid CSV cell takes at least a character and a
+    # separator, so a run refused here could not have been written
+    need = 2 * axes[0].size * axes[1].size * sum(
+        2 + 2 * len(settings) for settings in cases.values())
+    free = shutil.disk_usage(out).free
+    if need > free:
+        raise InvalidInputError(
+            f"[grid] n_theta = {axes[0].size}, n_n0 = {axes[1].size} need "
+            f"at least {_size(need)} of energy grid files, more than the "
+            f"{_size(free)} free on the file system of {str(out)!r}")
     single = len(cases) == 1
     outputs: list[str] = []
     counts_echo = {}

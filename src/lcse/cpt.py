@@ -171,6 +171,28 @@ def _locked_detuning(n_s, n0_s, small_delta, c2n, variant):
 make_schedule = PulseSchedule
 
 
+def resonant_counterpart(
+        params: SystemParams) -> tuple[SystemParams, PulseSchedule]:
+    """(params, pulse) of the resonant run whose large-detuning limit is
+    the effective run of params, for integrate('resonant', ...).
+
+    The effective family eliminates the molecule at the detuning Theta =
+    big_delta_prime, so the resonant run puts Theta on the molecule:
+    small_delta = Theta, and a fixed lock theta_fixed = -Theta leaves
+    Theta + delta = 0 on the +-1 modes. t_zero = 1e300 holds the dump
+    constant, gamma = 0, c2n is params', and the pulse takes the Rabi
+    frequencies' magnitudes (the drive ladder's are negative for W < 0;
+    their product, and so omega_eff, is unchanged). The resonant equations
+    carry no q. The naive map, delta = 0 and theta_fixed = Theta, detunes
+    the +-1 modes and leaves the molecule resonant: from the fig2 start at
+    W = 2 |c2| it raised n_m to 0.44 within tau 200, 88 % of the atoms.
+    """
+    theta = params.big_delta_prime
+    return (SystemParams(c2n=params.c2n, small_delta=theta),
+            PulseSchedule(abs(params.omega_p), abs(params.omega_d), 1e300,
+                          theta_variant="fixed", theta_fixed=-theta))
+
+
 @dataclass
 class TransferResult:
     """Outcome of one resonant transfer run.

@@ -648,7 +648,7 @@ def integrate_batch(family: str,
 
 class Batch(NamedTuple):
     """A checked batch of starts, ready to step: _dopri_batch's arguments
-    but the writer (see prepare_batch)."""
+    but the ones run takes (see prepare_batch)."""
 
     body: object
     rows: object
@@ -660,13 +660,19 @@ class Batch(NamedTuple):
     rtol: float
     atol: float
 
-    def run(self, write, first: int = 0) -> None:
+    def run(self, write, first: int = 0, wanted=None) -> None:
         """Step every start from t0 to t_bound, handing each group of
         samples to write(cols, sample, states) as it is made: states[:, i]
         is start cols[i] at t_eval[sample[i]], the starts numbered from
-        first. Each (start, sample) pair is written once; a NumericalError
-        names its start by that number."""
-        _dopri_batch(*self, write, first)
+        first. Each (start, sample) pair is written at most once; a
+        NumericalError names its start by that number.
+
+        wanted, if given, is an integer array indexed by start number that
+        write may raise: once a call of write returns, start c's samples
+        below wanted[c] are neither evaluated nor written, except its last
+        sample, which every start writes. Without it every sample is
+        written."""
+        _dopri_batch(*self, write, first, wanted)
 
 
 def prepare_batch(family: str,
@@ -756,10 +762,13 @@ _HELD_PASSES = 8
 
 
 def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
-                 rtol: float, atol: float, write, first: int) -> None:
+                 rtol: float, atol: float, write, first: int,
+                 wanted=None) -> None:
     """Step every column of y0 from t0 to t_bound and hand its samples on
     t_eval to write(cols, sample, states), as _sample_steps makes them;
-    column j is start first + j.
+    column j is start first + j. After each write, a column's next sample
+    index is raised to wanted[start] (see Batch.run), at most to the last
+    sample, so the samples it skips are never counted or evaluated.
 
     The derivative at tau is body(y, *rows(tau), *coeffs). The drive rows
     are evaluated once per step attempt, on the (5, R) stage times
@@ -794,6 +803,7 @@ def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     rejected = np.zeros(width, dtype=bool)
     nxt = np.zeros(width, dtype=int)   # next t_eval index per column
+    final = len(t_eval) - 1
     hK = np.empty((_STAGES + 1,) + y.shape, dtype=y.dtype)  # h K_s
     held = []                          # accepted steps not yet sampled
     passes = 0
@@ -837,7 +847,8 @@ def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
         if not accepted:
             continue
 
-        last = np.searchsorted(t_eval, t_new, side="right")
+        # a column that skips samples stays at the next one it wants
+        last = np.maximum(np.searchsorted(t_eval, t_new, side="right"), nxt)
         if accepted < len(ok):         # the rejected columns stay put
             last = np.where(ok, last, nxt)
             t_new = np.where(ok, t_new, t)
@@ -849,6 +860,8 @@ def _dopri_batch(body, rows, coeffs, t0: float, t_bound: float, y0, t_eval,
             if len(held) == _HELD_PASSES:
                 _sample_steps(write, held, t_eval)
                 held = []
+                if wanted is not None:
+                    last = np.maximum(last, np.minimum(wanted[cols], final))
         nxt, t, y, f = last, t_new, y_new, f_new
 
         done = t >= t_bound
@@ -873,7 +886,8 @@ def _sample_steps(write, held, t_eval):
     start cols[i]. They go to write(cols, sample, states) in one call, one
     column of states per sample. h Q is summed once per column with
     samples, not once per sample, and each sample is evaluated on its own,
-    so how the steps are grouped into calls changes no bit."""
+    so how the steps are grouped into calls, and which samples a column
+    skips (count covers only those it wants), changes no bit."""
     hK, count, nxt, cols, t_old, y_old, h = (
         np.concatenate(part, axis=-1) for part in zip(*held))
     used = np.flatnonzero(count)                         # columns with samples

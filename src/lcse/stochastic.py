@@ -127,7 +127,10 @@ def run_ensemble(spec: SeedSpec, runs: int, family: str,
     (rng_seed, k), so the ensemble is deterministic and order-independent.
     Members are integrated ENSEMBLE_BLOCK at a time, each with its own step
     control, and their samples are reduced to the per-run columns as the
-    batch makes them: no member's samples are kept. So a member's numbers
+    batch makes them: no member's samples are kept. Once the batch has
+    written a member's onset, its later samples are not evaluated, apart
+    from the last one, so a run costs its steps whatever its sample count.
+    Every sample is still evaluated on its own, so a member's numbers
     do not depend on which others share its block: any subset of runs,
     executed in any grouping, reproduces the same columns bit for bit, and
     each run matches a direct single run (run_transfer or integrate) to
@@ -141,6 +144,9 @@ def run_ensemble(spec: SeedSpec, runs: int, family: str,
     # per run the first sample index with n+ + n- above the threshold;
     # one past the last sample while it has none
     crossing = np.empty(runs, dtype=int)
+    # per run the first sample index the batch still evaluates: the last
+    # one once the onset is known
+    wanted = np.zeros(runs, dtype=int)
     for first in range(0, runs, ENSEMBLE_BLOCK):
         block = slice(first, min(first + ENSEMBLE_BLOCK, runs))
         states = [sample_seed(spec, np.random.default_rng(
@@ -157,9 +163,10 @@ def run_ensemble(spec: SeedSpec, runs: int, family: str,
             sides = np.abs(values[0]) ** 2 + np.abs(values[2]) ** 2
             crossed = sides > ONSET_THRESHOLD
             np.minimum.at(crossing, cols[crossed], sample[crossed])
+            wanted[cols[crossed]] = final
             last = sample == final
             finals[:len(values), cols[last]] = np.abs(values[:, last]) ** 2
-        batch.run(write, first)
+        batch.run(write, first, wanted)
         seeds[:, block] = [[s.a_plus for s in states],
                            [s.a_minus for s in states]]
     onset = np.append(batch.t_eval, math.nan)[crossing]

@@ -11,8 +11,9 @@ Verifies:
   - CLI outputs: CSV columns, manifest fields, and rerun byte-identity;
     CSV cells equal format(x, ".17g"), byte for byte
   - exit codes 2 (bad input, an unreadable config, an --out that is a
-    file, a run too large for memory), 3 (domain violation) and 4 (a run
-    past the step budget); a failed run leaves no output directory it made
+    file, a run too large for memory, landscape grids too large for the
+    free disk), 3 (domain violation) and 4 (a run past the step budget); a
+    failed run leaves no output directory it made
   - JSON artifacts are strict JSON: a NaN is written as null
   - one parser serves consecutive main() calls in a process
 """
@@ -24,6 +25,7 @@ import math
 import os
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1172,6 +1174,31 @@ def test_cli_failed_run_removes_only_directories_it_made(tmp_path, capsys,
     assert cli.main(["run", "--preset", "fig4-cpt",
                      "--out", str(keep / "a" / "b")]) == 4
     assert keep.is_dir() and not any(keep.iterdir())
+
+
+def test_cli_landscape_refuses_grids_past_free_disk(tmp_path, capsys,
+                                                    monkeypatch):
+    # the fig3 grids need at least 2 bytes a cell, a character and a
+    # separator: 4 grids of 181 x 101 rows and 6 columns. A file system
+    # with room for the grids the run writes lets it run; one with a byte
+    # less than that bound refuses it before anything is written
+    need = 2 * 4 * 181 * 101 * 6
+    assert cli.main(["run", "--preset", "fig3-portraits",
+                     "--out", str(tmp_path / "full")]) == 0
+    written = sum(p.stat().st_size
+                  for p in (tmp_path / "full").glob("energy_grid_*.csv"))
+    assert need <= written
+    for free, code in ((written, 0), (need - 1, 2)):
+        monkeypatch.setattr(cli.shutil, "disk_usage",
+                            lambda path: SimpleNamespace(free=free))
+        out = tmp_path / f"free{free}" / "o"
+        assert cli.main(["run", "--preset", "fig3-portraits",
+                         "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err == (f"invalid input: [grid] n_theta = 181, n_n0 = 101 need "
+                   f"at least 857 KiB of energy grid files, more than the "
+                   f"857 KiB free on the file system of {str(out)!r}\n")
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("section, key", [

@@ -26,7 +26,9 @@ Verifies:
     step attempt, a too-small step names the member
   - a run past the step-attempt budget raises NumericalError with the tau
     reached (a batch: and the member)
-  - how many held steps or passes are written at a time changes no bit
+  - how many held steps or passes are written at a time changes no bit,
+    and a batch skips the samples its writer no longer wants, apart from
+    the last, with the same bits for those it writes
   - the RHS kernels: one state against a batch column, the pendulum flow
     against the energy gradient, next to the S = 0 edge
   - effective-family symmetries: a global phase changes no observable, and
@@ -50,7 +52,7 @@ from lcse import (CouplingSummary, DomainError, IntegratorConfig,
 from lcse import RB87_C2_OVER_C0, dynamics
 from lcse.config import build
 from lcse.cpt import (PulseSchedule, cpt_state, make_schedule,
-                      resonance_detuning, run_transfer)
+                      resonance_detuning, resonant_counterpart, run_transfer)
 from lcse.presets import load_preset
 
 
@@ -312,14 +314,9 @@ def test_crossvalidation_effective_vs_pendulum():
 
 def limit_gap(w, s):
     """Largest |n0| gap over tau in [0, 200] between an effective run and
-    the resonant run it was eliminated from, from the fig2 start at q = 0:
-    the drive ladder at W with its Rabi frequencies scaled by sqrt(s) and
-    its detuning Theta by s, so omega_eff = W whatever s. The resonant run
-    puts Theta on the molecule: small_delta = Theta with a fixed lock
-    theta_fixed = -Theta leaves Theta + delta = 0 on the +-1 modes,
-    t_zero = 1e300 holds the dump constant, gamma = 0, and the pulse takes
-    the Rabi frequencies' magnitudes (for W < 0 the ladder's are negative,
-    their product and omega_eff unchanged)."""
+    its resonant_counterpart, from the fig2 start at q = 0: the drive
+    ladder at W with its Rabi frequencies scaled by sqrt(s) and its
+    detuning Theta by s, so omega_eff = W whatever s."""
     op, od, theta = drive_ladder(w)
     op, od, theta = op * s ** 0.5, od * s ** 0.5, theta * s
     params = SystemParams(omega_p=op, omega_d=od, big_delta_prime=theta)
@@ -327,14 +324,11 @@ def limit_gap(w, s):
                     SpinorAmplitudes.from_populations(0.05, 0.9, 0.05),
                     params, (0.0, 200.0), coupling=effective_coupling(params),
                     sampling=2001)
+    res_params, pulse = resonant_counterpart(params)
     res = integrate("resonant",
                     SpinorAmplitudes.from_populations(0.05, 0.9, 0.05,
                                                       resonant=True),
-                    SystemParams(small_delta=theta), (0.0, 200.0),
-                    pulse=PulseSchedule(abs(op), abs(od), 1e300,
-                                        theta_variant="fixed",
-                                        theta_fixed=-theta),
-                    sampling=2001)
+                    res_params, (0.0, 200.0), pulse=pulse, sampling=2001)
     return float(np.abs(res.populations()[1] - eff.populations()[1]).max())
 
 
@@ -754,6 +748,48 @@ def test_batch_rejects_bad_input():
                         variant="other")
     with pytest.raises(InvalidInputError):
         integrate_batch("resonant", [], params, (0.0, 1.0), pulse=CALM)
+
+
+@pytest.mark.parametrize("family", ["effective", "resonant"])
+def test_batch_skips_samples_its_writer_no_longer_wants(family):
+    # once start j has a sample at or past reach[j], its writer raises
+    # wanted[j] partway (starts 0, 1) or past the last sample (start 2):
+    # no later sample below wanted arrives, every sample that does carries
+    # integrate_batch's bits, every sample from wanted on and the last one
+    # arrive, and so does every sample up to the one that raised it. Both
+    # runs flush dozens of times (the ladder's effective run flushes once)
+    resonant = family == "resonant"
+    params = (SystemParams(small_delta=3.0, gamma=1.0) if resonant
+              else SystemParams(c2n=-0.5, q=0.5))
+    args = (family, spread_starts(3, resonant), params, (0.0, 30.0))
+    kwargs = dict(sampling=301, **(
+        dict(pulse=FIG4) if resonant
+        else dict(coupling=effective_coupling(params))))
+    full = integrate_batch(*args, **kwargs).values
+    reach, raise_to = (20, 60, 100), (150, 260, 10 ** 9)
+    wanted = np.zeros(3, dtype=int)
+    raised_at = {}
+    got = {}
+
+    def write(cols, sample, states):
+        assert np.all(sample >= np.minimum(wanted[cols], 300))
+        for c, s, v in zip(cols.tolist(), sample.tolist(), states.T):
+            assert (c, s) not in got
+            got[c, s] = v
+            if s >= reach[c] and c not in raised_at:
+                raised_at[c] = s
+        for c in raised_at:
+            wanted[c] = raise_to[c]
+    dynamics.prepare_batch(*args, **kwargs).run(write, 0, wanted)
+    assert sorted(raised_at) == [0, 1, 2]
+    for (c, s), v in got.items():
+        assert np.array_equal(v, full[:, c, s]), (c, s)
+    for c in range(3):
+        samples = {s for (start, s) in got if start == c}
+        assert 300 in samples
+        assert set(range(raised_at[c] + 1)) <= samples
+        assert set(range(raise_to[c], 301)) <= samples
+        assert len(samples) < 301
 
 
 def streamed_runs():

@@ -15,6 +15,10 @@ Verifies:
     batch's own words
   - an ensemble keeps only its per-run columns, not its members' samples:
     its heap peak stays below the size of their amplitudes
+  - past a member's onset only its last sample is evaluated (a fig4
+    ensemble writes under 1 % of its samples), and the columns equal the
+    same reduction of every sample bit for bit: members that cross, that
+    never cross, and that cross at the first sample
 """
 
 import math
@@ -25,8 +29,11 @@ import pytest
 
 from lcse import (InvalidInputError, NumericalError, SeedSpec,
                   SpinorAmplitudes, SystemParams, effective_coupling,
-                  integrate, run_ensemble, sample_seed, state_observables)
+                  integrate, integrate_batch, run_ensemble, sample_seed,
+                  state_observables)
 from lcse import dynamics, stochastic
+from lcse.config import build
+from lcse.presets import load_preset
 from lcse import RB87_C2_OVER_C0 as C2
 from lcse.cpt import cpt_state, make_schedule, run_transfer
 
@@ -170,15 +177,22 @@ def test_onset_detected_for_growing_side_modes():
     assert stats.mean_tau_onset == pytest.approx(onset)
 
 
-def test_onset_missed_when_dynamics_frozen():
-    # a coupling-cancelled amplitude-level scenario never grows side modes
+def frozen_scenario():
+    """run_ensemble's arguments after runs for an amplitude-level run whose
+    drive cancels the collisions, so no member ever crosses."""
     params = SystemParams(omega_p=10.0 * (-C2), omega_d=1.0,
                           big_delta_prime=10.0, c2n=C2, q=0.01)
-    coupling = effective_coupling(params)
-    assert abs(coupling.c_eff) < 1e-12  # the drive cancels the collisions
+    return dict(family="effective", params=params,
+                coupling=effective_coupling(params), tau_span=(0.0, 50.0),
+                sampling=501)
+
+
+def test_onset_missed_when_dynamics_frozen():
+    # a coupling-cancelled amplitude-level scenario never grows side modes
+    scenario = frozen_scenario()
+    assert abs(scenario["coupling"].c_eff) < 1e-12
     spec = SeedSpec(mode="fixed-classical", classical_n=1e-5)
-    stats = run_ensemble(spec, 2, "effective", params, tau_span=(0.0, 50.0),
-                         coupling=coupling, sampling=501)
+    stats = run_ensemble(spec, 2, **scenario)
     assert stats.onset_misses == 2
     assert np.isnan(stats.mean_tau_onset)
     assert np.all(np.isnan(stats.tau_onset))
@@ -267,6 +281,57 @@ def test_ensemble_heap_peak_is_below_its_amplitudes():
         tracemalloc.stop()
     assert stats.onset_misses == 0
     assert peak < 4 * runs * samples * np.dtype(complex).itemsize
+
+
+@pytest.mark.parametrize("spec, scenario", [
+    pytest.param(VACUUM, short_scenario("cpt"), id="cpt"),
+    pytest.param(VACUUM, short_scenario("effective"), id="effective"),
+    pytest.param(SeedSpec(mode="fixed-classical", classical_n=1e-5),
+                 frozen_scenario(), id="never-crosses"),
+    # n+ + n- = 0.12 at the start
+    pytest.param(SeedSpec(mode="fixed-classical", classical_n=0.06),
+                 short_scenario("cpt"), id="crosses-at-sample-0")])
+def test_columns_are_the_reduction_of_every_sample(spec, scenario):
+    # run_ensemble evaluates a member's samples only up to its onset and
+    # then its last one; its columns are still, bit for bit, the first
+    # sample with n+ + n- > 0.1 and the populations of the last sample of
+    # integrate_batch's full samples
+    runs = 4
+    stats = run_ensemble(spec, runs, **scenario)
+    states = [sample_seed(spec, np.random.default_rng(
+                  np.random.SeedSequence(entropy=spec.rng_seed,
+                                         spawn_key=(k,))))
+              for k in range(runs)]
+    kw = dict(scenario)
+    full = integrate_batch(kw.pop("family"), states, **kw)
+    n = np.abs(full.values) ** 2
+    crossed = n[0] + n[2] > stochastic.ONSET_THRESHOLD
+    onset = np.where(crossed.any(axis=1),
+                     full.times[np.argmax(crossed, axis=1)], math.nan)
+    finals = np.zeros((4, runs))
+    finals[:len(n)] = n[:, :, -1]
+    assert repr(stats.tau_onset.tolist()) == repr(onset.tolist())
+    assert repr(stats.final_populations.tolist()) == repr(finals.tolist())
+    assert np.array_equal(stats.final_side, finals[0] + finals[2])
+
+
+def test_fig4_ensemble_writes_under_one_percent_of_its_samples(monkeypatch):
+    # every fig4 onset lies near tau 0.6 of 150, so past it only each
+    # member's last sample is evaluated
+    spec, kw = build(load_preset("fig4-ensemble"))
+    handed = []
+    sample_steps = dynamics._sample_steps
+
+    def counted(write, held, t_eval):
+        def counting_write(cols, sample, states):
+            handed.append(len(sample))
+            write(cols, sample, states)
+        sample_steps(counting_write, held, t_eval)
+
+    monkeypatch.setattr(dynamics, "_sample_steps", counted)
+    stats = run_ensemble(spec, 16, "resonant", **kw)
+    assert kw["sampling"] == 2001 and stats.onset_misses == 0
+    assert sum(handed) < 0.01 * 16 * 2001
 
 
 @pytest.mark.parametrize("kind", ["cpt", "effective"])
