@@ -25,11 +25,9 @@ TAU_END = 50.0
 def drive_for(c_eff):
     # realize the target coupling with the standard Rabi/detuning ladder
     # omega_p : omega_d : Delta' = 1 : 10 : 100, which keeps the
-    # off-resonant validity margin exactly at its boundary
-    w = c_eff - C2
-    if w == 0.0:
-        return SystemParams(q=Q)
-    omega_p, omega_d, big_delta_prime = drive_ladder(w)
+    # off-resonant validity margin exactly at its boundary (lasers off at
+    # C = c2)
+    omega_p, omega_d, big_delta_prime = drive_ladder(c_eff - C2)
     return SystemParams(omega_p=omega_p, omega_d=omega_d,
                         big_delta_prime=big_delta_prime, q=Q)
 

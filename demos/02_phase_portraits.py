@@ -20,10 +20,8 @@ Q = 0.01
 
 
 def landscape_for(c_eff):
-    w = c_eff - C2  # drive strength needed on top of the collisions
-    if w == 0.0:
-        return LandscapeParams(c_eff=c_eff, c2n=C2, q=Q)
-    delta, p = ladder_lightshifts(w)
+    # light shifts of the drive needed on top of the collisions
+    delta, p = ladder_lightshifts(c_eff - C2)
     return LandscapeParams(c_eff=c_eff, c2n=C2, q=Q,
                            lightshift_delta=delta, lightshift_p=p)
 

@@ -409,8 +409,7 @@ def _run_resonant(cfg: ScenarioConfig, initial, kw: dict,
                 "n_minus": pops[2], "n_m": pops[3],
                 "theta_big": theta_big, "omega_d": omega_d})
     outputs = ["trajectory.csv"]
-    extra = {"conservation": _drift(traj),
-             "derived": {"pulse": dict(pulse.meta), "variant": variant}}
+    extra = {"conservation": _drift(traj), "derived": {"variant": variant}}
     if result is not None:
         payload = result.to_dict()
         payload["tau_span"] = list(span)

@@ -39,11 +39,11 @@ _SCHEMA = {
     "params": {
         "c2n": (float, RB87_C2_OVER_C0),
         "q": (float, 0.0),
-        "omega_p": (float, 0.0),
-        "omega_d": (float, 0.0),
-        "big_delta_prime": (float, 1.0),
-        "small_delta": (float, 0.0),
-        "gamma": (float, 0.0),
+        "omega_p": (float, _REQ),
+        "omega_d": (float, _REQ),
+        "big_delta_prime": (float, _REQ),
+        "small_delta": (float, _REQ),
+        "gamma": (float, _REQ),
     },
     "initial": {
         "n_plus": (float, _REQ),
@@ -383,8 +383,7 @@ def build(cfg: ScenarioConfig) -> tuple[object, dict]:
                 *(ladder_lightshifts(c_eff - par["c2n"]) if setting == "on"
                   else (0.0, 0.0))) for setting in settings}
         return starts, {"grid": grid, "cases": cases}
-    # keys the mode does not read keep SystemParams' defaults, which the
-    # schema's equal
+    # keys the mode does not read keep SystemParams' defaults
     params = SystemParams(**par)
     kw = {"params": params,
           "tau_span": (integ["tau_start"], integ["tau_end"])}

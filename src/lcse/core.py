@@ -142,8 +142,9 @@ def effective_coupling(params: SystemParams) -> CouplingSummary:
 
 def drive_ladder(w: float) -> tuple[float, float, float]:
     """(omega_p, omega_d, big_delta_prime) = (10 W, 100 W, 1000 W), the drive
-    for which adiabatic elimination gives omega_eff = W exactly."""
-    return 10.0 * w, 100.0 * w, 1000.0 * w
+    for which adiabatic elimination gives omega_eff = W exactly; at W = 0,
+    lasers off, (0, 0, 1): SystemParams' default, which it accepts."""
+    return (10.0 * w, 100.0 * w, 1000.0 * w) if w != 0 else (0.0, 0.0, 1.0)
 
 
 def ladder_lightshifts(w: float) -> tuple[float, float]:

@@ -100,14 +100,6 @@ class PulseSchedule:
             theta = np.full(np.shape(omega_d), self.theta_fixed)
         return omega_p, omega_d, theta
 
-    @property
-    def meta(self) -> dict:
-        out = {"omega_p": self.omega_p, "omega_d0": self.omega_d0,
-               "t_zero": self.t_zero, "theta_variant": self.theta_variant}
-        if self.theta_fixed is not None:
-            out["theta_fixed"] = self.theta_fixed
-        return out
-
 
 def _dark_split(omega_p, omega_d):
     r = omega_d / omega_p

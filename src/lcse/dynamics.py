@@ -205,10 +205,15 @@ def _rhs_pend(tau, y, c_eff, c2, q, m_mag, ls_delta, ls_p):
     return [dth, dn0]
 
 
-def _symmetrized(variant: str) -> bool:
-    """Check a resonant equation variant; True for 'symmetrized'."""
-    if variant not in ("literal", "symmetrized"):
-        raise InvalidInputError("variant must be 'literal' or 'symmetrized'")
+def _symmetrized(variant: str, family: str = "resonant") -> bool:
+    """Check the equation variant of a run of family; True for
+    'symmetrized'. Only the resonant equations have a 'literal'
+    transcription: the others have no exchange terms to transcribe."""
+    takes = (("literal", "symmetrized") if family == "resonant"
+             else ("symmetrized",))
+    if variant not in takes:
+        raise InvalidInputError(f"the {family} family takes variant "
+                                f"{' or '.join(takes)}, not {variant!r}")
     return variant == "symmetrized"
 
 
@@ -226,7 +231,7 @@ def rhs_resonant(state: SpinorAmplitudes, params: SystemParams, pulse,
     exact N (gamma = 0) and m conservation. Decay gamma enters only the
     molecular equation.
     """
-    rows, coeffs = _resonant_operands(params, pulse, variant)
+    rows, coeffs = _resonant_operands(params, pulse, _symmetrized(variant))
     if state.a_m is None:
         raise InvalidInputError("resonant family needs the molecular amplitude")
     y = [complex(a) for a in (state.a_plus, state.a_zero, state.a_minus,
@@ -234,12 +239,11 @@ def rhs_resonant(state: SpinorAmplitudes, params: SystemParams, pulse,
     return tuple(_res_body(y, *rows(tau), *coeffs))
 
 
-def _resonant_operands(params: SystemParams, pulse, variant: str):
+def _resonant_operands(params: SystemParams, pulse, symmetrized: bool):
     """(rows, coeffs) of _res_body: rows(tau) is (-i Omega_p, -i Omega_d,
     -i (Theta + delta)) from pulse.drive(tau), coeffs (-i c2,
     -(i delta + gamma), symmetrized). A locked Theta is computed from the
     pulse's c2n and small_delta, so they must be the run's."""
-    symmetrized = _symmetrized(variant)
     delta = params.small_delta
     if pulse.theta_variant != "fixed" and (
             pulse.c2n, pulse.small_delta) != (params.c2n, delta):
@@ -294,9 +298,6 @@ def _res_body(y, pump, dump, detune, c2, loss, symmetrized):
 # ---------------------------------------------------------------------------
 # integration
 
-_FAMILIES = ("effective", "pendulum", "resonant")
-
-
 def _sample_grid(tau_span, sampling) -> tuple[float, float, np.ndarray]:
     """(t0, t_bound, t_eval) of a forward run over tau_span sampled at
     `sampling` points, an integer >= 2: the one check of span and samples."""
@@ -316,28 +317,31 @@ def _no_rows(tau) -> tuple:
     return ()
 
 
-def _amplitude_system(family: str, initial: SpinorAmplitudes,
-                      params: SystemParams, coupling, pulse, variant: str):
-    """(y0, body, rows, coeffs) of an amplitude family: the derivative at
-    tau is body(y, *rows(tau), *coeffs) for a state of shape (n,) or
-    (n, R), where rows(tau) are the drive operands at tau."""
+def _amplitude_system(family: str, initials: Sequence[SpinorAmplitudes],
+                      params: SystemParams, coupling, pulse,
+                      symmetrized: bool):
+    """(y0, body, rows, coeffs) of an amplitude family's run: y0 holds the
+    starts as the columns of one C-contiguous (n, R) array, and the
+    derivative at tau is body(y, *rows(tau), *coeffs) for a state of shape
+    (n,) or (n, R), rows(tau) being the drive operands at tau. The system
+    is built once, whatever R; a start is only checked for normalization."""
     if family == "effective":
         if coupling is None:
             raise InvalidInputError("effective family needs a CouplingSummary")
-        require_normalized(initial)
-        y0 = np.array([initial.a_plus, initial.a_zero, initial.a_minus],
-                      dtype=complex)
-        return y0, _rhs_eff, _no_rows, (
+        n, system = 3, (_rhs_eff, _no_rows, (
             coupling.c_eff, params.c2n, params.q, coupling.lightshift_delta,
-            coupling.lightshift_p)
-    if pulse is None:
+            coupling.lightshift_p))
+    elif pulse is None:
         raise InvalidInputError("resonant family needs a pulse schedule")
-    rows, coeffs = _resonant_operands(params, pulse, variant)
-    require_normalized(initial)
-    y0 = np.array([initial.a_plus, initial.a_zero, initial.a_minus,
-                   initial.a_m if initial.a_m is not None else 0.0],
+    else:
+        n, system = 4, (_res_body,
+                        *_resonant_operands(params, pulse, symmetrized))
+    for st in initials:
+        require_normalized(st)
+    y0 = np.array([(st.a_plus, st.a_zero, st.a_minus,
+                    0.0 if st.a_m is None else st.a_m)[:n] for st in initials],
                   dtype=complex)
-    return y0, _res_body, rows, coeffs
+    return (y0.T.copy(), *system)
 
 
 # Dormand & Prince's RK45 pair (J. Comput. Appl. Math. 6, 19 (1980)) with
@@ -385,18 +389,20 @@ def integrate(family: str,
               variant: str = "symmetrized") -> Trajectory:
     """Integrate one RHS family forward over tau_span and sample it.
 
-    tau_span is finite with tau_span[1] > tau_span[0], and `sampling`, the
-    uniform sample count, an integer >= 2. Monitors (total N,
-    magnetization, energy where defined) are attached to the returned
-    Trajectory. A step below ten ulp of tau, or a run past
+    tau_span is finite with tau_span[1] > tau_span[0], `sampling`, the
+    uniform sample count, an integer >= 2, and variant 'symmetrized' or,
+    for the resonant family only, 'literal'; each is checked once, here.
+    Monitors (total N, magnetization, energy where defined) are attached
+    to the returned Trajectory. A step below ten ulp of tau, or a run past
     _MAX_STEP_ATTEMPTS trial steps, raises NumericalError carrying the tau
     reached; a pendulum orbit that reaches the (1-n0)^2 = m^2 edge raises
     DomainError.
     """
-    if family not in _FAMILIES:
+    if family not in ("effective", "pendulum", "resonant"):
         raise InvalidInputError(f"unknown family {family!r}")
     cfg = config or IntegratorConfig()
     t0, t_bound, t_eval = _sample_grid(tau_span, sampling)
+    symmetrized = _symmetrized(variant, family)
     if family == "pendulum":
         if coupling is None:
             raise InvalidInputError("pendulum family needs a CouplingSummary")
@@ -413,8 +419,8 @@ def integrate(family: str,
             return (1.0 - y[1]) ** 2 - m2 - 1e-12
     else:
         y0, body, rows, coeffs = _amplitude_system(
-            family, initial, params, coupling, pulse, variant)
-        y0, edge = y0.tolist(), None
+            family, [initial], params, coupling, pulse, symmetrized)
+        y0, edge = y0[:, 0].tolist(), None
 
         def fun(tau, y):
             return body(y, *rows(tau), *coeffs)
@@ -684,9 +690,9 @@ def prepare_batch(family: str,
                   config: Optional[IntegratorConfig] = None,
                   sampling: int = 1001,
                   variant: str = "symmetrized") -> Batch:
-    """Check integrate_batch's arguments and build the Batch it runs, so a
-    caller that reduces the samples as they come (run_ensemble) need not
-    keep them all."""
+    """Check integrate_batch's arguments and build the Batch it runs, one
+    system for every start, so a caller that reduces the samples as they
+    come (run_ensemble) need not keep them all."""
     if family not in ("effective", "resonant"):
         raise InvalidInputError(
             f"batched integration takes 'effective' or 'resonant', "
@@ -694,11 +700,10 @@ def prepare_batch(family: str,
     if len(initials) == 0:
         raise InvalidInputError("batched integration needs at least one start")
     t0, t_bound, t_eval = _sample_grid(tau_span, sampling)
+    symmetrized = _symmetrized(variant, family)
     cfg = config or IntegratorConfig()
-    columns = [_amplitude_system(family, st, params, coupling, pulse, variant)
-               for st in initials]
-    _, body, rows, coeffs = columns[0]
-    y0 = np.stack([c[0] for c in columns], axis=1)
+    y0, body, rows, coeffs = _amplitude_system(
+        family, initials, params, coupling, pulse, symmetrized)
     return Batch(body, rows, coeffs, t0, t_bound, y0, t_eval, cfg.rel_tol,
                  cfg.abs_tol)
 

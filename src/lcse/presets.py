@@ -29,7 +29,7 @@ mode = effective
 q = 0.01
 omega_p = {_g(omega_p)}
 omega_d = {_g(omega_d)}
-big_delta_prime = {_g(big_delta_prime) if w != 0.0 else _g(1.0)}
+big_delta_prime = {_g(big_delta_prime)}
 
 [initial]
 n_plus = 0.05

@@ -122,20 +122,22 @@ def run_ensemble(spec: SeedSpec, runs: int, family: str,
     """Integrate `runs` independently seeded members and aggregate.
 
     family, params and the keywords are integrate_batch's: 'resonant' (the
-    CPT transfer, needs pulse) or 'effective' (the off-resonant three-mode
-    system, needs coupling). Run k draws from a generator spawned off
-    (rng_seed, k), so the ensemble is deterministic and order-independent.
-    Members are integrated ENSEMBLE_BLOCK at a time, each with its own step
-    control, and their samples are reduced to the per-run columns as the
-    batch makes them: no member's samples are kept. Once the batch has
-    written a member's onset, its later samples are not evaluated, apart
-    from the last one, so a run costs its steps whatever its sample count.
-    Every sample is still evaluated on its own, so a member's numbers
-    do not depend on which others share its block: any subset of runs,
-    executed in any grouping, reproduces the same columns bit for bit, and
-    each run matches a direct single run (run_transfer or integrate) to
-    rounding. A run that fails raises the batch's NumericalError, which
-    names it (`member`) by its run number.
+    CPT transfer, needs pulse; variant 'literal' or 'symmetrized') or
+    'effective' (the off-resonant three-mode system, needs coupling;
+    variant 'symmetrized' only), checked and built once per block. Run k
+    draws from a generator spawned off (rng_seed, k), so the ensemble is
+    deterministic and order-independent. Members are integrated
+    ENSEMBLE_BLOCK at a time, each with its own step control, and their
+    samples are reduced to the per-run columns as the batch makes them: no
+    member's samples are kept. Once the batch has written a member's onset,
+    its later samples are not evaluated, apart from the last one, so a run
+    costs its steps whatever its sample count. Every sample is still
+    evaluated on its own, so a member's numbers do not depend on which
+    others share its block: any subset of runs, executed in any grouping,
+    reproduces the same columns bit for bit, and each run matches a direct
+    single run (run_transfer or integrate) to rounding. A run that fails
+    raises the batch's NumericalError, which names it (`member`) by its run
+    number.
     """
     if runs < 1:
         raise InvalidInputError("runs must be >= 1")

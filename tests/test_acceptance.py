@@ -37,10 +37,7 @@ TOL = 1e-8
 
 def ladder_system(c_eff, q=0.01):
     """SystemParams realizing a total coupling via the drive ladder."""
-    w = c_eff - C2
-    if w == 0.0:
-        return SystemParams(q=q)
-    omega_p, omega_d, big_delta_prime = drive_ladder(w)
+    omega_p, omega_d, big_delta_prime = drive_ladder(c_eff - C2)
     return SystemParams(omega_p=omega_p, omega_d=omega_d,
                         big_delta_prime=big_delta_prime, q=q)
 

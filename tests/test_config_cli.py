@@ -453,6 +453,24 @@ def test_cli_ensemble_records_variant(tmp_path):
     assert variants["literal"] != variants["symmetrized"]
 
 
+@pytest.mark.parametrize("mode", ["resonant", "cpt"])
+def test_cli_pulse_run_echoes_its_pulse_once(tmp_path, mode):
+    # the pulse is echoed as read, under config; derived holds only the
+    # equation variant
+    path = tmp_path / "run.ini"
+    path.write_text(preset_text("fig4-cpt").replace(
+        "mode = cpt", f"mode = {mode}").replace(
+        "tau_end = 150", "tau_end = 10").replace("samples = 2001",
+                                                 "samples = 101"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["pulse"] == {
+        "omega_p": 1.0, "omega_d0": 40.0, "t_zero": 20.0,
+        "theta_variant": "coherence"}
+    assert manifest["derived"] == {"variant": "symmetrized"}
+
+
 def test_cli_effective_ensemble_refuses_variant(tmp_path):
     path = tmp_path / "effective.ini"
     path.write_text(SHORT_ENSEMBLE.format(kind="effective",

@@ -94,6 +94,23 @@ def test_coupling_ladder_construction():
     assert c.c_eff == pytest.approx(w + RB87_C2_OVER_C0, rel=1e-12)
 
 
+def test_drive_ladder_at_zero_is_lasers_off():
+    # at W = 0 the ladder keeps SystemParams' default detuning, so its
+    # callers need no W = 0 branch; the fig2-collision preset writes it
+    from lcse.presets import preset_text
+    omega_p, omega_d, big_delta_prime = drive_ladder(0.0)
+    assert (omega_p, omega_d, big_delta_prime) == (0.0, 0.0, 1.0)
+    params = SystemParams(omega_p=omega_p, omega_d=omega_d,
+                          big_delta_prime=big_delta_prime)
+    assert params == SystemParams()
+    c = effective_coupling(params)
+    assert c.omega_eff == 0.0 and c.c_eff == RB87_C2_OVER_C0
+    assert (c.lightshift_delta, c.lightshift_p) == (0.0, 0.0)
+    assert ladder_lightshifts(0.0) == (0.0, 0.0)
+    assert ("omega_p = 0\nomega_d = 0\nbig_delta_prime = 1\n"
+            in preset_text("fig2-collision"))
+
+
 def test_lasers_off_reduces_to_collisions():
     c = effective_coupling(SystemParams(omega_p=0.0, omega_d=0.5,
                                         big_delta_prime=30.0))

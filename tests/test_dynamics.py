@@ -20,8 +20,10 @@ Verifies:
     a negative tau), and a too-small step raises NumericalError with its tau
   - every entry point refuses a span that is not finite or does not run
     forward, and a sample count that is not an integer >= 2
+  - every entry point checks the equation variant, in every family
   - batched integration: each column matches its single run (every
-    detuning lock, both variants), columns do not depend on each other,
+    detuning lock, both variants), one system is built per batch, columns
+    do not depend on each other,
     scipy's step rules and tableau (bit for bit), one drive evaluation per
     step attempt, a too-small step names the member
   - a run past the step-attempt budget raises NumericalError with the tau
@@ -149,8 +151,8 @@ def test_resonant_kernel_one_state_against_batch_column():
         pulse = PulseSchedule(op, od, np.inf, theta_variant="fixed",
                               theta_fixed=th)
         params = SystemParams(c2n=c2, small_delta=delta, gamma=gamma)
-        rows, fixed = dynamics._resonant_operands(
-            params, pulse, "symmetrized" if k % 2 else "literal")
+        rows, fixed = dynamics._resonant_operands(params, pulse,
+                                                  bool(k % 2))
         one = dynamics._res_body(y.tolist(), *rows(0.0), *fixed)
         column = dynamics._res_body(y[:, None], *rows(np.zeros(1)),
                                     *dynamics._complex_operands(fixed))[:, 0]
@@ -423,8 +425,9 @@ def test_integrate_takes_solve_ivps_steps(family, span):
         params = SystemParams() if resonant else LADDER
         kw = dict(pulse=CALM) if resonant else dict(coupling=ladder_coupling())
         y0, body, rows, coeffs = dynamics._amplitude_system(
-            family, start, params, kw.get("coupling"), kw.get("pulse"),
-            "symmetrized")
+            family, [start], params, kw.get("coupling"), kw.get("pulse"),
+            True)
+        y0 = y0[:, 0]
 
         def fun(tau, y):
             return body(y, *rows(tau), *coeffs)
@@ -505,6 +508,58 @@ def test_unknown_variant_rejected():
     with pytest.raises(InvalidInputError, match="variant"):
         integrate("resonant", st, SystemParams(), (0.0, 1.0), pulse=CALM,
                   variant="other")
+
+
+# a short run of each entry point in each family it takes, by its variant
+_EFFECTIVE_START = SpinorAmplitudes.from_populations(0.05, 0.9, 0.05)
+_RESONANT_START = SpinorAmplitudes.from_populations(0.05, 0.9, 0.05,
+                                                    resonant=True)
+VARIANT_CALLS = {
+    "integrate/effective": lambda variant: integrate(
+        "effective", _EFFECTIVE_START, LADDER, (0.0, 1.0),
+        coupling=ladder_coupling(), sampling=2, variant=variant),
+    "integrate/pendulum": lambda variant: integrate(
+        "pendulum", PendulumState(0.3, 0.6), LADDER, (0.0, 1.0),
+        coupling=ladder_coupling(), sampling=2, variant=variant),
+    "integrate/resonant": lambda variant: integrate(
+        "resonant", _RESONANT_START, SystemParams(), (0.0, 1.0), pulse=CALM,
+        sampling=2, variant=variant),
+    "integrate_batch/effective": lambda variant: integrate_batch(
+        "effective", [_EFFECTIVE_START], LADDER, (0.0, 1.0),
+        coupling=ladder_coupling(), sampling=2, variant=variant),
+    "integrate_batch/resonant": lambda variant: integrate_batch(
+        "resonant", [_RESONANT_START], SystemParams(), (0.0, 1.0),
+        pulse=CALM, sampling=2, variant=variant),
+    "run_transfer/resonant": lambda variant: run_transfer(
+        _RESONANT_START, SystemParams(), CALM, tau_span=(0.0, 1.0),
+        sampling=2, variant=variant),
+    "run_ensemble/effective": lambda variant: run_ensemble(
+        SeedSpec(), 2, "effective", LADDER, (0.0, 1.0),
+        coupling=ladder_coupling(), sampling=2, variant=variant),
+    "run_ensemble/resonant": lambda variant: run_ensemble(
+        SeedSpec(), 2, "resonant", SystemParams(), (0.0, 1.0), pulse=CALM,
+        sampling=2, variant=variant),
+    "rhs_resonant/resonant": lambda variant: rhs_resonant(
+        _RESONANT_START, SystemParams(), CALM, variant=variant),
+}
+
+
+@pytest.mark.parametrize("call", sorted(VARIANT_CALLS))
+def test_every_entry_point_checks_the_variant(call):
+    # every family checks its variant at the entry, naming the value it
+    # refuses; only the resonant family has a 'literal' transcription
+    family = call.split("/")[1]
+    takes = ("literal", "symmetrized") if family == "resonant" else (
+        "symmetrized",)
+    for variant in ("bogus", "", "Symmetrized", "literal"):
+        if variant in takes:
+            continue
+        with pytest.raises(InvalidInputError) as err:
+            VARIANT_CALLS[call](variant)
+        assert str(err.value) == (f"the {family} family takes variant "
+                                  f"{' or '.join(takes)}, not {variant!r}")
+    for variant in takes:
+        VARIANT_CALLS[call](variant)
 
 
 LOCK_CALLS = {
@@ -748,6 +803,32 @@ def test_batch_rejects_bad_input():
                         variant="other")
     with pytest.raises(InvalidInputError):
         integrate_batch("resonant", [], params, (0.0, 1.0), pulse=CALM)
+
+
+@pytest.mark.parametrize("width", [1, 16, 256])
+def test_batch_builds_its_system_once(monkeypatch, width):
+    # the drive operands and their lock check are made once per batch,
+    # whatever its width, and once per single run; each start only takes
+    # its column of the C-contiguous (4, width) state
+    made = []
+    operands = dynamics._resonant_operands
+
+    def counted(*args):
+        made.append(args)
+        return operands(*args)
+    monkeypatch.setattr(dynamics, "_resonant_operands", counted)
+    starts = spread_starts(width, True)
+    params = SystemParams(small_delta=3.0, gamma=1.0)
+    batch = dynamics.prepare_batch("resonant", starts, params, (0.0, 1.0),
+                                   pulse=FIG4, sampling=2)
+    assert len(made) == 1
+    assert batch.y0.shape == (4, width) and batch.y0.flags.c_contiguous
+    assert np.array_equal(batch.y0, np.stack([
+        np.array([st.a_plus, st.a_zero, st.a_minus, st.a_m], dtype=complex)
+        for st in starts], axis=1))
+    integrate("resonant", starts[0], params, (0.0, 1.0), pulse=FIG4,
+              sampling=2)
+    assert len(made) == 2
 
 
 @pytest.mark.parametrize("family", ["effective", "resonant"])

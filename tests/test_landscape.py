@@ -40,12 +40,9 @@ coefficient = st.floats(-1.0, 1.0)
 
 def ladder_params(c_eff, q=0.01, m_mag=0.0, shifts=True):
     """Landscape for a target total coupling, drive shifts on or off."""
-    w = c_eff - C2
-    if shifts and w != 0.0:
-        delta, p = ladder_lightshifts(w)
-        return LandscapeParams(c_eff=c_eff, c2n=C2, q=q, m_mag=m_mag,
-                               lightshift_delta=delta, lightshift_p=p)
-    return LandscapeParams(c_eff=c_eff, c2n=C2, q=q, m_mag=m_mag)
+    delta, p = ladder_lightshifts(c_eff - C2) if shifts else (0.0, 0.0)
+    return LandscapeParams(c_eff=c_eff, c2n=C2, q=q, m_mag=m_mag,
+                           lightshift_delta=delta, lightshift_p=p)
 
 
 def test_energy_closed_form_values():
