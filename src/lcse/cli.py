@@ -9,10 +9,14 @@ Every CSV cell is format(x, ".17g"), byte for byte, formatted in numpy by
 one formatter (_slots) and written by one emitter (_emit): fixed-notation
 cells are rounded exactly, 0 and -0 are laid out directly, and only NaN,
 the infinities and exponent-notation cells go through Python's "%.17g".
-Tables are written 512 rows at a time (_write_csv). An energy grid is
-written from its two axes a block of n0 rows at a time (_write_grid): the
-axis and mask values are formatted once and only the energies per cell, so
-its heap is bounded by one block, not by the grid.
+_emit writes rows of column slots of 8-byte words, each column as wide as
+its texts need, with byte 0 of its first word left for the separator, and
+drops the NUL padding. Tables are written 512 rows at a time (_write_csv),
+every cell in _slots's four words. An energy grid is written from its two
+axes a block of n0 rows at a time (_write_grid): the theta, n0 and mask
+columns are packed once per landscape run into the fewest words their
+longest text needs (_grid_words), and only the energies are formatted per
+block, so its heap is bounded by one block, not by the grid.
 """
 
 from __future__ import annotations
@@ -65,11 +69,12 @@ _TRANSFER_NOTES = [
 _CSV_BLOCK_ROWS = 512
 # grid cells in one of _write_grid's blocks, which it cuts inside an n0 row
 # only where a row holds more. Writing the four fig3 grids (181 x 101,
-# shifts both) took a median of 105 ms in 512-cell blocks, where numpy's
-# per-call cost dominates, 70 ms in 2048-cell blocks (11 n0 rows) and
-# 57 ms in 4096-cell ones (40 alternating runs, 2-vCPU VM). The heap peak
-# doubles with the block: 0.97 MB at 2048 cells, below the 1.3 MB that one
-# grid's whole table took through _write_csv, and 1.9 MB at 4096.
+# shifts both, 16-word rows) took a median of 52 ms in 1024-cell blocks
+# and 43-46 ms in both 2048-cell (11 n0 rows) and 4096-cell ones, each
+# inside the other's quartiles (three sets of 40 alternating runs, 2-vCPU
+# VM). The heap peak doubles with the block, 0.34, 0.71 and 1.40 MB, so
+# it stays at 2048 cells, below the 1.3 MB that one grid's whole table
+# took through _write_csv.
 _GRID_BLOCK_CELLS = 2048
 
 # Exact "%.17g" in numpy for 1e-5 <= |x| < 1e17. The powers of ten up to
@@ -170,7 +175,9 @@ def _ascii8(value: np.ndarray, out: np.ndarray) -> None:
     """The eight decimal digits of each value < 10**8, as ASCII in one
     little-endian word (the leading digit in the lowest byte)."""
     digits4 = _digit_tables()[0]
-    q, r = np.divmod(value, 10 ** 4)
+    q = value // 10 ** 4
+    r = q * 10 ** 4
+    np.subtract(value, r, out=r)
     np.take(digits4, q, out=out)
     del q
     r = digits4[r]
@@ -184,10 +191,15 @@ def _fixed_words(k: np.ndarray, d: np.ndarray) -> np.ndarray:
     digit k (k >= 0) or "0." and -k-1 zeros in front (-4 <= k < 0), and
     the trailing zeros after the point dropped."""
     digits = np.empty((3, d.size), np.uint64)
-    high, low = np.divmod(d, 10 ** 9)  # digits 0-7 and 8-16
+    high = d // 10 ** 9  # digits 0-7
+    low = high * 10 ** 9
+    np.subtract(d, low, out=low)  # digits 8-16
     _ascii8(high, digits[0])
-    middle, last = np.divmod(low, 10)  # digits 8-15 and 16
-    del high, low
+    del high
+    middle = low // 10  # digits 8-15
+    last = middle * 10
+    np.subtract(low, last, out=last)  # digit 16
+    del low
     _ascii8(middle, digits[1])
     del middle
     np.add(last, ord("0"), out=digits[2], casting="unsafe")
@@ -196,10 +208,11 @@ def _fixed_words(k: np.ndarray, d: np.ndarray) -> np.ndarray:
     del last
     rest = d[idx]
     while idx.size:
-        group = rest % 10 ** 4
+        upper = rest // 10 ** 4
+        group = rest - upper * 10 ** 4
         zeros[idx] += _digit_tables()[1][group]
         more = group == 0
-        idx, rest = idx[more], rest[more] // 10 ** 4
+        idx, rest = idx[more], upper[more]
     col = k + 4
     text = _INT_MASK.take(col, axis=1)
     text &= digits
@@ -225,12 +238,12 @@ def _fixed_words(k: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _slots(x: np.ndarray) -> np.ndarray:
-    """(x.size, 4) little-endian words, 32 bytes a value: its sign in byte
-    7, its "%.17g" text NUL-padded in bytes 8-31, and byte 0 left for
-    _emit's separator. A fixed-notation cell (1e-4 <= |x| < 1e17 once
-    rounded) is laid out from its exact 17-digit integer, and 0 and -0 as
-    "0" with their sign; NaN, the infinities and exponent-notation cells go
-    through Python's "%.17g", which writes their sign in the text."""
+    """(x.size, 4) little-endian words, 32 bytes a value: byte 0 left for
+    _emit's separator, its sign in byte 7 and its "%.17g" text NUL-padded
+    in bytes 8-31. A fixed-notation cell (1e-4 <= |x| < 1e17 once rounded)
+    is laid out from its exact 17-digit integer, and 0 and -0 as "0" with
+    their sign; NaN, the infinities and exponent-notation cells go through
+    Python's "%.17g", which writes their sign in the text."""
     a = np.abs(x)
     zero = a == 0
     fixed = (a >= 1e-5) & (a < 1e17)
@@ -257,15 +270,32 @@ def _slots(x: np.ndarray) -> np.ndarray:
     return slot
 
 
-def _emit(fh, slot: np.ndarray) -> None:
-    """Write the rows of slot, a C-contiguous (rows, columns, 4) array of
-    _slots words, as CSV lines: a "," before each cell but a row's first,
-    a newline before each row but the first and after the last, and the
-    NUL bytes dropped."""
-    lead = slot[:, :, 0]
-    lead[1:, 0] |= _NEWLINE
-    lead[:, 1:] |= _COMMA
-    cells = slot.view(np.uint8).ravel()
+def _packed(x: np.ndarray) -> np.ndarray:
+    """(x.size, w) little-endian words: byte 0 left for _emit's separator,
+    then each value's _slots text with its sign in front, NUL-padded to
+    the fewest words w that hold the longest text and the separator (at
+    most 4: a text has at most 24 bytes)."""
+    slot = _slots(x).view(np.uint8)
+    signed = slot[:, 7] != 0
+    text = np.zeros((x.size, 32), np.uint8)
+    text[:, 1:25] = slot[:, 8:]
+    text[signed, 1] = slot[signed, 7]
+    text[signed, 2:26] = slot[signed, 8:]
+    words = (np.count_nonzero(text, axis=1).max(initial=0) + 8) // 8
+    return np.ascontiguousarray(text[:, :8 * words]).view("<u8")
+
+
+def _emit(fh, rows: np.ndarray, widths: list[int]) -> None:
+    """Write rows, a C-contiguous (n, sum(widths)) array of words, as CSV
+    lines of columns widths[0], widths[1], ... words wide, each column's
+    byte 0 left free for its separator: a "," before each cell but a row's
+    first, a newline before each row but the first and after the last, and
+    the NUL bytes dropped."""
+    separators = np.zeros(rows.shape[1], np.uint64)
+    separators[np.cumsum(widths[:-1], dtype=np.intp)] = _COMMA
+    rows |= separators
+    rows[1:, 0] |= _NEWLINE
+    cells = rows.view(np.uint8).ravel()
     fh.write(cells[cells != 0])
     fh.write(b"\n")
 
@@ -281,29 +311,38 @@ def _write_csv(path: Path, comments: list[str], columns: dict) -> None:
     each value as format(float(x), ".17g"), written a block at a time."""
     table = np.column_stack([np.asarray(c, dtype=float)
                              for c in columns.values()])
+    widths = [4] * table.shape[1]
     with open(path, "wb") as fh:
         _write_head(fh, comments, columns)
         for start in range(0, len(table), _CSV_BLOCK_ROWS):
             block = table[start:start + _CSV_BLOCK_ROWS]
-            _emit(fh, _slots(block.ravel()).reshape(*block.shape, 4))
+            _emit(fh, _slots(block.ravel()).reshape(len(block), -1), widths)
+
+
+def _grid_words(theta: np.ndarray, n_zero: np.ndarray) -> tuple:
+    """The _packed words of the columns that every energy grid over the axes
+    theta and n_zero shares: theta, n0 and the mask values 0 and 1."""
+    return _packed(theta), _packed(n_zero), _packed(np.array([0.0, 1.0]))
 
 
 def _write_grid(path: Path, theta: np.ndarray, n_zero: np.ndarray,
-                settings: dict) -> None:
+                words: tuple, settings: dict) -> None:
     """The energy grid over the axes theta and n_zero, as _write_csv would
     write its table: a row per cell, n0 outer and theta inner, of theta, n0
     and per shift setting the energy (0 where masked) and the mask. It is
     written a block of n0 rows at a time, or a block of one row's cells
-    where a row is wider than a block, straight from the axes: the axis
-    values and the mask values are formatted once, and only the energies
-    per cell."""
+    where a row is wider than a block, straight from the axes: the theta,
+    n0 and mask columns are copied from words, their _grid_words, and
+    only the energies go through _slots, per block."""
     names, lps = ["theta", "n_zero"], []
     for s, lp in sorted(settings.items()):
         suffix = f"_shifts_{s}" if len(settings) > 1 else ""
         names += ["energy" + suffix, "mask" + suffix]
         lps.append(lp)
-    theta_slots, n0_slots = _slots(theta), _slots(n_zero)
-    mask_slots = _slots(np.array([0.0, 1.0]))
+    theta_words, n0_words, mask_words = words
+    widths = ([theta_words.shape[1], n0_words.shape[1]]
+              + [4, mask_words.shape[1]] * len(lps))
+    edges = np.cumsum([0] + widths).tolist()  # column c: edges[c:c + 2]
     rows = max(1, _GRID_BLOCK_CELLS // theta.size)
     width = min(theta.size, _GRID_BLOCK_CELLS)
     with open(path, "wb") as fh:
@@ -315,16 +354,17 @@ def _write_grid(path: Path, theta: np.ndarray, n_zero: np.ndarray,
             n0 = n_zero[i:i + rows]
             for j in range(0, theta.size, width):
                 th = theta[j:j + width]
-                slot = np.empty((n0.size, th.size, len(names), 4), "<u8")
-                slot[:, :, 0] = theta_slots[j:j + width]
-                slot[:, :, 1] = n0_slots[i:i + rows, None]
+                block = np.empty((n0.size, th.size, edges[-1]), "<u8")
+                block[:, :, :edges[1]] = theta_words[j:j + width]
+                block[:, :, edges[1]:edges[2]] = n0_words[i:i + rows, None]
                 for col, lp in enumerate(lps, start=1):
                     energies, masked = energy_block(lp, th, n0, 0.0)
-                    slot[:, :, 2 * col] = _slots(energies.ravel()).reshape(
+                    e, m, end = edges[2 * col:2 * col + 3]
+                    block[:, :, e:m] = _slots(energies.ravel()).reshape(
                         n0.size, th.size, 4)
-                    slot[:, :, 2 * col + 1] = mask_slots[
+                    block[:, :, m:end] = mask_words[
                         masked.astype(np.intp)][:, None]
-                _emit(fh, slot.reshape(-1, len(names), 4))
+                _emit(fh, block.reshape(-1, edges[-1]), widths)
 
 
 def _columns_line(columns) -> str:
@@ -434,6 +474,7 @@ def _run_landscape(cfg: ScenarioConfig, starts, kw: dict,
             f"[grid] n_theta = {axes[0].size}, n_n0 = {axes[1].size} need "
             f"at least {_size(need)} of energy grid files, more than the "
             f"{_size(free)} free on the file system of {str(out)!r}")
+    words = _grid_words(*axes)
     single = len(cases) == 1
     outputs: list[str] = []
     counts_echo = {}
@@ -454,7 +495,7 @@ def _run_landscape(cfg: ScenarioConfig, starts, kw: dict,
         outputs.append(jname)
 
         cname = "energy_grid.csv" if single else f"energy_grid_{k}.csv"
-        _write_grid(out / cname, *axes, settings)
+        _write_grid(out / cname, *axes, words, settings)
         outputs.append(cname)
     return outputs, {"derived": {"counts": counts_echo}}
 

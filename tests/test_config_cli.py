@@ -34,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 from lcse import (ConfigError, InvalidInputError, ValidityWarning, cli,
                   config, dynamics)
 from lcse.config import build, config_to_dict, parse_config, serialize_config
-from lcse.landscape import energy_grid
+from lcse.landscape import LandscapeParams, energy_block, energy_grid
 from lcse.presets import load_preset, preset_description, preset_names, preset_text
 
 from cli_run import run_cli
@@ -712,6 +712,13 @@ NAMED_CELLS = {
                                for k in range(-7, 18)]
                               + [9.999999999999999e-5, 99999999999999984.0,
                                  9.9999999999999995e-5],
+    # the prefixes of 12345678912345678 (each an exact double), whose
+    # 17-digit integers end in z = 0 .. 16 zeros, then zero runs across its
+    # splits at 10**9 and 10**4 and fractional texts, each with either sign
+    "trailing-zero-runs": [sign * v for v in (
+        *[float("12345678912345678"[:17 - z]) for z in range(17)],
+        10000000000000002.0, 1.000000001, 100000001.0, 100000000.5,
+        12345678.9, 1.2345e-4, 2.0 ** -10) for sign in (1.0, -1.0)],
 }
 
 
@@ -898,6 +905,42 @@ def test_cli_energy_grid_rows_and_masked_cells(tmp_path, capsys, shape):
                               for th in eg.theta.tolist()]
     if shape == "exponent-cells":
         assert all("e-" in line.split(",")[2] for line in lines[3 + 9:])
+
+
+@pytest.mark.parametrize("block", [cli._GRID_BLOCK_CELLS, 3])
+@pytest.mark.parametrize("shifts", [["off"], ["off", "on"]])
+def test_write_grid_packed_columns_match_format_17g(tmp_path, monkeypatch,
+                                                    block, shifts):
+    # axes whose longest texts need 4 and 3 words with the separator:
+    # signed zeros, the 24-character smallest subnormal and a value in
+    # [1e16, 1e17) on theta; 0, 1e-300 (exponent notation), 0.1 and 1
+    # (outside (1-n0)^2 >= m^2) on n0; the masks take 1 word
+    monkeypatch.setattr(cli, "_GRID_BLOCK_CELLS", block)
+    theta = np.array([-0.0, 0.0, -4.9406564584124654e-324,
+                      12345678912345678.0, -2.5])
+    n_zero = np.array([0.0, 1e-300, 0.1, 1.0])
+    words = cli._grid_words(theta, n_zero)
+    assert [w.shape[1] for w in words] == [4, 3, 1]
+    lps = {"off": LandscapeParams(-0.5, 1.0, 0.01, m_mag=0.1),
+           "on": LandscapeParams(-0.4, 1.0, 0.01, m_mag=0.1,
+                                 lightshift_delta=0.2, lightshift_p=0.05)}
+    settings = {s: lps[s] for s in shifts}
+    path = tmp_path / "grid.csv"
+    cli._write_grid(path, theta, n_zero, words, settings)
+    blocks = [energy_block(lp, theta, n_zero, 0.0) for lp in settings.values()]
+    expected = []
+    for i, n0 in enumerate(n_zero.tolist()):
+        for j, th in enumerate(theta.tolist()):
+            row = [th, n0]
+            for energies, masked in blocks:
+                row += [energies[i, j], float(masked[i])]
+            expected.append(",".join(format(float(v), ".17g") for v in row))
+    lines = path.read_text().split("\n")
+    assert lines[3:] == expected + [""]
+    assert lines[3].startswith("-0,0,") and lines[-2].endswith(",0,1")
+    assert lines[5].startswith("-4.9406564584124654e-324,0,")
+    assert [line.split(",")[1] for line in lines[3:-1:theta.size]] == [
+        "0", "1e-300", "0.10000000000000001", "1"]
 
 
 def test_cli_landscape_heap_peak_below_its_table(tmp_path, capsys):
