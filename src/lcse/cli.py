@@ -9,14 +9,16 @@ Every CSV cell is format(x, ".17g"), byte for byte, formatted in numpy by
 one formatter (_slots) and written by one emitter (_emit): fixed-notation
 cells are rounded exactly, 0 and -0 are laid out directly, and only NaN,
 the infinities and exponent-notation cells go through Python's "%.17g".
-_emit writes rows of column slots of 8-byte words, each column as wide as
-its texts need, with byte 0 of its first word left for the separator, and
-drops the NUL padding. Tables are written 512 rows at a time (_write_csv),
-every cell in _slots's four words. An energy grid is written from its two
-axes a block of n0 rows at a time (_write_grid): the theta, n0 and mask
-columns are packed once per landscape run into the fewest words their
-longest text needs (_grid_words), and only the energies are formatted per
-block, so its heap is bounded by one block, not by the grid.
+_slots lays out every cell one way: byte 0 left for the separator, byte 1
+the sign or NUL, the text from byte 2 on (a "%.17g" text, which carries
+its sign, from byte 1), NUL-padded to the fewest 8-byte words that hold
+the longest text formatted with it: at most three for fixed notation,
+four only for a 24-character exponent text. _emit writes rows of such
+columns and drops the NUL padding. Tables are written 512 rows at a time
+(_write_csv). An energy grid is written from its two axes a block of n0
+rows at a time (_write_grid): the theta, n0 and mask columns are
+formatted once per landscape run and only the energies per block, so its
+heap is bounded by one block, not by the grid.
 """
 
 from __future__ import annotations
@@ -61,20 +63,21 @@ _TRANSFER_NOTES = [
 ]
 
 
-# _write_csv's blocks (trajectories and ensembles): the formatter's arrays
-# peak near 120 bytes a cell, so 512-row blocks hold less heap than
-# "%.17g" on a 1001-row table (about 77 bytes a cell), in few enough passes
-# that numpy's per-call overhead stays small; 1024-row blocks peak at
-# 0.86 MB on a 1001 x 8 trajectory, above the 0.62 MB that "%.17g" held.
+# _write_csv's blocks (trajectories and ensembles): on a 1001 x 8 table of
+# three-word cells, 256-, 512- and 1024-row blocks peak at 0.31, 0.54 and
+# 0.86 MB of heap, against the 0.62 MB that "%.17g" held; 512 and 1024
+# rows write it in medians of 1.9-2.5 ms, inside each other's quartiles,
+# 256 rows in 2.4-3.0 ms (three sets of 20-40 alternating runs, 2 vCPUs),
+# so 512 rows is the fastest size below "%.17g"'s peak.
 _CSV_BLOCK_ROWS = 512
 # grid cells in one of _write_grid's blocks, which it cuts inside an n0 row
 # only where a row holds more. Writing the four fig3 grids (181 x 101,
-# shifts both, 16-word rows) took a median of 52 ms in 1024-cell blocks
-# and 43-46 ms in both 2048-cell (11 n0 rows) and 4096-cell ones, each
-# inside the other's quartiles (three sets of 40 alternating runs, 2-vCPU
-# VM). The heap peak doubles with the block, 0.34, 0.71 and 1.40 MB, so
-# it stays at 2048 cells, below the 1.3 MB that one grid's whole table
-# took through _write_csv.
+# shifts both, 14-word rows) took medians of 56-64 ms in both 2048-cell
+# (11 n0 rows) and 4096-cell blocks, each inside the other's quartiles,
+# and 72-83 ms in 1024-cell ones (three sets of 20-40 alternating runs,
+# 2-vCPU VM). The heap peak doubles with the block (0.30, 0.65 and
+# 1.28 MB; one grid's whole table took 1.3 MB through _write_csv), so it
+# stays at 2048 cells.
 _GRID_BLOCK_CELLS = 2048
 
 # Exact "%.17g" in numpy for 1e-5 <= |x| < 1e17. The powers of ten up to
@@ -87,11 +90,11 @@ _POW10_LO = _POW10 - _POW10_HI
 
 
 def _words(texts: list[bytes]) -> np.ndarray:
-    """(3, len(texts)): each text, NUL-padded to 24 bytes, as three
-    little-endian 64-bit words; its first byte is the lowest byte of the
+    """(3, len(texts)): each text from byte 2 on, NUL-padded to 24 bytes,
+    as three little-endian 64-bit words; byte 0 is the lowest byte of the
     first word."""
-    return np.frombuffer(b"".join(t.ljust(24, b"\0") for t in texts),
-                         "<u8").reshape(-1, 3).T
+    return np.frombuffer(b"".join(b"\0\0" + t.ljust(22, b"\0")
+                                  for t in texts), "<u8").reshape(-1, 3).T
 
 
 @functools.cache
@@ -122,11 +125,11 @@ _INT_MASK = _words([b"\xff" * max(0, k + 1) for k in _EXPONENTS])
 _POINT = _words([b"0.000" if k < 0 else b"\0" * (k + 1) + b"."
                  for k in _EXPONENTS])
 _FRAC_SHIFT = np.array([8 * max(1, 1 - k) for k in _EXPONENTS], np.uint64)
-# the first n bytes of three words, n = 0 .. 22 (the longest text)
+# the first n bytes of a text, n = 0 .. 22 (the longest)
 _KEEP = _words([b"\xff" * n for n in range(23)])
 _ZERO = _words([b"0"])
-_U1, _U32, _U63 = np.uint64(1), np.uint64(32), np.uint64(63)
-_MINUS = np.uint64(ord("-") << 56)
+_U1, _U8, _U32, _U63 = map(np.uint64, (1, 8, 32, 63))
+_MINUS = np.uint64(ord("-") << 8)
 _NEWLINE, _COMMA = np.uint64(ord("\n")), np.uint64(ord(","))
 
 
@@ -185,27 +188,31 @@ def _ascii8(value: np.ndarray, out: np.ndarray) -> None:
     out |= r
 
 
-def _fixed_words(k: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _fixed_words(k: np.ndarray, d: np.ndarray) -> tuple:
     """(3, n) little-endian words holding each cell's fixed-notation text
-    without its sign, NUL-padded: the 17 digits of d with the point after
-    digit k (k >= 0) or "0." and -k-1 zeros in front (-4 <= k < 0), and
-    the trailing zeros after the point dropped."""
+    without its sign from byte 2 on, NUL-padded: the 17 digits of d with
+    the point after digit k (k >= 0) or "0." and -k-1 zeros in front
+    (-4 <= k < 0), and the trailing zeros after the point dropped; and
+    each text's length."""
     digits = np.empty((3, d.size), np.uint64)
-    high = d // 10 ** 9  # digits 0-7
-    low = high * 10 ** 9
-    np.subtract(d, low, out=low)  # digits 8-16
+    high = d // 10 ** 11  # digits 0-5
+    rest = high * 10 ** 11
+    np.subtract(d, rest, out=rest)  # digits 6-16
     _ascii8(high, digits[0])
     del high
-    middle = low // 10  # digits 8-15
-    last = middle * 10
-    np.subtract(low, last, out=last)  # digit 16
-    del low
+    digits[0] ^= np.uint64(0x3030)  # high < 10**6: "00" out of bytes 0-1
+    middle = rest // 10 ** 3  # digits 6-13
+    last = middle * 10 ** 3
+    np.subtract(rest, last, out=last)  # digits 14-16
+    del rest
     _ascii8(middle, digits[1])
     del middle
-    np.add(last, ord("0"), out=digits[2], casting="unsafe")
-    zeros = np.zeros(d.size, np.uint8)  # trailing zero digits of d
-    idx = np.flatnonzero(last == 0)
+    np.take(_digit_tables()[0], last, out=digits[2])  # "0", digits 14-16
     del last
+    digits[2] >>= _U8
+    zeros = np.zeros(d.size, np.uint8)  # trailing zero digits of d
+    # digit 16, byte 2 of the last word, is "0" (the bytes above are NUL)
+    idx = np.flatnonzero(digits[2] < np.uint64(ord("1") << 16))
     rest = d[idx]
     while idx.size:
         upper = rest // 10 ** 4
@@ -234,16 +241,18 @@ def _fixed_words(k: np.ndarray, d: np.ndarray) -> np.ndarray:
                       1 - k + sig)
     del sig
     text &= _KEEP.take(length, axis=1)
-    return text
+    return text, length
 
 
 def _slots(x: np.ndarray) -> np.ndarray:
-    """(x.size, 4) little-endian words, 32 bytes a value: byte 0 left for
-    _emit's separator, its sign in byte 7 and its "%.17g" text NUL-padded
-    in bytes 8-31. A fixed-notation cell (1e-4 <= |x| < 1e17 once rounded)
-    is laid out from its exact 17-digit integer, and 0 and -0 as "0" with
-    their sign; NaN, the infinities and exponent-notation cells go through
-    Python's "%.17g", which writes their sign in the text."""
+    """(x.size, w) little-endian words, each value's "%.17g" text in the
+    fewest words w that hold the longest: byte 0 left for _emit's
+    separator, byte 1 the sign or NUL, the text NUL-padded from byte 2
+    on. A fixed-notation cell (1e-4 <= |x| < 1e17 once rounded) is laid
+    out from its exact 17-digit integer, and 0 and -0 as "0" with their
+    sign, in at most three words; NaN, the infinities and exponent-notation
+    cells go through Python's "%.17g", whose text carries its sign and
+    starts at byte 1 (a 24-character one takes a fourth word)."""
     a = np.abs(x)
     zero = a == 0
     fixed = (a >= 1e-5) & (a < 1e17)
@@ -252,37 +261,26 @@ def _slots(x: np.ndarray) -> np.ndarray:
     del a
     fixed &= k >= -4
     np.maximum(k, -4, out=k)
-    text = _fixed_words(k, d)
+    text, length = _fixed_words(k, d)
     del k, d
     text[:, zero] = _ZERO
     fixed |= zero
     del zero
-    slot = np.empty((x.size, 4), "<u8")
-    slot[:, 1:] = text.T
-    del text
-    slot[:, 0] = (np.signbit(x) & fixed) * _MINUS
+    text[0] |= (np.signbit(x) & fixed) * _MINUS
+    # a fixed text starts a byte later than a "%.17g" one
+    longest = length.max(initial=1, where=fixed) + 1
     slow = np.flatnonzero(~fixed)
-    if slow.size:
-        texts = [b"%.17g" % v for v in x[slow].tolist()]
-        slot.view(np.uint8)[slow, 8:] = np.frombuffer(
-            b"".join(t.ljust(24, b"\0") for t in texts),
-            np.uint8).reshape(-1, 24)
+    texts = [b"%.17g" % v for v in x[slow].tolist()] if slow.size else []
+    w = max([longest, *map(len, texts)]) // 8 + 1
+    slot = np.empty((x.size, w), "<u8")
+    slot[:, :3] = text[:w].T
+    del text
+    slot[:, 3:] = 0
+    if texts:
+        slot.view(np.uint8)[slow, 1:] = np.frombuffer(
+            b"".join(t.ljust(8 * w - 1, b"\0") for t in texts),
+            np.uint8).reshape(-1, 8 * w - 1)
     return slot
-
-
-def _packed(x: np.ndarray) -> np.ndarray:
-    """(x.size, w) little-endian words: byte 0 left for _emit's separator,
-    then each value's _slots text with its sign in front, NUL-padded to
-    the fewest words w that hold the longest text and the separator (at
-    most 4: a text has at most 24 bytes)."""
-    slot = _slots(x).view(np.uint8)
-    signed = slot[:, 7] != 0
-    text = np.zeros((x.size, 32), np.uint8)
-    text[:, 1:25] = slot[:, 8:]
-    text[signed, 1] = slot[signed, 7]
-    text[signed, 2:26] = slot[signed, 8:]
-    words = (np.count_nonzero(text, axis=1).max(initial=0) + 8) // 8
-    return np.ascontiguousarray(text[:, :8 * words]).view("<u8")
 
 
 def _emit(fh, rows: np.ndarray, widths: list[int]) -> None:
@@ -311,18 +309,14 @@ def _write_csv(path: Path, comments: list[str], columns: dict) -> None:
     each value as format(float(x), ".17g"), written a block at a time."""
     table = np.column_stack([np.asarray(c, dtype=float)
                              for c in columns.values()])
-    widths = [4] * table.shape[1]
     with open(path, "wb") as fh:
         _write_head(fh, comments, columns)
         for start in range(0, len(table), _CSV_BLOCK_ROWS):
             block = table[start:start + _CSV_BLOCK_ROWS]
-            _emit(fh, _slots(block.ravel()).reshape(len(block), -1), widths)
-
-
-def _grid_words(theta: np.ndarray, n_zero: np.ndarray) -> tuple:
-    """The _packed words of the columns that every energy grid over the axes
-    theta and n_zero shares: theta, n0 and the mask values 0 and 1."""
-    return _packed(theta), _packed(n_zero), _packed(np.array([0.0, 1.0]))
+            cells = _slots(block.ravel())
+            _emit(fh, cells.reshape(len(block), -1),
+                  [cells.shape[1]] * table.shape[1])
+            del cells  # not held while the next block is formatted
 
 
 def _write_grid(path: Path, theta: np.ndarray, n_zero: np.ndarray,
@@ -332,17 +326,14 @@ def _write_grid(path: Path, theta: np.ndarray, n_zero: np.ndarray,
     and per shift setting the energy (0 where masked) and the mask. It is
     written a block of n0 rows at a time, or a block of one row's cells
     where a row is wider than a block, straight from the axes: the theta,
-    n0 and mask columns are copied from words, their _grid_words, and
-    only the energies go through _slots, per block."""
+    n0 and mask columns are copied from words, the _slots of theta, n_zero
+    and [0, 1], and only the energies go through _slots, per block."""
     names, lps = ["theta", "n_zero"], []
     for s, lp in sorted(settings.items()):
         suffix = f"_shifts_{s}" if len(settings) > 1 else ""
         names += ["energy" + suffix, "mask" + suffix]
         lps.append(lp)
     theta_words, n0_words, mask_words = words
-    widths = ([theta_words.shape[1], n0_words.shape[1]]
-              + [4, mask_words.shape[1]] * len(lps))
-    edges = np.cumsum([0] + widths).tolist()  # column c: edges[c:c + 2]
     rows = max(1, _GRID_BLOCK_CELLS // theta.size)
     width = min(theta.size, _GRID_BLOCK_CELLS)
     with open(path, "wb") as fh:
@@ -354,16 +345,19 @@ def _write_grid(path: Path, theta: np.ndarray, n_zero: np.ndarray,
             n0 = n_zero[i:i + rows]
             for j in range(0, theta.size, width):
                 th = theta[j:j + width]
-                block = np.empty((n0.size, th.size, edges[-1]), "<u8")
-                block[:, :, :edges[1]] = theta_words[j:j + width]
-                block[:, :, edges[1]:edges[2]] = n0_words[i:i + rows, None]
-                for col, lp in enumerate(lps, start=1):
+                columns = [theta_words[j:j + width],
+                           n0_words[i:i + rows, None]]
+                for lp in lps:
                     energies, masked = energy_block(lp, th, n0, 0.0)
-                    e, m, end = edges[2 * col:2 * col + 3]
-                    block[:, :, e:m] = _slots(energies.ravel()).reshape(
-                        n0.size, th.size, 4)
-                    block[:, :, m:end] = mask_words[
-                        masked.astype(np.intp)][:, None]
+                    columns += [_slots(energies.ravel()).reshape(
+                                    n0.size, th.size, -1),
+                                mask_words[masked.astype(np.intp)][:, None]]
+                widths = [c.shape[-1] for c in columns]
+                edges = np.cumsum([0] + widths).tolist()
+                block = np.empty((n0.size, th.size, edges[-1]), "<u8")
+                for c, col in enumerate(columns):
+                    block[:, :, edges[c]:edges[c + 1]] = col
+                del columns  # not held while the next block is formatted
                 _emit(fh, block.reshape(-1, edges[-1]), widths)
 
 
@@ -474,7 +468,7 @@ def _run_landscape(cfg: ScenarioConfig, starts, kw: dict,
             f"[grid] n_theta = {axes[0].size}, n_n0 = {axes[1].size} need "
             f"at least {_size(need)} of energy grid files, more than the "
             f"{_size(free)} free on the file system of {str(out)!r}")
-    words = _grid_words(*axes)
+    words = (*map(_slots, axes), _slots(np.array([0.0, 1.0])))
     single = len(cases) == 1
     outputs: list[str] = []
     counts_echo = {}

@@ -37,7 +37,8 @@ class PulseSchedule:
     resonance (resonance_detuning at the current Rabi ratio); 'fixed' holds
     it at theta_fixed, which only 'fixed' takes. The pump must be finite
     and > 0 so the ratio r = Omega'_d / Omega'_p is always defined; NaN is
-    refused. rabi(tau) and drive(tau) are the readers of these fields.
+    refused, and so is an infinite small_delta or c2n (t_zero = inf holds
+    the dump constant). rabi(tau) and drive(tau) read these fields.
     """
 
     omega_p: float
@@ -58,6 +59,8 @@ class PulseSchedule:
             raise InvalidInputError("t0 must be > 0")
         if not 0.0 <= self.omega_d0 < math.inf:
             raise InvalidInputError("omega_d0 must be finite and >= 0")
+        if not (math.isfinite(self.small_delta) and math.isfinite(self.c2n)):
+            raise InvalidInputError("small_delta and c2n must be finite")
         fixed = self.theta_variant == "fixed"
         if fixed and self.theta_fixed is None:
             raise InvalidInputError("theta_variant 'fixed' needs theta_fixed")

@@ -47,8 +47,10 @@ class GridSpec:
     resolution: tuple[int, int] = (181, 101)  # (n_theta, n_n0)
 
     def __post_init__(self):
-        if self.theta_range[0] >= self.theta_range[1]:
-            raise InvalidInputError("theta_range must be increasing")
+        lo, hi = self.theta_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise InvalidInputError("theta_range must be finite and "
+                                    "increasing")
         if not (0.0 <= self.n0_range[0] < self.n0_range[1] <= 1.0):
             raise InvalidInputError("n0_range must be increasing within [0, 1]")
         if self.resolution[0] < 2 or self.resolution[1] < 2:

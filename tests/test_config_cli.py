@@ -907,6 +907,24 @@ def test_cli_energy_grid_rows_and_masked_cells(tmp_path, capsys, shape):
         assert all("e-" in line.split(",")[2] for line in lines[3 + 9:])
 
 
+@pytest.mark.parametrize("values, words, heads", [
+    ([0.0, 1.0], 1, [b"\0\0" b"0", b"\0\0" b"1"]),
+    # the longest fixed-notation text: sign, "0.000" and 17 digits
+    ([-0.00012345678901234567, 0.5, -0.0, 12345678912345678.0], 3,
+     [b"\0-0", b"\0\0" b"0", b"\0-0", b"\0\0" b"1"]),
+    ([1.0, -4.9406564584124654e-324], 4, [b"\0\0" b"1", b"\0-4"]),
+])
+def test_slots_takes_the_fewest_words_of_its_longest_text(values, words,
+                                                          heads):
+    # byte 0 is the separator's; a fixed-notation text starts at byte 2,
+    # after its sign or NUL, and a "%.17g" text, sign and all, at byte 1
+    rows = cli._slots(np.array(values)).view(np.uint8)
+    assert rows.shape == (len(values), 8 * words)
+    assert [bytes(row[:3]) for row in rows] == heads
+    assert [bytes(row).replace(b"\0", b"").decode() for row in rows] == [
+        format(v, ".17g") for v in values]
+
+
 @pytest.mark.parametrize("block", [cli._GRID_BLOCK_CELLS, 3])
 @pytest.mark.parametrize("shifts", [["off"], ["off", "on"]])
 def test_write_grid_packed_columns_match_format_17g(tmp_path, monkeypatch,
@@ -919,7 +937,8 @@ def test_write_grid_packed_columns_match_format_17g(tmp_path, monkeypatch,
     theta = np.array([-0.0, 0.0, -4.9406564584124654e-324,
                       12345678912345678.0, -2.5])
     n_zero = np.array([0.0, 1e-300, 0.1, 1.0])
-    words = cli._grid_words(theta, n_zero)
+    words = (cli._slots(theta), cli._slots(n_zero),
+             cli._slots(np.array([0.0, 1.0])))
     assert [w.shape[1] for w in words] == [4, 3, 1]
     lps = {"off": LandscapeParams(-0.5, 1.0, 0.01, m_mag=0.1),
            "on": LandscapeParams(-0.4, 1.0, 0.01, m_mag=0.1,

@@ -175,6 +175,8 @@ def test_pulse_schedule_is_plain_data():
     for bad in (dict(omega_p=0.0), dict(t_zero=0.0), dict(omega_d0=-1.0),
                 dict(omega_p=nan), dict(omega_p=inf), dict(omega_d0=nan),
                 dict(omega_d0=inf), dict(t_zero=nan),
+                dict(c2n=nan), dict(c2n=-inf), dict(small_delta=nan),
+                dict(small_delta=inf),
                 dict(theta_variant="fixed", theta_fixed=nan),
                 dict(theta_variant="fixed", theta_fixed=inf)):
         with pytest.raises(InvalidInputError):

@@ -552,6 +552,14 @@ def test_domain_edge_survives_rounding():
     assert wide.mask[-1].all() and not wide.mask[:-1].any()
 
 
+@pytest.mark.parametrize("theta_range", [
+    (math.nan, 1.0), (-math.inf, math.inf), (0.0, math.inf), (1.0, 0.0)])
+def test_grid_spec_refuses_nonfinite_or_decreasing_theta_range(theta_range):
+    # linspace over a NaN or infinite end gives an all-NaN theta axis
+    with pytest.raises(InvalidInputError, match="theta_range"):
+        GridSpec(theta_range=theta_range)
+
+
 @pytest.mark.parametrize("field", ["c_eff", "q", "m_mag", "lightshift_p"])
 def test_landscape_params_reject_nonfinite(field):
     kwargs = dict(c_eff=0.01, c2n=C2, q=0.01)
